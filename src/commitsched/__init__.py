@@ -10,6 +10,7 @@ from .model import (
     DecisionLog,
     DecisionRecord,
     Instance,
+    InvariantError,
     Job,
     Schedule,
     Segment,
@@ -33,18 +34,20 @@ from .preemptive import (
 )
 from .nonpreemptive import (
     CommittedStart,
+    GreedyAllocator,
     NonpreemptiveResult,
     NonpreemptiveSimulator,
+    PartitionedAllocator,
+    RandomizedAllocator,
     d_lim,
     greedy_nonpreemptive,
     simulate_nonpreemptive,
     simulate_partitioned,
     simulate_randomized_single,
 )
+from .policy import ALGORITHMS, Policy, drive, make_policy
 from .adversary import (
     StressOutcome,
-    nonpreemptive_adversary,
-    preemptive_adversary,
     replay_nonpreemptive,
     replay_preemptive,
     solve_c_lower,

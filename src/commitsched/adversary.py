@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .model import (
     DecisionLog,
-    DecisionRecord,
     Instance,
     Job,
     Schedule,
@@ -22,8 +21,9 @@ from .model import (
     validate_instance,
     verify_schedule,
 )
-from .nonpreemptive import CommittedStart, NonpreemptiveSimulator
-from .preemptive import PreemptiveSimulator, wrap_fill
+from .nonpreemptive import CommittedStart
+from .policy import Policy, make_policy
+from .preemptive import wrap_fill
 
 _BISECT_REL = 1e-12
 
@@ -231,10 +231,6 @@ class PreemptiveAdversary:
         return sum(j.processing for j in members), sched, last
 
 
-def preemptive_adversary(m: int, epsilon: float, delta: float = 1.0 / 64) -> PreemptiveAdversary:
-    return PreemptiveAdversary(m, epsilon, delta)
-
-
 class NonpreemptiveAdversary:
     """Start-time-probing generator for the non-preemptive game.
 
@@ -302,19 +298,21 @@ class NonpreemptiveAdversary:
         self.group_of[job.id] = self.group
         return job
 
-    def record(self, job_id: int, accepted: bool, start: float | None = None) -> None:
+    def record(self, job_id: int, placement: CommittedStart | None) -> None:
+        """Note the policy's answer: None (or any falsy value) on rejection,
+        the committed start on acceptance."""
         if self.group == 0:
-            if not accepted:
+            if not placement:
                 self.done = True
                 return
-            if start is None:
+            if not isinstance(placement, CommittedStart):
                 raise ValueError("the probe job's committed start is required")
-            self.t = start
+            self.t = placement.start
             self.group = 1 if self.m > 1 else self.m
             self.submitted_in_group = 0
             self.accepted_in_group = 0
             return
-        if accepted:
+        if placement:
             self.accepted_in_group += 1
 
     def certificate(self) -> tuple[float, Schedule, int]:
@@ -340,10 +338,6 @@ class NonpreemptiveAdversary:
         return 1.0 + sum(j.processing for j in members), sched, last
 
 
-def nonpreemptive_adversary(m: int, epsilon: float, delta: float = 1.0 / 64) -> NonpreemptiveAdversary:
-    return NonpreemptiveAdversary(m, epsilon, delta)
-
-
 def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
     renumbered = tuple(
         Job(i, j.release, j.processing, j.deadline) for i, j in enumerate(jobs)
@@ -353,6 +347,13 @@ def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
     if problems:
         raise AssertionError("generator emitted an invalid sequence: " + "; ".join(map(str, problems)))
     return inst
+
+
+def _play(adv: PreemptiveAdversary | NonpreemptiveAdversary, policy: Policy):
+    """Offer the generator's jobs to the policy, one decision at a time."""
+    while (job := adv.next_job()) is not None:
+        adv.record(job.id, policy.submit(job))
+    return policy.finish()
 
 
 def replay_preemptive(
@@ -371,15 +372,7 @@ def replay_preemptive(
     if algorithm not in ("alg1+2", "greedy-p"):
         raise ValueError(f"unsupported preemptive algorithm {algorithm!r}")
     adv = PreemptiveAdversary(m, epsilon, delta)
-    sim = PreemptiveSimulator(
-        m, epsilon, assert_level=assert_level, policy="lazy" if algorithm == "alg1+2" else "greedy"
-    )
-    while True:
-        job = adv.next_job()
-        if job is None:
-            break
-        adv.record(job.id, sim.submit(job))
-    result = sim.finish()
+    result = _play(adv, make_policy(algorithm, m, epsilon, assert_level))
     opt_volume, opt_schedule, last_block = adv.certificate()
     cert_jobs = {j.id: j for j in adv.jobs if adv.block_of[j.id] == last_block}
     problems = verify_schedule(opt_schedule, cert_jobs)
@@ -408,38 +401,7 @@ def replay_nonpreemptive(
     if algorithm not in ("alg3", "greedy-np"):
         raise ValueError(f"unsupported non-preemptive algorithm {algorithm!r}")
     adv = NonpreemptiveAdversary(m, epsilon, delta)
-    decisions = DecisionLog()
-    volume = 0.0
-    if algorithm == "alg3":
-        sim = NonpreemptiveSimulator(m, epsilon)
-
-        def offer(job: Job):
-            return sim.submit(job)
-
-    else:
-        free = [0.0] * m
-
-        def offer(job: Job):
-            options = []
-            for i, f_time in enumerate(free):
-                start = max(job.release, f_time)
-                if start + job.processing <= job.deadline + 1e-9:
-                    options.append((start + job.processing, i, start))
-            if not options:
-                return None
-            _, machine, start = min(options)
-            free[machine] = start + job.processing
-            return CommittedStart(job.id, machine, start)
-
-    while True:
-        job = adv.next_job()
-        if job is None:
-            break
-        committed = offer(job)
-        decisions.add(DecisionRecord(job.id, committed is not None, job.release, 0.0))
-        if committed is not None:
-            volume += job.processing
-        adv.record(job.id, committed is not None, committed.start if committed else None)
+    result = _play(adv, make_policy(algorithm, m, epsilon))
     opt_volume, opt_schedule, last_group = adv.certificate()
     cert_ids = {seg.job for seg in opt_schedule.segments}
     cert_jobs = {j.id: j for j in adv.jobs if j.id in cert_ids}
@@ -448,8 +410,8 @@ def replay_nonpreemptive(
         raise AssertionError("certificate schedule invalid: " + "; ".join(map(str, problems)))
     return StressOutcome(
         instance=_realized_instance(m, epsilon, adv.jobs),
-        decisions=decisions,
-        alg_volume=volume,
+        decisions=result.decisions,
+        alg_volume=result.accepted_volume,
         opt_volume=opt_volume,
         opt_schedule=opt_schedule,
         lower_bound=solve_c_lower(m, epsilon),

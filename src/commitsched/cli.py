@@ -11,16 +11,18 @@ import math
 import sys
 
 from .harness import (
-    ALGORITHMS,
     ExperimentConfig,
     bound_for_algorithm,
     random_instance,
     run,
+    stress_run,
     theoretical_bounds,
     write_bound_curves,
 )
-from .model import read_instance, validate_instance, verify_schedule, write_instance
-from .preemptive import InvariantError, simulate_preemptive
+from .model import InvariantError, read_instance, verify_schedule, write_instance
+from .nonpreemptive import committed_schedule
+from .policy import ALGORITHMS, drive, make_policy
+from .preemptive import SimulationResult
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -148,7 +150,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         assert_level=args.assert_level,
         out_dir=args.out,
     )
-    rows, ok = run(config)
+    rows, ok, outcome = stress_run(config)
     row = rows[0]
     print(f"accepted volume: {row.alg_volume:.6f}")
     print(f"certificate optimum: {row.opt_volume:.6f}")
@@ -156,14 +158,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     print(f"measured ratio: {ratio}")
     print(f"target lower bound: {row.bound:.6f}")
     if args.export:
-        if args.family == "preemptive":
-            from .adversary import replay_preemptive
-
-            outcome = replay_preemptive(args.m, args.epsilon, delta=args.delta, algorithm=args.alg)
-        else:
-            from .adversary import replay_nonpreemptive
-
-            outcome = replay_nonpreemptive(args.m, args.epsilon, delta=args.delta, algorithm=args.alg)
         write_instance(outcome.instance, args.export)
         print(f"wrote {args.export}")
     print("lower bound reached" if ok else "LOWER BOUND MISSED")
@@ -172,32 +166,19 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance_file)
-    problems = validate_instance(instance)
-    if problems:
-        for v in problems:
-            print(f"invalid: {v}", file=sys.stderr)
-        return 2
-    failures = 0
-    if args.alg in ("alg1+2", "greedy-p"):
-        from .preemptive import greedy_preemptive
-
-        runner = simulate_preemptive if args.alg == "alg1+2" else greedy_preemptive
-        result = runner(instance, assert_level=args.assert_level)
-        accepted = {
-            j.id: j for j in instance.jobs if j.id in set(result.decisions.accepted_ids())
-        }
-        violations = verify_schedule(result.schedule, accepted)
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        failures += len(violations)
-        print(f"accepted volume: {result.accepted_volume:.6f}")
+    policy = make_policy(args.alg, instance.machines, instance.epsilon, args.assert_level, args.seed)
+    result = drive(policy, instance)
+    if isinstance(result, SimulationResult):
+        schedule = result.schedule
     else:
-        from .harness import run_algorithm
-
-        volume = run_algorithm(args.alg, instance, assert_level=args.assert_level, seed=args.seed)
-        print(f"accepted volume: {volume:.6f}")
-    print("ok" if failures == 0 else f"{failures} violations")
-    return 0 if failures == 0 else 1
+        schedule = committed_schedule(result, instance)
+    accepted = {j.id: j for j in instance.jobs if result.decisions[j.id].accepted}
+    violations = verify_schedule(schedule, accepted)
+    for v in violations:
+        print(f"violation: {v}", file=sys.stderr)
+    print(f"accepted volume: {result.accepted_volume:.6f}")
+    print("ok" if not violations else f"{len(violations)} violations")
+    return 0 if not violations else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
 

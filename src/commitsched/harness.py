@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .adversary import (
+    StressOutcome,
     preemptive_lower_bound,
     replay_nonpreemptive,
     replay_preemptive,
@@ -23,22 +24,14 @@ from .adversary import (
     strengthened_preemptive_bound,
 )
 from .model import Instance, Job, read_instance, validate_instance
-from .nonpreemptive import (
-    greedy_nonpreemptive,
-    partition_group_size,
-    simulate_nonpreemptive,
-    simulate_partitioned,
-    simulate_randomized_single,
-)
+from .nonpreemptive import partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
     MAX_PREEMPTIVE_JOBS,
     opt_nonpreemptive,
     opt_preemptive,
 )
-from .preemptive import greedy_preemptive, simulate_preemptive
-
-ALGORITHMS = ("alg1+2", "alg3", "alg3-partitioned", "alg3-randomized", "greedy-p", "greedy-np")
+from .policy import ALGORITHMS, drive, make_policy
 
 #: Policies whose accepted jobs form a non-preemptive schedule, so the
 #: non-preemptive oracle bounds them; the preemptive oracle bounds everything.
@@ -69,10 +62,8 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     if abs(log_rho - round(log_rho)) < 1e-9 and round(log_rho) >= 1 and m % g == 0:
         bounds["partitioned_upper"] = math.e * log_rho + 1.0
     if m == 1:
-        cands = sorted({max(1, math.floor(log_rho)), max(1, math.ceil(log_rho))})
-        bounds["randomized_single_upper"] = min(
-            k * k * rho ** (1.0 / k) + k for k in cands
-        )
+        k = randomized_virtual_machines(epsilon)
+        bounds["randomized_single_upper"] = k * k * rho ** (1.0 / k) + k
     return bounds
 
 
@@ -194,20 +185,9 @@ CSV_COLUMNS = [
 
 
 def run_algorithm(algorithm: str, instance: Instance, assert_level: int = 0, seed: int = 0) -> float:
-    """Dispatch one policy over one instance; returns the accepted volume."""
-    if algorithm == "alg1+2":
-        return simulate_preemptive(instance, assert_level=assert_level).accepted_volume
-    if algorithm == "alg3":
-        return simulate_nonpreemptive(instance).accepted_volume
-    if algorithm == "alg3-partitioned":
-        return simulate_partitioned(instance).accepted_volume
-    if algorithm == "alg3-randomized":
-        return simulate_randomized_single(instance, seed=seed).accepted_volume
-    if algorithm == "greedy-p":
-        return greedy_preemptive(instance, assert_level=min(assert_level, 1)).accepted_volume
-    if algorithm == "greedy-np":
-        return greedy_nonpreemptive(instance).accepted_volume
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Run one policy over one instance; returns the accepted volume."""
+    policy = make_policy(algorithm, instance.machines, instance.epsilon, assert_level, seed)
+    return drive(policy, instance).accepted_volume
 
 
 def _ratio(opt_volume: float | None, alg_volume: float) -> float | None:
@@ -251,75 +231,87 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     Returns the rows and a flag that is False when any applicable bound
     was exceeded by more than 1e-6 or an invariant failed.
     """
+    if config.source == "adversary":
+        rows, ok, _ = stress_run(config)
+        return rows, ok
     rows: list[RatioRow] = []
     ok = True
-    if config.source == "adversary":
-        if config.adversary_family == "preemptive":
-            if config.algorithm not in ("alg1+2", "greedy-p"):
-                raise ValueError("preemptive adversary drives alg1+2 or greedy-p")
-            outcome = replay_preemptive(
-                config.m,
-                config.epsilon,
-                delta=config.delta,
-                algorithm=config.algorithm,
-                assert_level=config.assert_level,
-            )
-            lb_slack = 10.0 * outcome.delta
-        else:
-            if config.algorithm not in ("alg3", "greedy-np"):
-                raise ValueError("nonpreemptive adversary drives alg3 or greedy-np")
-            outcome = replay_nonpreemptive(
-                config.m, config.epsilon, delta=config.delta, algorithm=config.algorithm
-            )
-            lb_slack = 5.0 * outcome.delta * config.m
-        ratio = outcome.ratio
-        bound = outcome.lower_bound
+    for instance_id, instance in _instances(config):
+        alg_volume = run_algorithm(
+            config.algorithm, instance, assert_level=config.assert_level, seed=config.seed
+        )
+        opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
+        ratio = _ratio(opt_volume, alg_volume)
+        bound, bound_name = bound_for_algorithm(config.algorithm, config.m, config.epsilon)
+        margin = None
+        if ratio is not None and bound is not None and not math.isinf(ratio):
+            margin = bound - ratio
+            if ratio > bound + 1e-6:
+                ok = False
         rows.append(
             RatioRow(
-                instance_id=0,
+                instance_id=instance_id,
                 algorithm=config.algorithm,
-                m=config.m,
-                epsilon=config.epsilon,
-                alg_volume=outcome.alg_volume,
-                opt_volume=outcome.opt_volume,
+                m=instance.machines,
+                epsilon=instance.epsilon,
+                alg_volume=alg_volume,
+                opt_volume=opt_volume,
                 ratio=ratio,
                 bound=bound,
-                bound_name="stress_lower_bound",
-                margin=None if math.isinf(ratio) else ratio - bound,
+                bound_name=bound_name,
+                margin=margin,
             )
         )
-        if not math.isinf(ratio) and ratio < bound - lb_slack:
-            ok = False
-    else:
-        for instance_id, instance in _instances(config):
-            alg_volume = run_algorithm(
-                config.algorithm, instance, assert_level=config.assert_level, seed=config.seed
-            )
-            opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
-            ratio = _ratio(opt_volume, alg_volume)
-            bound, bound_name = bound_for_algorithm(config.algorithm, config.m, config.epsilon)
-            margin = None
-            if ratio is not None and bound is not None and not math.isinf(ratio):
-                margin = bound - ratio
-                if ratio > bound + 1e-6:
-                    ok = False
-            rows.append(
-                RatioRow(
-                    instance_id=instance_id,
-                    algorithm=config.algorithm,
-                    m=instance.machines,
-                    epsilon=instance.epsilon,
-                    alg_volume=alg_volume,
-                    opt_volume=opt_volume,
-                    ratio=ratio,
-                    bound=bound,
-                    bound_name=bound_name,
-                    margin=margin,
-                )
-            )
     if config.out_dir:
         write_outputs(rows, config)
     return rows, ok
+
+
+def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOutcome]:
+    """Replay the configured stress generator.
+
+    Returns the ratio row, a flag that is False when the measured ratio
+    falls short of the lower bound by more than the delta slack, and the
+    replay itself.
+    """
+    if config.adversary_family == "preemptive":
+        if config.algorithm not in ("alg1+2", "greedy-p"):
+            raise ValueError("preemptive adversary drives alg1+2 or greedy-p")
+        outcome = replay_preemptive(
+            config.m,
+            config.epsilon,
+            delta=config.delta,
+            algorithm=config.algorithm,
+            assert_level=config.assert_level,
+        )
+        lb_slack = 10.0 * outcome.delta
+    else:
+        if config.algorithm not in ("alg3", "greedy-np"):
+            raise ValueError("nonpreemptive adversary drives alg3 or greedy-np")
+        outcome = replay_nonpreemptive(
+            config.m, config.epsilon, delta=config.delta, algorithm=config.algorithm
+        )
+        lb_slack = 5.0 * outcome.delta * config.m
+    ratio = outcome.ratio
+    bound = outcome.lower_bound
+    rows = [
+        RatioRow(
+            instance_id=0,
+            algorithm=config.algorithm,
+            m=config.m,
+            epsilon=config.epsilon,
+            alg_volume=outcome.alg_volume,
+            opt_volume=outcome.opt_volume,
+            ratio=ratio,
+            bound=bound,
+            bound_name="stress_lower_bound",
+            margin=None if math.isinf(ratio) else ratio - bound,
+        )
+    ]
+    ok = math.isinf(ratio) or ratio >= bound - lb_slack
+    if config.out_dir:
+        write_outputs(rows, config)
+    return rows, ok, outcome
 
 
 def write_outputs(rows: Sequence[RatioRow], config: ExperimentConfig) -> None:

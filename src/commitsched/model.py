@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterable, Iterator, Mapping
 
 #: Absolute tolerance for all time/volume comparisons.
@@ -17,6 +18,10 @@ TOL = 1e-9
 
 #: Looser tolerance for totals accumulated over many schedule segments.
 COMMIT_TOL = 1e-6
+
+
+class InvariantError(RuntimeError):
+    """An internal guarantee of a policy was observed to fail."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +100,18 @@ class DecisionRecord:
     """Outcome of one admission decision.
 
     ``threshold`` is the deadline threshold the job was compared against
-    at decision time (the lazy threshold for the preemptive policy, the
-    load threshold for the non-preemptive one).
+    at decision time: the lazy threshold ``d_min`` for the preemptive
+    policy, and the load threshold ``d_lim`` for the non-preemptive ones
+    (of the group that accepted the job, or of the last group offered it,
+    for the partitioned variant; of the virtual allocator for the
+    randomized one).  It is None for the greedy baselines, which test
+    feasibility rather than a threshold.
     """
 
     job: int
     accepted: bool
     time: float
-    threshold: float
+    threshold: float | None
 
 
 class DecisionLog:
@@ -145,20 +154,27 @@ class Violation:
 
 
 def validate_instance(instance: Instance) -> list[Violation]:
-    """Check positivity, submission ordering, and the slack condition.
+    """Check finiteness, positivity, submission ordering, and the slack condition.
 
-    Every job must satisfy ``deadline - release >= (1 + epsilon) * processing``
-    (within TOL), and the sequence must be ordered by nondecreasing release.
+    Every number must be finite, every job must satisfy
+    ``deadline - release >= (1 + epsilon) * processing`` (within TOL), and
+    the sequence must be ordered by nondecreasing release.
     Returns an empty list when the instance is well formed.
     """
     eps = instance.epsilon
     out: list[Violation] = []
+    if not isfinite(eps):
+        out.append(Violation("finite", None, f"epsilon={eps} must be finite"))
     seen: set[int] = set()
     prev_release = None
     for job in instance.jobs:
         if job.id in seen:
             out.append(Violation("id", job.id, "duplicate job id"))
         seen.add(job.id)
+        if not (isfinite(job.release) and isfinite(job.processing) and isfinite(job.deadline)):
+            out.append(
+                Violation("finite", job.id, f"r={job.release}, p={job.processing}, d={job.deadline} must be finite")
+            )
         if job.processing <= 0:
             out.append(Violation("positivity", job.id, f"p={job.processing} must be > 0"))
         if job.release < 0:

@@ -14,17 +14,20 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+from . import policy as driver  # a module import: policy imports this module
 from .model import (
     TOL,
     DecisionLog,
     DecisionRecord,
     Instance,
+    InvariantError,
     Job,
-    validate_instance,
+    Schedule,
+    Segment,
 )
 
 
-class CommitmentError(RuntimeError):
+class CommitmentError(InvariantError):
     """A committed start would miss its deadline; the policy forbids this."""
 
 
@@ -60,18 +63,40 @@ def d_lim(loads: Iterable[float], t: float, m: int, epsilon: float) -> float:
     return best
 
 
-class NonpreemptiveSimulator:
-    """Threshold-based online allocation on ``machines`` identical machines."""
+class _Commitments:
+    """Decision log, committed starts and accepted volume of one
+    non-preemptive policy run."""
 
-    def __init__(self, machines: int, epsilon: float, trace: IO[str] | None = None) -> None:
-        self.machines = machines
-        self.epsilon = epsilon
-        self.trace = trace
-        self.clock = 0.0
-        self.loads = [0.0] * machines  # outstanding work per stable machine id
+    def __init__(self) -> None:
         self.decisions = DecisionLog()
         self.starts: list[CommittedStart] = []
-        self._jobs: dict[int, Job] = {}
+        self._volume = 0.0
+
+    def _record(
+        self, job: Job, time: float, threshold: float | None, placed: CommittedStart | None
+    ) -> CommittedStart | None:
+        self.decisions.add(DecisionRecord(job.id, placed is not None, time, threshold))
+        if placed is not None:
+            self.starts.append(placed)
+            self._volume += job.processing
+        return placed
+
+    def accepted_volume(self) -> float:
+        return self._volume
+
+    def finish(self) -> NonpreemptiveResult:
+        return NonpreemptiveResult(self.decisions, self.starts, self._volume)
+
+
+class NonpreemptiveSimulator(_Commitments):
+    """Threshold-based online allocation on ``machines`` identical machines."""
+
+    def __init__(self, machines: int, epsilon: float) -> None:
+        super().__init__()
+        self.machines = machines
+        self.epsilon = epsilon
+        self.clock = 0.0
+        self.loads = [0.0] * machines  # outstanding work per stable machine id
 
     def advance_to(self, t: float) -> None:
         """Decay every load by the elapsed time, floored at zero."""
@@ -96,9 +121,8 @@ class NonpreemptiveSimulator:
             )
         limit = self.threshold()
         if job.deadline < limit - TOL:
-            self.decisions.add(DecisionRecord(job.id, False, self.clock, limit))
+            self._record(job, self.clock, limit, None)
             self._check_usable_interval(job)
-            self._trace(job, limit, None)
             return None
         # Try every placement; keep the one minimising the post-acceptance
         # threshold, breaking ties by smaller pre-load then machine id.
@@ -119,16 +143,9 @@ class NonpreemptiveSimulator:
                 f"past deadline {job.deadline}"
             )
         self.loads[machine] += job.processing
-        self._jobs[job.id] = job
-        committed = CommittedStart(job.id, machine, start)
-        self.starts.append(committed)
-        self.decisions.add(DecisionRecord(job.id, True, self.clock, limit))
+        committed = self._record(job, self.clock, limit, CommittedStart(job.id, machine, start))
         self._check_load_sum()
-        self._trace(job, limit, committed)
         return committed
-
-    def accepted_volume(self) -> float:
-        return sum(self._jobs[j].processing for j in self.decisions.accepted_ids())
 
     # -- invariants -------------------------------------------------------
 
@@ -140,7 +157,7 @@ class NonpreemptiveSimulator:
         top_two = ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0)
         need = (self.threshold() - self.clock) * rho ** (-1.0 / self.machines)
         if top_two < need - 1e-7:
-            raise RuntimeError(
+            raise InvariantError(
                 f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"
             )
 
@@ -149,36 +166,15 @@ class NonpreemptiveSimulator:
         ranked = sorted(self.loads, reverse=True)
         top_two = ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0)
         if job.deadline - job.release > top_two * rho ** (1.0 / self.machines) + 1e-7:
-            raise RuntimeError(
+            raise InvariantError(
                 f"rejected job {job.id} has window {job.deadline - job.release} beyond "
                 f"the usable bound {top_two * rho ** (1.0 / self.machines)}"
             )
 
-    def _trace(self, job: Job, limit: float, committed: CommittedStart | None) -> None:
-        if self.trace is None:
-            return
-        if committed is None:
-            self.trace.write(f"{self.clock:.9g} job={job.id} d_lim={limit:.9g} reject\n")
-        else:
-            self.trace.write(
-                f"{self.clock:.9g} job={job.id} d_lim={limit:.9g} accept "
-                f"machine={committed.machine} start={committed.start:.9g}\n"
-            )
-
-
-def _validated(instance: Instance) -> None:
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(str(v) for v in problems))
-
 
 def simulate_nonpreemptive(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
     """Run the threshold policy over a full instance."""
-    _validated(instance)
-    sim = NonpreemptiveSimulator(instance.machines, instance.epsilon, trace=trace)
-    for job in instance.jobs:
-        sim.submit(job)
-    return NonpreemptiveResult(sim.decisions, sim.starts, sim.accepted_volume())
+    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance, trace)
 
 
 def partition_group_size(epsilon: float) -> int:
@@ -186,48 +182,38 @@ def partition_group_size(epsilon: float) -> int:
     return max(1, round(math.log((1.0 + epsilon) / epsilon)))
 
 
-def simulate_partitioned(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+class PartitionedAllocator(_Commitments):
     """Partition the machines into near-log-sized groups and cascade offers.
 
     Every job is offered to the first group's allocator; a rejection there
     passes the job to the next group, and so on.  Remainder machines (when
     the group size does not divide m) form a final smaller group.
     """
-    _validated(instance)
-    g = partition_group_size(instance.epsilon)
-    m = instance.machines
-    if m < g:
-        raise ValueError(f"need at least {g} machines for the partitioned variant, got {m}")
-    sizes = [g] * (m // g)
-    if m % g:
-        sizes.append(m % g)
-    sims = [NonpreemptiveSimulator(size, instance.epsilon) for size in sizes]
-    bases = [sum(sizes[:i]) for i in range(len(sizes))]
-    decisions = DecisionLog()
-    starts: list[CommittedStart] = []
-    volume = 0.0
-    for job in instance.jobs:
-        placed: CommittedStart | None = None
-        threshold_seen = 0.0
-        for sim, base in zip(sims, bases):
-            sim.advance_to(job.release)
-            result = sim.on_arrival(Job(job.id, job.release, job.processing, job.deadline))
-            threshold_seen = sim.decisions[job.id].threshold
-            if result is not None:
-                placed = CommittedStart(job.id, base + result.machine, result.start)
+
+    def __init__(self, machines: int, epsilon: float) -> None:
+        super().__init__()
+        g = partition_group_size(epsilon)
+        if machines < g:
+            raise ValueError(f"need at least {g} machines for the partitioned variant, got {machines}")
+        sizes = [g] * (machines // g)
+        if machines % g:
+            sizes.append(machines % g)
+        self.groups = [(g * i, NonpreemptiveSimulator(size, epsilon)) for i, size in enumerate(sizes)]
+
+    def submit(self, job: Job) -> CommittedStart | None:
+        placed = None
+        for base, group in self.groups:
+            placed = group.submit(job)
+            if placed is not None:
+                placed = CommittedStart(job.id, base + placed.machine, placed.start)
                 break
-        decisions.add(DecisionRecord(job.id, placed is not None, job.release, threshold_seen))
-        if placed is not None:
-            starts.append(placed)
-            volume += job.processing
-            if trace is not None:
-                trace.write(
-                    f"{job.release:.9g} job={job.id} accept machine={placed.machine} "
-                    f"start={placed.start:.9g}\n"
-                )
-        elif trace is not None:
-            trace.write(f"{job.release:.9g} job={job.id} reject\n")
-    return NonpreemptiveResult(decisions, starts, volume)
+        # The threshold of the group that accepted, or of the last one offered.
+        return self._record(job, job.release, group.decisions[job.id].threshold, placed)
+
+
+def simulate_partitioned(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+    """Run the partitioned threshold policy over a full instance."""
+    return driver.drive(PartitionedAllocator(instance.machines, instance.epsilon), instance, trace)
 
 
 def randomized_virtual_machines(epsilon: float) -> int:
@@ -239,6 +225,25 @@ def randomized_virtual_machines(epsilon: float) -> int:
     return min(candidates, key=lambda m: (m * m * rho ** (1.0 / m) + m, m))
 
 
+class RandomizedAllocator(_Commitments):
+    """Randomized single-machine policy: the threshold allocator runs on
+    virtual machines, and only the jobs it places on one of them, drawn
+    uniformly from the seed before the first job, are accepted."""
+
+    def __init__(self, machines: int, epsilon: float, seed: int) -> None:
+        super().__init__()
+        if machines != 1:
+            raise ValueError("randomized wrapper is defined for single-machine instances")
+        self.virtual = NonpreemptiveSimulator(randomized_virtual_machines(epsilon), epsilon)
+        self.pick = random.Random(seed).randrange(self.virtual.machines)
+
+    def submit(self, job: Job) -> CommittedStart | None:
+        placed = self.virtual.submit(job)
+        if placed is not None:
+            placed = CommittedStart(job.id, 0, placed.start) if placed.machine == self.pick else None
+        return self._record(job, job.release, self.virtual.decisions[job.id].threshold, placed)
+
+
 def randomized_single_parts(instance: Instance) -> tuple[int, list[list[CommittedStart]]]:
     """The virtual-machine decomposition behind the randomized policy.
 
@@ -246,73 +251,52 @@ def randomized_single_parts(instance: Instance) -> tuple[int, list[list[Committe
     the committed starts by virtual machine; the randomized policy keeps
     exactly one of these parts.
     """
-    _validated(instance)
-    if instance.machines != 1:
-        raise ValueError("randomized wrapper is defined for single-machine instances")
-    mv = randomized_virtual_machines(instance.epsilon)
-    virtual = Instance(epsilon=instance.epsilon, machines=mv, jobs=instance.jobs)
-    result = simulate_nonpreemptive(virtual)
+    policy = RandomizedAllocator(instance.machines, instance.epsilon, seed=0)
+    driver.drive(policy, instance)
+    mv = policy.virtual.machines
     parts: list[list[CommittedStart]] = [[] for _ in range(mv)]
-    for cs in result.starts:
+    for cs in policy.virtual.starts:
         parts[cs.machine].append(cs)
     return mv, parts
 
 
 def simulate_randomized_single(instance: Instance, seed: int) -> NonpreemptiveResult:
-    """Randomized single-machine policy: simulate the allocator on virtual
-    machines, then keep the jobs of one uniformly random virtual machine."""
-    mv, parts = randomized_single_parts(instance)
-    pick = random.Random(seed).randrange(mv)
-    kept = {cs.job: cs for cs in parts[pick]}
-    by_id = {j.id: j for j in instance.jobs}
-    decisions = DecisionLog()
-    starts = []
-    volume = 0.0
-    for job in instance.jobs:
-        accepted = job.id in kept
-        decisions.add(DecisionRecord(job.id, accepted, job.release, float(pick)))
-        if accepted:
-            starts.append(CommittedStart(job.id, 0, kept[job.id].start))
-            volume += by_id[job.id].processing
-    return NonpreemptiveResult(decisions, starts, volume)
+    """Run the randomized single-machine policy over a full instance."""
+    return driver.drive(RandomizedAllocator(instance.machines, instance.epsilon, seed), instance)
 
 
-def greedy_nonpreemptive(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+class GreedyAllocator(_Commitments):
     """Baseline: accept whenever some machine can still meet the deadline,
     placing the job for the earliest completion (ties to the lowest id)."""
-    _validated(instance)
-    free = [0.0] * instance.machines  # absolute time each machine frees up
-    decisions = DecisionLog()
-    starts: list[CommittedStart] = []
-    volume = 0.0
-    for job in instance.jobs:
+
+    def __init__(self, machines: int) -> None:
+        super().__init__()
+        self.free = [0.0] * machines  # absolute time each machine frees up
+
+    def submit(self, job: Job) -> CommittedStart | None:
         options = []
-        for i, f_time in enumerate(free):
+        for i, f_time in enumerate(self.free):
             start = max(job.release, f_time)
             if start + job.processing <= job.deadline + TOL:
                 options.append((start + job.processing, i, start))
+        placed = None
         if options:
             _, machine, start = min(options)
-            free[machine] = start + job.processing
-            starts.append(CommittedStart(job.id, machine, start))
-            decisions.add(DecisionRecord(job.id, True, job.release, start))
-            volume += job.processing
-            if trace is not None:
-                trace.write(f"{job.release:.9g} job={job.id} accept machine={machine} start={start:.9g}\n")
-        else:
-            decisions.add(DecisionRecord(job.id, False, job.release, math.inf))
-            if trace is not None:
-                trace.write(f"{job.release:.9g} job={job.id} reject\n")
-    return NonpreemptiveResult(decisions, starts, volume)
+            self.free[machine] = start + job.processing
+            placed = CommittedStart(job.id, machine, start)
+        return self._record(job, job.release, None, placed)
 
 
-def committed_schedule(result: NonpreemptiveResult, instance: Instance):
-    """Materialise committed starts as segments for verification."""
-    from .model import Schedule, Segment
+def greedy_nonpreemptive(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+    """Run the greedy baseline over a full instance."""
+    return driver.drive(GreedyAllocator(instance.machines), instance, trace)
 
+
+def committed_schedule(result: NonpreemptiveResult, instance: Instance) -> Schedule:
+    """Materialise committed starts as segments on the instance's machines,
+    for verification."""
     by_id = {j.id: j for j in instance.jobs}
-    sched = Schedule(machines=max((cs.machine for cs in result.starts), default=0) + 1)
-    for cs in result.starts:
-        job = by_id[cs.job]
-        sched.segments.append(Segment(cs.machine, cs.job, cs.start, cs.start + job.processing))
-    return sched
+    return Schedule(
+        instance.machines,
+        [Segment(cs.machine, cs.job, cs.start, cs.start + by_id[cs.job].processing) for cs in result.starts],
+    )

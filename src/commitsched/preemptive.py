@@ -16,19 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+from . import policy as driver  # a module import: policy imports this module
 from .model import (
     TOL,
     DecisionLog,
     DecisionRecord,
     Instance,
+    InvariantError,
     Job,
     Schedule,
     Segment,
-    validate_instance,
 )
 from .vmin import (
     ActiveJob,
     PiecewiseLinear,
+    contribution,
     f_threshold,
     horn_feasible,
     v_min,
@@ -38,10 +40,6 @@ from .vmin import (
 )
 
 _EVENT_EPS = 1e-12
-
-
-class InvariantError(RuntimeError):
-    """An internal guarantee of the policy was observed to fail."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,6 @@ def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> fl
     raise InvariantError(
         f"threshold equation has no crossing: f={f}, v_delta={v_delta}, r={r}, curve={curve}"
     )
-
-
-def _contribution(job: ActiveJob, d: float) -> float:
-    return max(0.0, min(job.remaining, d - (job.deadline - job.remaining)))
 
 
 def wrap_fill(
@@ -231,7 +225,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
             raise InvariantError(f"plan requested for an infeasible active set at t={t}")
 
     def contributors(d: float) -> list[ActiveJob]:
-        return [j for j in jobs if _contribution(j, d) > TOL]
+        return [j for j in jobs if contribution(j.remaining, j.deadline, d) > TOL]
 
     chosen_k = None
     for k in range(len(deadlines) - 1, -1, -1):
@@ -246,7 +240,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
         d1 = deadlines[0]
         end = d1
         lrpt_jobs = contributors(d1)
-        volumes = {j.id: _contribution(j, d1) for j in lrpt_jobs}
+        volumes = {j.id: contribution(j.remaining, j.deadline, d1) for j in lrpt_jobs}
         segs, first_idle = lrpt_assign(volumes, list(range(m)), t, end)
         if first_idle is not None:
             end = min(end, first_idle)
@@ -254,7 +248,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     else:
         d_k = deadlines[chosen_k]
         pre = contributors(d_k)
-        end = t + min(_contribution(j, d_k) for j in pre) if pre else deadlines[0]
+        end = t + min(contribution(j.remaining, j.deadline, d_k) for j in pre) if pre else deadlines[0]
         for machine, job in enumerate(pre):
             segments.append(Segment(machine, job.id, t, end))
         m_rest = m - len(pre)
@@ -262,7 +256,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
             d_next = deadlines[chosen_k + 1]
             pre_ids = {j.id for j in pre}
             extra = [j for j in contributors(d_next) if j.id not in pre_ids]
-            volumes = {j.id: _contribution(j, d_next) for j in extra}
+            volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
             segs, first_idle = lrpt_assign(
                 volumes, list(range(len(pre), m)), t, end
             )
@@ -296,7 +290,6 @@ class PreemptiveSimulator:
         epsilon: float,
         assert_level: int = 0,
         policy: str = "lazy",
-        trace: IO[str] | None = None,
     ) -> None:
         if policy not in ("lazy", "greedy"):
             raise ValueError(f"unknown policy {policy!r}")
@@ -304,7 +297,6 @@ class PreemptiveSimulator:
         self.epsilon = epsilon
         self.policy = policy
         self.assert_level = assert_level
-        self.trace = trace
         self.f = f_threshold(machines, epsilon)
         self.clock = 0.0
         self.d_min = 0.0
@@ -363,7 +355,7 @@ class PreemptiveSimulator:
             accept = job.deadline >= threshold - TOL
         else:
             candidate = self.active_jobs() + [ActiveJob(job.id, job.processing, job.deadline)]
-            threshold = self.clock
+            threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
         if accept:
@@ -379,7 +371,6 @@ class PreemptiveSimulator:
                 self.d_min = max(self.d_min, new_dmin)
             self._regenerate_plan()
             self._reset_decay_reference()
-        self._trace("accept" if accept else "reject")
         if self.assert_level >= 1:
             self.check_invariants()
         return accept
@@ -405,7 +396,6 @@ class PreemptiveSimulator:
                 self.event_times.append(self.clock)
                 if self.active_jobs():
                     self._regenerate_plan()
-                self._trace("window")
                 self._window_checkpoint()
 
     def finish(self) -> SimulationResult:
@@ -419,7 +409,6 @@ class PreemptiveSimulator:
             self.clock = horizon
             self.plan = None
             self.event_times.append(self.clock)
-            self._trace("window")
             self._window_checkpoint()
         return SimulationResult(
             decisions=self.decisions,
@@ -441,13 +430,6 @@ class PreemptiveSimulator:
             if e > s + _EVENT_EPS:
                 self.schedule.segments.append(Segment(seg.machine, seg.job, s, e))
                 self.committed_work[seg.job] += e - s
-
-    def _trace(self, kind: str) -> None:
-        if self.trace is not None:
-            self.trace.write(
-                f"{self.clock:.9g} {kind} d_min={self.d_min:.9g} "
-                f"v_delta={self.v_delta:.9g} accepted_volume={self.accepted_volume():.9g}\n"
-            )
 
     def _reset_decay_reference(self) -> None:
         if self.assert_level >= 2:
@@ -513,36 +495,17 @@ class PreemptiveSimulator:
                 )
 
 
-def _run_instance(
-    instance: Instance,
-    policy: str,
-    assert_level: int,
-    trace: IO[str] | None,
-) -> SimulationResult:
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(str(v) for v in problems))
-    sim = PreemptiveSimulator(
-        instance.machines,
-        instance.epsilon,
-        assert_level=assert_level,
-        policy=policy,
-        trace=trace,
-    )
-    for job in instance.jobs:
-        sim.submit(job)
-    return sim.finish()
-
-
 def simulate_preemptive(
     instance: Instance, assert_level: int = 0, trace: IO[str] | None = None
 ) -> SimulationResult:
     """Run the lazy-threshold policy over a full instance."""
-    return _run_instance(instance, "lazy", assert_level, trace)
+    sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "lazy")
+    return driver.drive(sim, instance, trace)
 
 
 def greedy_preemptive(
     instance: Instance, assert_level: int = 0, trace: IO[str] | None = None
 ) -> SimulationResult:
     """Baseline: accept whenever the active set plus the job stays feasible."""
-    return _run_instance(instance, "greedy", assert_level, trace)
+    sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "greedy")
+    return driver.drive(sim, instance, trace)

@@ -26,7 +26,9 @@ class ActiveJob:
     deadline: float
 
 
-def _contribution(remaining: float, deadline: float, tau: float) -> float:
+def contribution(remaining: float, deadline: float, tau: float) -> float:
+    """Mandatory volume of one job inside [now, tau): the part of its
+    remaining work that cannot run after tau."""
     latest_start = deadline - remaining
     if latest_start >= tau:
         return 0.0
@@ -44,7 +46,7 @@ def v_min(active: Iterable[ActiveJob], t: float, tau: float) -> float:
     """
     if tau < t - TOL:
         raise ValueError(f"tau={tau} precedes t={t}")
-    return sum(_contribution(j.remaining, j.deadline, tau) for j in active)
+    return sum(contribution(j.remaining, j.deadline, tau) for j in active)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     for job in active:
         lo = max(t, job.deadline - job.remaining)
         hi = max(t, job.deadline)
-        base += _contribution(job.remaining, job.deadline, t)
+        base += contribution(job.remaining, job.deadline, t)
         if hi > lo:
             deltas[lo] = deltas.get(lo, 0) + 1
             deltas[hi] = deltas.get(hi, 0) - 1

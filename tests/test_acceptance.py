@@ -344,8 +344,8 @@ def test_criterion_11a_lazy_greedy_two_job_trace():
 
 
 def _admissions(log):
-    """Per-job admission outcomes; the recorded threshold is a per-policy
-    diagnostic (the greedy policy records the clock), not a decision."""
+    """Per-job admission outcomes; the recorded threshold is left out, since
+    the greedy policy compares against none (it records None)."""
     return [(r.job, r.accepted, r.time) for r in log]
 
 

@@ -6,7 +6,6 @@ from commitsched.adversary import (
     NonpreemptiveAdversary,
     PreemptiveAdversary,
     group_processing_times,
-    preemptive_adversary,
     preemptive_lower_bound,
     replay_nonpreemptive,
     replay_preemptive,
@@ -140,7 +139,7 @@ class TestPreemptiveAdversary:
             assert out.ratio >= preemptive_lower_bound(m, eps) - 10 * (1.0 / 4)
 
     def test_accept_nothing_policy_reported_unbounded(self):
-        adv = preemptive_adversary(1, 1.0, delta=1.0 / 32)
+        adv = PreemptiveAdversary(1, 1.0, delta=1.0 / 32)
         while True:
             job = adv.next_job()
             if job is None:

@@ -9,7 +9,10 @@ from commitsched.harness import (
     run,
     theoretical_bounds,
 )
+from commitsched import cli
 from commitsched.model import read_instance, validate_instance, write_instance
+from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator
+from commitsched.policy import ALGORITHMS
 
 
 class TestTheoreticalBounds:
@@ -181,6 +184,47 @@ class TestCli:
         assert "measured ratio" in out
         realized = read_instance(str(export))
         assert validate_instance(realized) == []
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_verify_checks_the_schedule_of_every_algorithm(self, alg, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "inst.jsonl"
+        assert main(["gen", "--n", "12", "--m", "1", "--epsilon", "0.5", "--seed", "6", "--file", str(path)]) == 0
+        checked = []
+        real = cli.verify_schedule
+
+        def spy(schedule, accepted):
+            checked.append(len(accepted))
+            return real(schedule, accepted)
+
+        monkeypatch.setattr(cli, "verify_schedule", spy)
+        assert main(["verify", "--instance-file", str(path), "--alg", alg]) == 0
+        assert len(checked) == 1
+        assert capsys.readouterr().out.endswith("ok\n")
+
+    def test_verify_reports_a_corrupted_start(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "inst.jsonl"
+        assert main(["gen", "--n", "8", "--m", "2", "--epsilon", "0.5", "--seed", "4", "--file", str(path)]) == 0
+        finish = NonpreemptiveSimulator.finish
+
+        def corrupted(sim):
+            result = finish(sim)
+            first = result.starts[0]
+            result.starts[0] = CommittedStart(first.job, first.machine, first.start + 100.0)
+            return result
+
+        monkeypatch.setattr(NonpreemptiveSimulator, "finish", corrupted)
+        assert main(["verify", "--instance-file", str(path), "--alg", "alg3"]) == 1
+        assert "deadline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize("job", ['"r": 0.0, "p": NaN, "d": 4.0', '"r": 0.0, "p": Infinity, "d": Infinity'])
+    def test_verify_rejects_non_finite_input(self, alg, job, tmp_path, capsys):
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text('{"epsilon": 1.0, "machines": 1}\n{"id": 0, ' + job + "}\n")
+        assert main(["verify", "--instance-file", str(path), "--alg", alg]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "ok" not in captured.out
 
     def test_verify_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

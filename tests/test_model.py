@@ -50,6 +50,27 @@ class TestValidateInstance:
         kinds = {v.kind for v in validate_instance(inst)}
         assert "positivity" in kinds
 
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (0.0, float("nan"), 2.0),
+            (float("nan"), 1.0, 2.0),
+            (0.0, 1.0, float("nan")),
+            (0.0, float("inf"), float("inf")),
+            (0.0, 1.0, float("inf")),
+            (float("-inf"), 1.0, 2.0),
+        ],
+    )
+    def test_non_finite_job_rejected(self, triple):
+        inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), triple])
+        problems = validate_instance(inst)
+        assert ("finite", 1) in {(v.kind, v.job) for v in problems}
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        inst = make_instance(eps, 1, [(0.0, 1.0, 10.0)])
+        assert ("finite", None) in {(v.kind, v.job) for v in validate_instance(inst)}
+
 
 class TestUtilization:
     def test_all_rejected(self):

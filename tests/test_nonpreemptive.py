@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from commitsched.model import Instance, Job, verify_schedule
+from commitsched.harness import random_instance
+from commitsched.model import Instance, InvariantError, Job, verify_schedule
 from commitsched.nonpreemptive import (
+    CommitmentError,
     NonpreemptiveSimulator,
     committed_schedule,
     d_lim,
@@ -91,6 +93,21 @@ class TestSimulate:
         sched = committed_schedule(res, inst)
         assert verify_schedule(sched, {j.id: j for j in inst.jobs}) == []
 
+    def test_committed_schedule_spans_instance_machines(self):
+        inst = random_instance(6, 4, 0.5, seed=1, release_span=40)
+        res = simulate_nonpreemptive(inst)
+        assert max(cs.machine for cs in res.starts) + 1 < inst.machines
+        assert committed_schedule(res, inst).machines == inst.machines
+
+    def test_load_sum_breach_raises_invariant_error(self):
+        # Three equal loads at eps=0.1: the threshold is 11 * load, and the
+        # two largest loads cover only 2 of the 11^(2/3) ~ 4.95 required.
+        sim = NonpreemptiveSimulator(3, 0.1)
+        sim.loads = [1.0, 1.0, 1.0]
+        with pytest.raises(InvariantError, match="load-sum"):
+            sim.advance_to(0.0)
+        assert issubclass(CommitmentError, InvariantError)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_commitment_on_random_instances(self, seed):
         rng = random.Random(3000 + seed)
@@ -110,16 +127,17 @@ class TestSimulate:
 
         buf = io.StringIO()
         inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), (0.0, 0.4, 1.9)])
-        simulate_nonpreemptive(inst, trace=buf)
+        res = simulate_nonpreemptive(inst, trace=buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 2
-        assert "d_lim=" in lines[0] and "accept" in lines[0] and "start=" in lines[0]
-        assert "reject" in lines[1]
+        limit = res.decisions[0].threshold
+        assert lines[0] == f"0 job=0 accept threshold={limit:.9g}"
+        assert lines[1].startswith("0 job=1 reject threshold=")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_usable_interval_bound_at_rejections(self, seed):
         # The simulator checks the rejected-window bound inline; a run
-        # without RuntimeError is the assertion.
+        # without InvariantError is the assertion.
         rng = random.Random(4000 + seed)
         inst = random_instance_local(rng, 12, 2, 0.25, 6.0)
         simulate_nonpreemptive(inst)
@@ -202,6 +220,14 @@ class TestRandomizedSingle:
         plain = simulate_nonpreemptive(inst)
         rand = simulate_randomized_single(inst, seed=5)
         assert [r.accepted for r in rand.decisions] == [r.accepted for r in plain.decisions]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keeps_the_part_of_the_drawn_virtual_machine(self, seed):
+        inst = random_instance_local(random.Random(23), 14, 1, 0.05, 8.0)
+        mv, parts = randomized_single_parts(inst)
+        pick = random.Random(seed).randrange(mv)
+        res = simulate_randomized_single(inst, seed=seed)
+        assert [(cs.job, cs.start) for cs in res.starts] == [(cs.job, cs.start) for cs in parts[pick]]
 
     def test_expectation_is_fraction_of_virtual_total(self):
         eps = 1.0 / (math.e**2 - 1.0)
