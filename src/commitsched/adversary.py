@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .model import (
     DecisionLog,
     Instance,
+    InvariantError,
     Job,
     Schedule,
     Segment,
@@ -220,15 +221,16 @@ class PreemptiveAdversary:
         if accepted:
             self.accepted_in_block += 1
 
-    def certificate(self) -> tuple[float, Schedule, int]:
-        """Volume and schedule of the explicit offline certificate: every
-        job of the last block reached, packed wrap-around."""
+    def certificate(self) -> tuple[float, Schedule, int, list[Job]]:
+        """Volume, schedule, last block and jobs of the explicit offline
+        certificate: every job of the last block reached, packed
+        wrap-around."""
         last = self.block
         members = [j for j in self.jobs if self.block_of[j.id] == last]
         if not members:
-            return 0.0, Schedule(machines=self.m), last
+            return 0.0, Schedule(machines=self.m), last, members
         sched = _mcnaughton(members, self.m, 0.0, self.block_deadline(last))
-        return sum(j.processing for j in members), sched, last
+        return sum(j.processing for j in members), sched, last, members
 
 
 class NonpreemptiveAdversary:
@@ -315,14 +317,15 @@ class NonpreemptiveAdversary:
         if placement:
             self.accepted_in_group += 1
 
-    def certificate(self) -> tuple[float, Schedule, int]:
-        """Certificate: the probe job run clear of [t, t + 1/eps) plus every
-        job of the last offered group, one per machine at t."""
+    def certificate(self) -> tuple[float, Schedule, int, list[Job]]:
+        """Volume, schedule, last group and jobs of the certificate: the
+        probe job run clear of [t, t + 1/eps) plus every job of the last
+        offered group, one per machine at t."""
         probe = self.jobs[0]
         if self.t is None:
             sched = Schedule(machines=self.m)
             sched.segments.append(Segment(0, probe.id, 0.0, 1.0))
-            return 1.0, sched, 0
+            return 1.0, sched, 0, [probe]
         last = self.group
         members = [j for j in self.jobs if self.group_of[j.id] == last]
         sched = Schedule(machines=self.m)
@@ -335,7 +338,7 @@ class NonpreemptiveAdversary:
             sched.segments.append(
                 Segment(0, probe.id, self.t + p_last, self.t + p_last + 1.0)
             )
-        return 1.0 + sum(j.processing for j in members), sched, last
+        return 1.0 + sum(j.processing for j in members), sched, last, [probe] + members
 
 
 def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
@@ -345,15 +348,32 @@ def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
     inst = Instance(epsilon=epsilon, machines=m, jobs=renumbered)
     problems = validate_instance(inst)
     if problems:
-        raise AssertionError("generator emitted an invalid sequence: " + "; ".join(map(str, problems)))
+        raise InvariantError("generator emitted an invalid sequence: " + "; ".join(map(str, problems)))
     return inst
 
 
-def _play(adv: PreemptiveAdversary | NonpreemptiveAdversary, policy: Policy):
-    """Offer the generator's jobs to the policy, one decision at a time."""
+def _replay(
+    adv: PreemptiveAdversary | NonpreemptiveAdversary, policy: Policy, lower_bound: float
+) -> StressOutcome:
+    """Offer the generator's jobs to the policy, one decision at a time,
+    then verify the generator's certificate against its own jobs."""
     while (job := adv.next_job()) is not None:
         adv.record(job.id, policy.submit(job))
-    return policy.finish()
+    result = policy.finish()
+    opt_volume, opt_schedule, last, members = adv.certificate()
+    problems = verify_schedule(opt_schedule, {j.id: j for j in members})
+    if problems:
+        raise InvariantError("certificate schedule invalid: " + "; ".join(map(str, problems)))
+    return StressOutcome(
+        instance=_realized_instance(adv.m, adv.epsilon, adv.jobs),
+        decisions=result.decisions,
+        alg_volume=result.accepted_volume,
+        opt_volume=opt_volume,
+        opt_schedule=opt_schedule,
+        lower_bound=lower_bound,
+        delta=adv.delta,
+        stopped_at_block=last,
+    )
 
 
 def replay_preemptive(
@@ -372,22 +392,7 @@ def replay_preemptive(
     if algorithm not in ("alg1+2", "greedy-p"):
         raise ValueError(f"unsupported preemptive algorithm {algorithm!r}")
     adv = PreemptiveAdversary(m, epsilon, delta)
-    result = _play(adv, make_policy(algorithm, m, epsilon, assert_level))
-    opt_volume, opt_schedule, last_block = adv.certificate()
-    cert_jobs = {j.id: j for j in adv.jobs if adv.block_of[j.id] == last_block}
-    problems = verify_schedule(opt_schedule, cert_jobs)
-    if problems:
-        raise AssertionError("certificate schedule invalid: " + "; ".join(map(str, problems)))
-    return StressOutcome(
-        instance=_realized_instance(m, epsilon, adv.jobs),
-        decisions=result.decisions,
-        alg_volume=result.accepted_volume,
-        opt_volume=opt_volume,
-        opt_schedule=opt_schedule,
-        lower_bound=preemptive_lower_bound(m, epsilon),
-        delta=adv.delta,
-        stopped_at_block=last_block,
-    )
+    return _replay(adv, make_policy(algorithm, m, epsilon, assert_level), preemptive_lower_bound(m, epsilon))
 
 
 def replay_nonpreemptive(
@@ -401,20 +406,4 @@ def replay_nonpreemptive(
     if algorithm not in ("alg3", "greedy-np"):
         raise ValueError(f"unsupported non-preemptive algorithm {algorithm!r}")
     adv = NonpreemptiveAdversary(m, epsilon, delta)
-    result = _play(adv, make_policy(algorithm, m, epsilon))
-    opt_volume, opt_schedule, last_group = adv.certificate()
-    cert_ids = {seg.job for seg in opt_schedule.segments}
-    cert_jobs = {j.id: j for j in adv.jobs if j.id in cert_ids}
-    problems = verify_schedule(opt_schedule, cert_jobs)
-    if problems:
-        raise AssertionError("certificate schedule invalid: " + "; ".join(map(str, problems)))
-    return StressOutcome(
-        instance=_realized_instance(m, epsilon, adv.jobs),
-        decisions=result.decisions,
-        alg_volume=result.accepted_volume,
-        opt_volume=opt_volume,
-        opt_schedule=opt_schedule,
-        lower_bound=solve_c_lower(m, epsilon),
-        delta=delta,
-        stopped_at_block=last_group,
-    )
+    return _replay(adv, make_policy(algorithm, m, epsilon), solve_c_lower(m, epsilon))

@@ -83,7 +83,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         algorithm=args.alg,
         m=args.m,
         epsilon=args.epsilon,
-        source="file" if args.instance_file else "random",
         n=args.n,
         count=args.count,
         seed=args.seed,
@@ -144,7 +143,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         algorithm=args.alg,
         m=args.m,
         epsilon=args.epsilon,
-        source="adversary",
         adversary_family=args.family,
         delta=args.delta,
         assert_level=args.assert_level,

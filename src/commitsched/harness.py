@@ -23,7 +23,7 @@ from .adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from .model import Instance, Job, read_instance, validate_instance
+from .model import Instance, InvariantError, Job, read_instance, validate_instance
 from .nonpreemptive import partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
@@ -105,7 +105,9 @@ def random_instance(
         stretch = 1.0 if rng.random() < slack_mix else rng.uniform(1.0, 3.0)
         jobs.append(Job(i, r, p, r + (1.0 + epsilon) * p * stretch))
     inst = Instance(epsilon=epsilon, machines=m, jobs=tuple(jobs))
-    assert validate_instance(inst) == []
+    problems = validate_instance(inst)
+    if problems:
+        raise InvariantError("generated an invalid instance: " + "; ".join(map(str, problems)))
     return inst
 
 
@@ -114,14 +116,13 @@ class ExperimentConfig:
     algorithm: str
     m: int = 1
     epsilon: float = 1.0
-    source: str = "random"  # random | file | adversary
     n: int = 8
     count: int = 1
     seed: int = 0
     release_span: float = 10.0
     slack_mix: float = 0.5
-    instance_file: str | None = None
-    adversary_family: str | None = None  # preemptive | nonpreemptive
+    instance_file: str | None = None  # set: run on this file instead of random instances
+    adversary_family: str | None = None  # set: replay this stress generator (preemptive | nonpreemptive)
     delta: float = 1.0 / 64
     oracle: bool = False
     assert_level: int = 0
@@ -130,12 +131,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.source not in ("random", "file", "adversary"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source == "file" and not self.instance_file:
-            raise ValueError("file source needs instance_file")
-        if self.source == "adversary" and self.adversary_family not in ("preemptive", "nonpreemptive"):
-            raise ValueError("adversary source needs adversary_family 'preemptive' or 'nonpreemptive'")
+        if self.adversary_family not in (None, "preemptive", "nonpreemptive"):
+            raise ValueError("adversary_family must be 'preemptive' or 'nonpreemptive'")
         if self.algorithm == "alg3-randomized" and self.m != 1:
             raise ValueError("alg3-randomized runs on a single machine")
 
@@ -211,7 +208,7 @@ def _oracle_volume(algorithm: str, instance: Instance) -> float | None:
 
 
 def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance]]:
-    if config.source == "file":
+    if config.instance_file:
         yield 0, read_instance(config.instance_file)
         return
     for i in range(config.count):
@@ -231,7 +228,7 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     Returns the rows and a flag that is False when any applicable bound
     was exceeded by more than 1e-6 or an invariant failed.
     """
-    if config.source == "adversary":
+    if config.adversary_family is not None:
         rows, ok, _ = stress_run(config)
         return rows, ok
     rows: list[RatioRow] = []

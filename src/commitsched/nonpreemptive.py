@@ -89,7 +89,12 @@ class _Commitments:
 
 
 class NonpreemptiveSimulator(_Commitments):
-    """Threshold-based online allocation on ``machines`` identical machines."""
+    """Threshold-based online allocation on ``machines`` identical machines.
+
+    ``limit`` is ``d_lim`` of the current loads and clock.  It is computed
+    once per state: after each clock advance, and after each acceptance,
+    where the winning trial placement already evaluated it.
+    """
 
     def __init__(self, machines: int, epsilon: float) -> None:
         super().__init__()
@@ -97,6 +102,7 @@ class NonpreemptiveSimulator(_Commitments):
         self.epsilon = epsilon
         self.clock = 0.0
         self.loads = [0.0] * machines  # outstanding work per stable machine id
+        self.limit = 0.0  # d_lim of zero loads at time 0
 
     def advance_to(self, t: float) -> None:
         """Decay every load by the elapsed time, floored at zero."""
@@ -105,25 +111,29 @@ class NonpreemptiveSimulator(_Commitments):
         dt = max(0.0, t - self.clock)
         self.loads = [max(0.0, load - dt) for load in self.loads]
         self.clock = max(self.clock, t)
+        self.limit = d_lim(self.loads, self.clock, self.machines, self.epsilon)
         self._check_load_sum()
-
-    def threshold(self) -> float:
-        return d_lim(self.loads, self.clock, self.machines, self.epsilon)
 
     def submit(self, job: Job) -> CommittedStart | None:
         self.advance_to(job.release)
         return self.on_arrival(job)
 
     def on_arrival(self, job: Job) -> CommittedStart | None:
+        limit, placed = self.place(job)
+        return self._record(job, self.clock, limit, placed)
+
+    def place(self, job: Job) -> tuple[float, CommittedStart | None]:
+        """Decide ``job`` at the current clock without recording it: the
+        threshold it was compared against and its placement, or None on
+        rejection."""
         if abs(job.release - self.clock) > TOL:
             raise RuntimeError(
                 f"arrival handled at clock {self.clock} != release {job.release}; advance first"
             )
-        limit = self.threshold()
+        limit = self.limit
         if job.deadline < limit - TOL:
-            self._record(job, self.clock, limit, None)
             self._check_usable_interval(job)
-            return None
+            return limit, None
         # Try every placement; keep the one minimising the post-acceptance
         # threshold, breaking ties by smaller pre-load then machine id.
         best: tuple[float, float, int] | None = None
@@ -135,17 +145,18 @@ class NonpreemptiveSimulator(_Commitments):
             if best is None or key < best:
                 best = key
         assert best is not None
-        _, pre_load, machine = best
+        after, pre_load, machine = best
         start = self.clock + pre_load
         if start + job.processing > job.deadline + TOL:
             raise CommitmentError(
                 f"job {job.id} placed at {start} would finish {start + job.processing} "
                 f"past deadline {job.deadline}"
             )
+        # The winning trial is these loads, so ``after`` is their d_lim.
         self.loads[machine] += job.processing
-        committed = self._record(job, self.clock, limit, CommittedStart(job.id, machine, start))
+        self.limit = after
         self._check_load_sum()
-        return committed
+        return limit, CommittedStart(job.id, machine, start)
 
     # -- invariants -------------------------------------------------------
 
@@ -155,7 +166,7 @@ class NonpreemptiveSimulator(_Commitments):
         rho = (1.0 + self.epsilon) / self.epsilon
         ranked = sorted(self.loads, reverse=True)
         top_two = ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0)
-        need = (self.threshold() - self.clock) * rho ** (-1.0 / self.machines)
+        need = (self.limit - self.clock) * rho ** (-1.0 / self.machines)
         if top_two < need - 1e-7:
             raise InvariantError(
                 f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"
@@ -201,14 +212,14 @@ class PartitionedAllocator(_Commitments):
         self.groups = [(g * i, NonpreemptiveSimulator(size, epsilon)) for i, size in enumerate(sizes)]
 
     def submit(self, job: Job) -> CommittedStart | None:
-        placed = None
         for base, group in self.groups:
-            placed = group.submit(job)
+            group.advance_to(job.release)
+            limit, placed = group.place(job)
             if placed is not None:
                 placed = CommittedStart(job.id, base + placed.machine, placed.start)
                 break
         # The threshold of the group that accepted, or of the last one offered.
-        return self._record(job, job.release, group.decisions[job.id].threshold, placed)
+        return self._record(job, job.release, limit, placed)
 
 
 def simulate_partitioned(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
@@ -238,10 +249,11 @@ class RandomizedAllocator(_Commitments):
         self.pick = random.Random(seed).randrange(self.virtual.machines)
 
     def submit(self, job: Job) -> CommittedStart | None:
-        placed = self.virtual.submit(job)
+        self.virtual.advance_to(job.release)
+        limit, placed = self.virtual.place(job)
         if placed is not None:
             placed = CommittedStart(job.id, 0, placed.start) if placed.machine == self.pick else None
-        return self._record(job, job.release, self.virtual.decisions[job.id].threshold, placed)
+        return self._record(job, job.release, limit, placed)
 
 
 def randomized_single_parts(instance: Instance) -> tuple[int, list[list[CommittedStart]]]:
@@ -251,11 +263,12 @@ def randomized_single_parts(instance: Instance) -> tuple[int, list[list[Committe
     the committed starts by virtual machine; the randomized policy keeps
     exactly one of these parts.
     """
-    policy = RandomizedAllocator(instance.machines, instance.epsilon, seed=0)
-    driver.drive(policy, instance)
-    mv = policy.virtual.machines
+    if instance.machines != 1:
+        raise ValueError("randomized wrapper is defined for single-machine instances")
+    mv = randomized_virtual_machines(instance.epsilon)
+    result = driver.drive(NonpreemptiveSimulator(mv, instance.epsilon), instance)
     parts: list[list[CommittedStart]] = [[] for _ in range(mv)]
-    for cs in policy.virtual.starts:
+    for cs in result.starts:
         parts[cs.machine].append(cs)
     return mv, parts
 

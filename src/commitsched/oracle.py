@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -206,11 +206,13 @@ def _descending_subsets(processing: Sequence[float]) -> tuple[np.ndarray, np.nda
     return order, vols
 
 
-def opt_preemptive(instance: Instance) -> float | None:
-    """Exact preemptive optimum by subset enumeration, or None when the
-    instance exceeds the enumeration limit."""
+def _best_subset(
+    instance: Instance, max_jobs: int, feasible: Callable[[list[Job], int], bool]
+) -> float | None:
+    """Volume of the largest job subset that passes the forced-work filter
+    and ``feasible``, or None when the instance exceeds ``max_jobs``."""
     jobs = list(instance.jobs)
-    if len(jobs) > MAX_PREEMPTIVE_JOBS:
+    if len(jobs) > max_jobs:
         return None
     if not jobs:
         return 0.0
@@ -225,9 +227,15 @@ def opt_preemptive(instance: Instance) -> float | None:
             demand = F[members].sum(axis=0)
             if np.any(demand > caps + 1e-9):
                 continue
-        if flow_feasible([jobs[ji] for ji in members], m):
+        if feasible([jobs[ji] for ji in members], m):
             return float(vols[mask])
     return 0.0
+
+
+def opt_preemptive(instance: Instance) -> float | None:
+    """Exact preemptive optimum by subset enumeration, or None when the
+    instance exceeds the enumeration limit."""
+    return _best_subset(instance, MAX_PREEMPTIVE_JOBS, flow_feasible)
 
 
 def _np_search(jobs: Sequence[Job], m: int) -> bool:
@@ -286,31 +294,8 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
 
 def opt_nonpreemptive(instance: Instance) -> float | None:
     """Exact non-preemptive optimum by subset enumeration, or None when the
-    instance exceeds the enumeration limit."""
-    jobs = list(instance.jobs)
-    if len(jobs) > MAX_NONPREEMPTIVE_JOBS:
-        return None
-    if not jobs:
-        return 0.0
-    m = instance.machines
-    order, vols = _descending_subsets([j.processing for j in jobs])
-    F, widths = _forced_work_table(jobs)
-    caps = m * widths
-    # Preemption relaxes the problem, so nothing above the preemptive
-    # optimum can be feasible here; start below it.
-    relaxed = opt_preemptive(instance)
-    for mask in order:
-        mask = int(mask)
-        if relaxed is not None and vols[mask] > relaxed + 1e-9:
-            continue
-        members = [ji for ji in range(len(jobs)) if mask >> ji & 1]
-        if members:
-            demand = F[members].sum(axis=0)
-            if np.any(demand > caps + 1e-9):
-                continue
-        subset = [jobs[ji] for ji in members]
-        if not flow_feasible(subset, m):
-            continue
-        if _np_search(subset, m):
-            return float(vols[mask])
-    return 0.0
+    instance exceeds the enumeration limit.  Preemption relaxes the
+    problem, so the cheaper flow test screens each subset first."""
+    return _best_subset(
+        instance, MAX_NONPREEMPTIVE_JOBS, lambda jobs, m: flow_feasible(jobs, m) and _np_search(jobs, m)
+    )

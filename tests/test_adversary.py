@@ -146,10 +146,11 @@ class TestPreemptiveAdversary:
                 break
             adv.record(job.id, False)
         assert adv.block == 1  # never left the flood block
-        opt_volume, sched, last = adv.certificate()
+        opt_volume, sched, last, members = adv.certificate()
         # Maximum flood: floor(m(1+eps)/delta) jobs of size delta.
         assert opt_volume == pytest.approx(2.0)
         assert last == 1
+        assert opt_volume == pytest.approx(sum(j.processing for j in members))
 
 
 class TestNonpreemptiveAdversary:
@@ -159,8 +160,9 @@ class TestNonpreemptiveAdversary:
         assert probe.processing == 1.0
         adv.record(probe.id, False)
         assert adv.next_job() is None
-        opt_volume, _, _ = adv.certificate()
+        opt_volume, _, _, members = adv.certificate()
         assert opt_volume == pytest.approx(1.0)
+        assert members == [probe]
 
     def test_groups_have_tight_slack(self):
         out = replay_nonpreemptive(2, 0.25, algorithm="alg3")

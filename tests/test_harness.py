@@ -9,8 +9,9 @@ from commitsched.harness import (
     run,
     theoretical_bounds,
 )
-from commitsched import cli
-from commitsched.model import read_instance, validate_instance, write_instance
+from commitsched import cli, harness
+from commitsched.adversary import NonpreemptiveAdversary, PreemptiveAdversary
+from commitsched.model import InvariantError, read_instance, validate_instance, write_instance
 from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator
 from commitsched.policy import ALGORITHMS
 
@@ -74,6 +75,12 @@ class TestRandomInstance:
             inst = random_instance(8, 3, 0.1, seed=seed)
             assert validate_instance(inst) == []
 
+    def test_invalid_draw_raises_under_optimisation(self, monkeypatch):
+        # An explicit check, not an assert that ``python -O`` strips.
+        monkeypatch.setattr(harness, "validate_instance", lambda inst: ["slack"])
+        with pytest.raises(InvariantError, match="invalid instance: slack"):
+            random_instance(3, 1, 0.5, seed=0)
+
 
 class TestRun:
     def test_csv_deterministic(self, tmp_path):
@@ -98,9 +105,7 @@ class TestRun:
     def test_empty_instance_ratio_convention(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"epsilon": 1.0, "machines": 1}\n')
-        config = ExperimentConfig(
-            algorithm="alg1+2", source="file", instance_file=str(path), oracle=True
-        )
+        config = ExperimentConfig(algorithm="alg1+2", instance_file=str(path), oracle=True)
         rows, ok = run(config)
         assert ok
         assert rows[0].alg_volume == 0.0
@@ -116,7 +121,7 @@ class TestRun:
 
     def test_adversary_source(self):
         config = ExperimentConfig(
-            algorithm="alg1+2", m=1, epsilon=1.0, source="adversary",
+            algorithm="alg1+2", m=1, epsilon=1.0,
             adversary_family="preemptive", delta=1.0 / 64,
         )
         rows, ok = run(config)
@@ -139,7 +144,7 @@ class TestRun:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="alg3-randomized", m=2)
         with pytest.raises(ValueError):
-            ExperimentConfig(algorithm="alg3", source="file")
+            ExperimentConfig(algorithm="alg3", adversary_family="both")
 
 
 class TestCli:
@@ -184,6 +189,23 @@ class TestCli:
         assert "measured ratio" in out
         realized = read_instance(str(export))
         assert validate_instance(realized) == []
+
+    @pytest.mark.parametrize(
+        "family,alg,generator",
+        [("preemptive", "alg1+2", PreemptiveAdversary), ("nonpreemptive", "alg3", NonpreemptiveAdversary)],
+    )
+    def test_adversary_command_reports_a_broken_certificate(self, family, alg, generator, monkeypatch, capsys):
+        certificate = generator.certificate
+
+        def broken(adv):
+            volume, schedule, last, members = certificate(adv)
+            schedule.segments.pop()  # a certified job loses its last piece of work
+            return volume, schedule, last, members
+
+        monkeypatch.setattr(generator, "certificate", broken)
+        code = main(["adversary", "--family", family, "--alg", alg, "--m", "1", "--epsilon", "0.5"])
+        assert code == 1
+        assert "invariant violation: certificate schedule invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alg", ALGORITHMS)
     def test_verify_checks_the_schedule_of_every_algorithm(self, alg, tmp_path, monkeypatch, capsys):

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from commitsched import nonpreemptive
 from commitsched.harness import random_instance
 from commitsched.model import Instance, InvariantError, Job, verify_schedule
 from commitsched.nonpreemptive import (
     CommitmentError,
     NonpreemptiveSimulator,
+    PartitionedAllocator,
+    RandomizedAllocator,
     committed_schedule,
     d_lim,
     greedy_nonpreemptive,
@@ -18,6 +21,7 @@ from commitsched.nonpreemptive import (
     simulate_partitioned,
     simulate_randomized_single,
 )
+from commitsched.policy import drive
 
 
 def make_instance(eps, m, triples):
@@ -108,6 +112,33 @@ class TestSimulate:
             sim.advance_to(0.0)
         assert issubclass(CommitmentError, InvariantError)
 
+    def test_load_sum_breach_after_acceptance_raises_invariant_error(self):
+        # The same breach, planted after the clock advance, is caught by
+        # the check that follows the acceptance.
+        sim = NonpreemptiveSimulator(3, 0.1)
+        sim.advance_to(0.0)
+        sim.loads = [1.0, 1.0, 1.0]
+        with pytest.raises(InvariantError, match="load-sum"):
+            sim.on_arrival(Job(0, 0.0, 0.1, 100.0))
+
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_one_d_lim_per_state(self, m, monkeypatch):
+        # One evaluation per clock advance and m trial placements per
+        # acceptance; the load-sum check and the admission test reuse them.
+        calls = []
+        real = nonpreemptive.d_lim
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nonpreemptive, "d_lim", counted)
+        inst = random_instance(300, m, 0.5, seed=m, release_span=60.0)
+        res = simulate_nonpreemptive(inst)
+        accepted = len(res.starts)
+        assert 0 < accepted < len(inst)
+        assert len(calls) == len(inst) + m * accepted
+
     @pytest.mark.parametrize("seed", range(25))
     def test_commitment_on_random_instances(self, seed):
         rng = random.Random(3000 + seed)
@@ -185,6 +216,15 @@ class TestPartitioned:
         placed = next(cs for cs in res.starts if cs.job == 1)
         assert placed.machine >= 2  # landed in the second group
 
+    def test_groups_keep_no_records(self):
+        eps = 1.0 / (math.e**2 - 1.0)
+        inst = random_instance_local(random.Random(29), 40, 4, eps, 10.0)
+        policy = PartitionedAllocator(inst.machines, inst.epsilon)
+        res = drive(policy, inst)
+        assert len(res.decisions) == len(inst) and res.starts
+        for _, group in policy.groups:
+            assert len(group.decisions) == 0 and group.starts == []
+
     def test_requires_enough_machines(self):
         eps = 0.01  # group size round(ln(101)) = 5
         inst = make_instance(eps, 2, [(0.0, 1.0, 2 * (1 + eps))])
@@ -228,6 +268,13 @@ class TestRandomizedSingle:
         pick = random.Random(seed).randrange(mv)
         res = simulate_randomized_single(inst, seed=seed)
         assert [(cs.job, cs.start) for cs in res.starts] == [(cs.job, cs.start) for cs in parts[pick]]
+
+    def test_virtual_allocator_keeps_no_records(self):
+        inst = random_instance_local(random.Random(31), 40, 1, 0.05, 10.0)
+        policy = RandomizedAllocator(1, inst.epsilon, seed=1)
+        res = drive(policy, inst)
+        assert len(res.decisions) == len(inst)
+        assert len(policy.virtual.decisions) == 0 and policy.virtual.starts == []
 
     def test_expectation_is_fraction_of_virtual_total(self):
         eps = 1.0 / (math.e**2 - 1.0)
