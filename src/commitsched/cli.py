@@ -12,7 +12,6 @@ import sys
 
 from .harness import (
     ExperimentConfig,
-    bound_for_algorithm,
     random_instance,
     run,
     stress_run,
@@ -63,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--file", required=True, help="output path")
 
     p_adv = sub.add_parser("adversary", help="replay an adaptive stress generator")
-    p_adv.add_argument("--family", choices=("preemptive", "nonpreemptive"), required=True)
     p_adv.add_argument("--alg", choices=("alg1+2", "greedy-p", "alg3", "greedy-np"), required=True)
     _add_common(p_adv)
     p_adv.add_argument("--delta", type=float, default=1.0 / 64)
@@ -98,9 +96,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"instances: {len(rows)}")
     if finite:
         print(f"max ratio: {max(finite):.6f}")
-        bound, name = bound_for_algorithm(config.algorithm, config.m, config.epsilon)
-        if bound is not None:
-            print(f"bound [{name}]: {bound:.6f}")
+        if rows[0].bound is not None:
+            print(f"bound [{rows[0].bound_name}]: {rows[0].bound:.6f}")
     if args.out:
         print(f"wrote {args.out}/ratios.csv")
     print("all bounds held" if ok else "BOUND VIOLATION")
@@ -143,7 +140,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         algorithm=args.alg,
         m=args.m,
         epsilon=args.epsilon,
-        adversary_family=args.family,
         delta=args.delta,
         assert_level=args.assert_level,
         out_dir=args.out,

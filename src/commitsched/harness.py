@@ -122,7 +122,6 @@ class ExperimentConfig:
     release_span: float = 10.0
     slack_mix: float = 0.5
     instance_file: str | None = None  # set: run on this file instead of random instances
-    adversary_family: str | None = None  # set: replay this stress generator (preemptive | nonpreemptive)
     delta: float = 1.0 / 64
     oracle: bool = False
     assert_level: int = 0
@@ -131,8 +130,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.adversary_family not in (None, "preemptive", "nonpreemptive"):
-            raise ValueError("adversary_family must be 'preemptive' or 'nonpreemptive'")
         if self.algorithm == "alg3-randomized" and self.m != 1:
             raise ValueError("alg3-randomized runs on a single machine")
 
@@ -228,9 +225,6 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     Returns the rows and a flag that is False when any applicable bound
     was exceeded by more than 1e-6 or an invariant failed.
     """
-    if config.adversary_family is not None:
-        rows, ok, _ = stress_run(config)
-        return rows, ok
     rows: list[RatioRow] = []
     ok = True
     for instance_id, instance in _instances(config):
@@ -239,7 +233,7 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
         )
         opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
         ratio = _ratio(opt_volume, alg_volume)
-        bound, bound_name = bound_for_algorithm(config.algorithm, config.m, config.epsilon)
+        bound, bound_name = bound_for_algorithm(config.algorithm, instance.machines, instance.epsilon)
         margin = None
         if ratio is not None and bound is not None and not math.isinf(ratio):
             margin = bound - ratio
@@ -265,15 +259,18 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
 
 
 def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOutcome]:
-    """Replay the configured stress generator.
+    """Replay the stress generator of the configured algorithm's family.
 
     Returns the ratio row, a flag that is False when the measured ratio
     falls short of the lower bound by more than the delta slack, and the
     replay itself.
     """
-    if config.adversary_family == "preemptive":
-        if config.algorithm not in ("alg1+2", "greedy-p"):
-            raise ValueError("preemptive adversary drives alg1+2 or greedy-p")
+    if config.algorithm in NONPREEMPTIVE_ALGS:
+        outcome = replay_nonpreemptive(
+            config.m, config.epsilon, delta=config.delta, algorithm=config.algorithm
+        )
+        lb_slack = 5.0 * outcome.delta * config.m
+    else:
         outcome = replay_preemptive(
             config.m,
             config.epsilon,
@@ -282,13 +279,6 @@ def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOu
             assert_level=config.assert_level,
         )
         lb_slack = 10.0 * outcome.delta
-    else:
-        if config.algorithm not in ("alg3", "greedy-np"):
-            raise ValueError("nonpreemptive adversary drives alg3 or greedy-np")
-        outcome = replay_nonpreemptive(
-            config.m, config.epsilon, delta=config.delta, algorithm=config.algorithm
-        )
-        lb_slack = 5.0 * outcome.delta * config.m
     ratio = outcome.ratio
     bound = outcome.lower_bound
     rows = [
@@ -318,7 +308,9 @@ def write_outputs(rows: Sequence[RatioRow], config: ExperimentConfig) -> None:
         writer.writeheader()
         for row in sorted(rows, key=lambda r: r.instance_id):
             writer.writerow(row.as_record())
-    write_bound_curves(os.path.join(config.out_dir, "bounds_vs_m.txt"), config.epsilon)
+    # An instance file carries its own slack; the config's is then only a default.
+    epsilon = rows[0].epsilon if rows else config.epsilon
+    write_bound_curves(os.path.join(config.out_dir, "bounds_vs_m.txt"), epsilon)
     write_ratio_histogram(os.path.join(config.out_dir, "ratio_hist.txt"), rows)
 
 

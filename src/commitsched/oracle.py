@@ -6,6 +6,7 @@ event points inside the job's window (capacity = interval length), and
 interval -> sink (capacity = machines * length).  The job set is feasible
 iff the max flow equals the total processing time; with a common release
 this coincides with the breakpoint capacity test in :mod:`commitsched.vmin`.
+The most work that fits before a cut is a max flow on the same network.
 
 Optima are found by enumerating job subsets in decreasing-volume order and
 returning the first feasible one.  A vectorised necessary condition (forced
@@ -76,6 +77,41 @@ def _event_points(jobs: Sequence[Job], extra: Iterable[float] = ()) -> list[floa
     return sorted(pts)
 
 
+def _network(
+    jobs: Sequence[Job], extra: Iterable[float] = ()
+) -> tuple[_MaxFlow, list[tuple[float, float]], float]:
+    """Horn's flow network for the jobs, without its interval -> sink arcs.
+
+    Node 0 is the source, node ``net.n - 1`` the sink, and the intervals
+    between consecutive event points (plus ``extra``) are the nodes just
+    before the sink, in time order.  Returns the network, the intervals and
+    the total processing time.
+    """
+    points = _event_points(jobs, extra)
+    intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
+    n = len(jobs)
+    net = _MaxFlow(2 + n + len(intervals))
+    total = 0.0
+    for ji, job in enumerate(jobs):
+        net.add(0, 1 + ji, job.processing)
+        total += job.processing
+        for ii, (a, b) in enumerate(intervals):
+            if a >= job.release - TOL and b <= job.deadline + TOL:
+                net.add(1 + ji, 1 + n + ii, b - a)
+    return net, intervals, total
+
+
+def _add_sink_arcs(
+    net: _MaxFlow, intervals: list[tuple[float, float]], m: int, start: int = 0, stop: int | None = None
+) -> None:
+    """Add the sink arc, of capacity m * length, of each interval in
+    ``intervals[start:stop]``."""
+    sink = net.n - 1
+    first = sink - len(intervals) + start
+    for node, (a, b) in enumerate(intervals[start:stop], start=first):
+        net.add(node, sink, m * (b - a))
+
+
 def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
     """Whether the jobs admit a valid preemptive schedule on m machines."""
     jobs = list(jobs)
@@ -86,93 +122,39 @@ def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
     for job in jobs:
         if job.deadline - job.release < job.processing - TOL:
             return False
-    points = _event_points(jobs)
-    intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
-    n = len(jobs)
-    k = len(intervals)
-    net = _MaxFlow(2 + n + k)
-    source, sink = 0, 1 + n + k
-    total = 0.0
-    for ji, job in enumerate(jobs):
-        net.add(source, 1 + ji, job.processing)
-        total += job.processing
-        for ii, (a, b) in enumerate(intervals):
-            if a >= job.release - TOL and b <= job.deadline + TOL:
-                net.add(1 + ji, 1 + n + ii, b - a)
-    for ii, (a, b) in enumerate(intervals):
-        net.add(1 + n + ii, sink, m * (b - a))
-    flow = net.max_flow(source, sink)
+    net, intervals, total = _network(jobs)
+    _add_sink_arcs(net, intervals, m)
+    flow = net.max_flow(0, net.n - 1)
     return flow >= total - 1e-9 * max(1.0, total)
 
 
 def max_prefix_work(jobs: Sequence[Job], m: int, cut: float) -> float:
     """Largest volume any valid schedule of *all* jobs can place in [0, cut).
 
-    Requires the full set to be feasible.  Solved as a min-cost max-flow:
-    interval arcs after the cut cost one per unit, so the minimum-cost
-    saturating flow defers the least possible work past the cut.
+    Requires the full set to be feasible.  Solved as two phases of one max
+    flow on Horn's network, with ``cut`` as an extra event point.  The first
+    phase has sink arcs only for the intervals before the cut; its max flow
+    is the answer.  The second adds the remaining sink arcs and continues
+    augmenting, to check that all the work fits.  The answer is exact:
+
+    - an augmenting path ends at the sink and never leaves it, so it never
+      lowers the flow on a sink arc, and the saturating flow that the second
+      phase reaches keeps all of the first phase's pre-cut work;
+    - the pre-cut part of any feasible flow is itself a flow of the
+      first-phase network, so no schedule places more work before the cut.
     """
     jobs = list(jobs)
     if not jobs or cut <= min(j.release for j in jobs):
         return 0.0
-    points = _event_points(jobs, extra=[cut])
-    intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
-    n, k = len(jobs), len(intervals)
-    size = 2 + n + k
-    source, sink = 0, 1 + n + k
-    cap = [[0.0] * size for _ in range(size)]
-    cost = [[0.0] * size for _ in range(size)]
-    total = 0.0
-    for ji, job in enumerate(jobs):
-        cap[source][1 + ji] = job.processing
-        total += job.processing
-        for ii, (a, b) in enumerate(intervals):
-            if a >= job.release - TOL and b <= job.deadline + TOL:
-                cap[1 + ji][1 + n + ii] = b - a
-    for ii, (a, b) in enumerate(intervals):
-        cap[1 + n + ii][sink] = m * (b - a)
-        if a >= cut - TOL:
-            late = 1.0
-            cost[1 + n + ii][sink] = late
-            cost[sink][1 + n + ii] = -late
-    flowed = 0.0
-    late_work = 0.0
-    while True:
-        # Bellman-Ford shortest path in cost over residual capacity.
-        dist = [math.inf] * size
-        parent = [-1] * size
-        dist[source] = 0.0
-        for _ in range(size):
-            changed = False
-            for u in range(size):
-                if dist[u] is math.inf:
-                    continue
-                for v in range(size):
-                    if cap[u][v] > _FLOW_EPS and dist[u] + cost[u][v] < dist[v] - 1e-15:
-                        dist[v] = dist[u] + cost[u][v]
-                        parent[v] = u
-                        changed = True
-            if not changed:
-                break
-        if parent[sink] == -1:
-            break
-        bottleneck = math.inf
-        v = sink
-        while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, cap[u][v])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            v = u
-        flowed += bottleneck
-        late_work += bottleneck * dist[sink]
-    if flowed < total - 1e-6 * max(1.0, total):
+    net, intervals, total = _network(jobs, extra=[cut])
+    sink = net.n - 1
+    split = sum(a < cut - TOL for a, _ in intervals)
+    _add_sink_arcs(net, intervals, m, stop=split)
+    prefix = net.max_flow(0, sink)
+    _add_sink_arcs(net, intervals, m, start=split)
+    if prefix + net.max_flow(0, sink) < total - 1e-6 * max(1.0, total):
         raise ValueError("job set is infeasible; prefix-work oracle needs a feasible set")
-    return total - late_work
+    return prefix
 
 
 def _forced_work_table(jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:

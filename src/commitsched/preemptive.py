@@ -227,42 +227,26 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     def contributors(d: float) -> list[ActiveJob]:
         return [j for j in jobs if contribution(j.remaining, j.deadline, d) > TOL]
 
-    chosen_k = None
+    # With no class of at most m jobs, k = -1: nothing is pre-allocated and
+    # longest-remaining runs over the first class on every machine.
+    chosen_k, pre = -1, []
     for k in range(len(deadlines) - 1, -1, -1):
-        if len(contributors(deadlines[k])) <= m:
-            chosen_k = k
+        found = contributors(deadlines[k])
+        if len(found) <= m:
+            chosen_k, pre = k, found
             break
 
-    segments: list[Segment] = []
-    if chosen_k is None:
-        # Every deadline class already involves more than m jobs: pure
-        # longest-remaining over the first class.
-        d1 = deadlines[0]
-        end = d1
-        lrpt_jobs = contributors(d1)
-        volumes = {j.id: contribution(j.remaining, j.deadline, d1) for j in lrpt_jobs}
-        segs, first_idle = lrpt_assign(volumes, list(range(m)), t, end)
-        if first_idle is not None:
-            end = min(end, first_idle)
+    end = t + min(contribution(j.remaining, j.deadline, deadlines[chosen_k]) for j in pre) if pre else deadlines[0]
+    segments = [Segment(machine, job.id, t, end) for machine, job in enumerate(pre)]
+    if chosen_k < len(deadlines) - 1 and len(pre) < m:
+        d_next = deadlines[chosen_k + 1]
+        pre_ids = {j.id for j in pre}
+        extra = [j for j in contributors(d_next) if j.id not in pre_ids]
+        volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
+        segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
+        if first_idle is not None and first_idle < end:
+            end = first_idle
         segments.extend(segs)
-    else:
-        d_k = deadlines[chosen_k]
-        pre = contributors(d_k)
-        end = t + min(contribution(j.remaining, j.deadline, d_k) for j in pre) if pre else deadlines[0]
-        for machine, job in enumerate(pre):
-            segments.append(Segment(machine, job.id, t, end))
-        m_rest = m - len(pre)
-        if chosen_k < len(deadlines) - 1 and m_rest > 0:
-            d_next = deadlines[chosen_k + 1]
-            pre_ids = {j.id for j in pre}
-            extra = [j for j in contributors(d_next) if j.id not in pre_ids]
-            volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
-            segs, first_idle = lrpt_assign(
-                volumes, list(range(len(pre), m)), t, end
-            )
-            if first_idle is not None and first_idle < end:
-                end = first_idle
-            segments.extend(segs)
 
     end = max(end, t + _EVENT_EPS)
     clipped = tuple(

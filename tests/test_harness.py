@@ -7,10 +7,16 @@ from commitsched.harness import (
     ExperimentConfig,
     random_instance,
     run,
+    stress_run,
     theoretical_bounds,
 )
 from commitsched import cli, harness
-from commitsched.adversary import NonpreemptiveAdversary, PreemptiveAdversary
+from commitsched.adversary import (
+    NonpreemptiveAdversary,
+    PreemptiveAdversary,
+    preemptive_lower_bound,
+    solve_c_lower,
+)
 from commitsched.model import InvariantError, read_instance, validate_instance, write_instance
 from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator
 from commitsched.policy import ALGORITHMS
@@ -120,13 +126,45 @@ class TestRun:
             assert ok, f"{alg} exceeded its bound"
 
     def test_adversary_source(self):
+        config = ExperimentConfig(algorithm="alg1+2", m=1, epsilon=1.0, delta=1.0 / 64)
+        rows, ok, outcome = stress_run(config)
+        assert ok
+        assert rows[0].ratio >= 2.0 - 10.0 / 64
+        assert rows[0].bound == outcome.lower_bound
+
+    @pytest.mark.parametrize(
+        "alg,lower_bound",
+        [
+            ("alg1+2", preemptive_lower_bound),
+            ("greedy-p", preemptive_lower_bound),
+            ("alg3", solve_c_lower),
+            ("greedy-np", solve_c_lower),
+        ],
+    )
+    def test_stress_generator_follows_from_the_algorithm(self, alg, lower_bound):
+        # At m=2, eps=0.5 the two generators target different lower bounds.
+        rows, _, _ = stress_run(ExperimentConfig(algorithm=alg, m=2, epsilon=0.5, delta=1.0 / 8))
+        assert rows[0].bound == lower_bound(2, 0.5)
+
+    @pytest.mark.parametrize("alg", ["alg3-partitioned", "alg3-randomized"])
+    def test_stress_run_rejects_an_algorithm_without_a_generator(self, alg):
+        with pytest.raises(ValueError, match="unsupported non-preemptive algorithm"):
+            stress_run(ExperimentConfig(algorithm=alg, m=1, epsilon=0.5))
+
+    def test_file_run_takes_the_bound_from_the_instance(self, tmp_path):
+        path = tmp_path / "inst.jsonl"
+        write_instance(random_instance(10, 4, 0.5, seed=3), str(path))
+        # m and epsilon are left at their defaults (1 and 1.0): the file has m=4, eps=0.5.
         config = ExperimentConfig(
-            algorithm="alg1+2", m=1, epsilon=1.0,
-            adversary_family="preemptive", delta=1.0 / 64,
+            algorithm="alg1+2", instance_file=str(path), oracle=True, out_dir=str(tmp_path / "out")
         )
         rows, ok = run(config)
         assert ok
-        assert rows[0].ratio >= 2.0 - 10.0 / 64
+        assert (rows[0].m, rows[0].epsilon) == (4, 0.5)
+        expected = theoretical_bounds(4, 0.5)["preemptive_upper"]
+        assert rows[0].bound == expected
+        curves = (tmp_path / "out" / "bounds_vs_m.txt").read_text().splitlines()
+        assert curves[4].split()[:2] == ["4", f"{expected:.9g}"]
 
     def test_five_hundred_instance_sweep_respects_bound(self):
         config = ExperimentConfig(
@@ -143,8 +181,6 @@ class TestRun:
             ExperimentConfig(algorithm="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="alg3-randomized", m=2)
-        with pytest.raises(ValueError):
-            ExperimentConfig(algorithm="alg3", adversary_family="both")
 
 
 class TestCli:
@@ -180,7 +216,7 @@ class TestCli:
         export = tmp_path / "realized.jsonl"
         code = main(
             [
-                "adversary", "--family", "preemptive", "--alg", "alg1+2",
+                "adversary", "--alg", "alg1+2",
                 "--m", "1", "--epsilon", "1.0", "--export", str(export),
             ]
         )
@@ -191,10 +227,13 @@ class TestCli:
         assert validate_instance(realized) == []
 
     @pytest.mark.parametrize(
-        "family,alg,generator",
-        [("preemptive", "alg1+2", PreemptiveAdversary), ("nonpreemptive", "alg3", NonpreemptiveAdversary)],
+        "alg,generator",
+        [
+            pytest.param("alg1+2", PreemptiveAdversary, id="preemptive-alg1+2-PreemptiveAdversary"),
+            pytest.param("alg3", NonpreemptiveAdversary, id="nonpreemptive-alg3-NonpreemptiveAdversary"),
+        ],
     )
-    def test_adversary_command_reports_a_broken_certificate(self, family, alg, generator, monkeypatch, capsys):
+    def test_adversary_command_reports_a_broken_certificate(self, alg, generator, monkeypatch, capsys):
         certificate = generator.certificate
 
         def broken(adv):
@@ -203,7 +242,7 @@ class TestCli:
             return volume, schedule, last, members
 
         monkeypatch.setattr(generator, "certificate", broken)
-        code = main(["adversary", "--family", family, "--alg", alg, "--m", "1", "--epsilon", "0.5"])
+        code = main(["adversary", "--alg", alg, "--m", "1", "--epsilon", "0.5"])
         assert code == 1
         assert "invariant violation: certificate schedule invalid" in capsys.readouterr().err
 
@@ -253,6 +292,12 @@ class TestCli:
         bad.write_text('{"epsilon": 1.0, "machines": 1}\n{"id": 0, "r": 0.0, "p": 1.0, "d": 1.5}\n')
         assert main(["verify", "--instance-file", str(bad)]) == 2
 
+    def test_adversary_command_rejects_an_algorithm_without_a_generator(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["adversary", "--alg", "alg3-partitioned", "--m", "2", "--epsilon", "0.5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'alg3-partitioned'" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["run", "--alg", "alg3-randomized", "--m", "2"]) == 2
 
@@ -266,3 +311,9 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "max ratio" in out
+
+    def test_run_on_instance_file_prints_the_instance_bound(self, tmp_path, capsys):
+        path = tmp_path / "inst.jsonl"
+        assert main(["gen", "--m", "4", "--epsilon", "0.5", "--n", "10", "--seed", "3", "--file", str(path)]) == 0
+        assert main(["run", "--alg", "alg1+2", "--instance-file", str(path), "--oracle"]) == 0
+        assert "bound [preemptive_upper]: 1.896444" in capsys.readouterr().out

@@ -217,3 +217,45 @@ class TestPrefixWork:
         for cut in (0.7, 1.9, 3.3):
             expected = min(m * cut, sum(min(j.processing, cut) for j in jobs))
             assert max_prefix_work(jobs, m, cut) == pytest.approx(expected, abs=1e-6)
+
+    def test_matches_an_interval_lp_with_staggered_releases(self):
+        # A second solver for the same problem: y[j, i] <= len_i is job j's
+        # work in interval i, sum_i y[j, i] = p_j, sum_j y[j, i] <= m * len_i,
+        # and HiGHS maximises the work placed before the cut.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 200:
+            m = rng.randint(1, 4)
+            jobs = []
+            for i in range(rng.randint(1, 7)):
+                r = rng.uniform(0.0, 6.0)
+                p = rng.uniform(0.5, 4.0)
+                jobs.append(Job(i, r, p, r + p * rng.uniform(1.2, 3.0)))
+            while not flow_feasible(jobs, m):
+                jobs.pop(rng.randrange(len(jobs)))
+            cut = rng.uniform(min(j.release for j in jobs), max(j.deadline for j in jobs))
+            points = sorted({j.release for j in jobs} | {j.deadline for j in jobs} | {cut})
+            intervals = list(zip(points, points[1:]))
+            pairs = [
+                (ji, ii)
+                for ji, job in enumerate(jobs)
+                for ii, (a, b) in enumerate(intervals)
+                if job.release <= a and b <= job.deadline
+            ]
+            objective = [-1.0 if intervals[ii][1] <= cut else 0.0 for _, ii in pairs]
+            a_eq = [[1.0 if ji == j else 0.0 for ji, _ in pairs] for j in range(len(jobs))]
+            a_ub = [[1.0 if ii == i else 0.0 for _, ii in pairs] for i in range(len(intervals))]
+            lp = optimize.linprog(
+                objective,
+                A_ub=a_ub,
+                b_ub=[m * (b - a) for a, b in intervals],
+                A_eq=a_eq,
+                b_eq=[job.processing for job in jobs],
+                bounds=[(0.0, intervals[ii][1] - intervals[ii][0]) for _, ii in pairs],
+                method="highs",
+            )
+            assert lp.status == 0, lp.message
+            assert max_prefix_work(jobs, m, cut) == pytest.approx(-lp.fun, abs=1e-6)
+            checked += 1
+
