@@ -178,12 +178,6 @@ CSV_COLUMNS = [
 ]
 
 
-def run_algorithm(algorithm: str, instance: Instance, assert_level: int = 0, seed: int = 0) -> float:
-    """Run one policy over one instance; returns the accepted volume."""
-    policy = make_policy(algorithm, instance.machines, instance.epsilon, assert_level, seed)
-    return drive(policy, instance).accepted_volume
-
-
 def _ratio(opt_volume: float | None, alg_volume: float) -> float | None:
     if opt_volume is None:
         return None
@@ -228,9 +222,8 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     rows: list[RatioRow] = []
     ok = True
     for instance_id, instance in _instances(config):
-        alg_volume = run_algorithm(
-            config.algorithm, instance, assert_level=config.assert_level, seed=config.seed
-        )
+        policy = make_policy(config.algorithm, instance.machines, instance.epsilon, config.assert_level, config.seed)
+        alg_volume = drive(policy, instance).accepted_volume
         opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
         ratio = _ratio(opt_volume, alg_volume)
         bound, bound_name = bound_for_algorithm(config.algorithm, instance.machines, instance.epsilon)

@@ -288,14 +288,15 @@ def read_instance(path: str) -> Instance:
     header = json.loads(lines[0])
     try:
         epsilon = float(header["epsilon"])
-        machines = int(header["machines"])
+        machines = _json_int(header["machines"], f"{path}: header line 1: machines")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header line") from exc
     jobs = []
     for i, line in enumerate(lines[1:]):
         rec = json.loads(line)
         try:
-            jobs.append(Job(int(rec["id"]), float(rec["r"]), float(rec["p"]), float(rec["d"])))
+            job_id = _json_int(rec["id"], f"{path}: job line {i + 2}: id")
+            jobs.append(Job(job_id, float(rec["r"]), float(rec["p"]), float(rec["d"])))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed job line {i + 2}") from exc
     if [j.id for j in jobs] != list(range(len(jobs))):
@@ -307,3 +308,11 @@ def read_instance(path: str) -> Instance:
     if problems:
         raise ValueError(f"{path}: invalid instance: " + "; ".join(str(v) for v in problems))
     return instance
+
+
+def _json_int(value: object, what: str) -> int:
+    # A count must be a JSON integer: int() would truncate 2.7 to 2 and
+    # read true as 1 without a word.
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 from . import policy as driver  # a module import: policy imports this module
 from .model import (
@@ -160,12 +160,14 @@ class NonpreemptiveSimulator(_Commitments):
 
     # -- invariants -------------------------------------------------------
 
-    def _check_load_sum(self) -> None:
-        # The two largest loads always cover the threshold scaled back by
-        # rho^(-1/m); for m=1 the second load reads as zero.
-        rho = (1.0 + self.epsilon) / self.epsilon
+    def _top_two_and_rho(self) -> tuple[float, float]:
+        # The two largest loads summed (for m=1 the second reads as zero), and rho.
         ranked = sorted(self.loads, reverse=True)
-        top_two = ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0)
+        return ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0), (1.0 + self.epsilon) / self.epsilon
+
+    def _check_load_sum(self) -> None:
+        # The two largest loads always cover the threshold scaled back by rho^(-1/m).
+        top_two, rho = self._top_two_and_rho()
         need = (self.limit - self.clock) * rho ** (-1.0 / self.machines)
         if top_two < need - 1e-7:
             raise InvariantError(
@@ -173,9 +175,7 @@ class NonpreemptiveSimulator(_Commitments):
             )
 
     def _check_usable_interval(self, job: Job) -> None:
-        rho = (1.0 + self.epsilon) / self.epsilon
-        ranked = sorted(self.loads, reverse=True)
-        top_two = ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0)
+        top_two, rho = self._top_two_and_rho()
         if job.deadline - job.release > top_two * rho ** (1.0 / self.machines) + 1e-7:
             raise InvariantError(
                 f"rejected job {job.id} has window {job.deadline - job.release} beyond "
@@ -183,9 +183,9 @@ class NonpreemptiveSimulator(_Commitments):
             )
 
 
-def simulate_nonpreemptive(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
     """Run the threshold policy over a full instance."""
-    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance, trace)
+    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance)
 
 
 def partition_group_size(epsilon: float) -> int:
@@ -222,9 +222,9 @@ class PartitionedAllocator(_Commitments):
         return self._record(job, job.release, limit, placed)
 
 
-def simulate_partitioned(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+def simulate_partitioned(instance: Instance) -> NonpreemptiveResult:
     """Run the partitioned threshold policy over a full instance."""
-    return driver.drive(PartitionedAllocator(instance.machines, instance.epsilon), instance, trace)
+    return driver.drive(PartitionedAllocator(instance.machines, instance.epsilon), instance)
 
 
 def randomized_virtual_machines(epsilon: float) -> int:
@@ -300,9 +300,9 @@ class GreedyAllocator(_Commitments):
         return self._record(job, job.release, None, placed)
 
 
-def greedy_nonpreemptive(instance: Instance, trace: IO[str] | None = None) -> NonpreemptiveResult:
+def greedy_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
     """Run the greedy baseline over a full instance."""
-    return driver.drive(GreedyAllocator(instance.machines), instance, trace)
+    return driver.drive(GreedyAllocator(instance.machines), instance)
 
 
 def committed_schedule(result: NonpreemptiveResult, instance: Instance) -> Schedule:

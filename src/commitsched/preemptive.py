@@ -13,8 +13,9 @@ with wrap-around splitting of tied groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import Iterable
 
 from . import policy as driver  # a module import: policy imports this module
 from .model import (
@@ -285,14 +286,14 @@ class PreemptiveSimulator:
         self.clock = 0.0
         self.d_min = 0.0
         self.v_delta = 0.0
-        self.jobs: dict[int, Job] = {}
-        self.committed_work: dict[int, float] = {}
+        self.jobs: dict[int, Job] = {}  # every accepted job
+        self.committed_work: dict[int, float] = {}  # unfinished jobs only
         self.schedule = Schedule(machines=machines)
         self.decisions = DecisionLog()
-        self.plan: PlanWindow | None = None
+        self.plan = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
         self.event_times: list[float] = [0.0]
         # Reference state for the volume-decay check: the last plan-aligned
-        # instant (plan generation or window end).  Between such instants
+        # instant (acceptance or window end).  Between such instants
         # the realised schedule matches the fluid sharing trajectory, so
         # the decay inequality is exact there; at interior instants the
         # wrap-around realisation may front-load one tied job's share.
@@ -311,7 +312,7 @@ class PreemptiveSimulator:
         return out
 
     def accepted_volume(self) -> float:
-        return sum(self.jobs[j].processing for j in self.decisions.accepted_ids())
+        return sum(job.processing for job in self.jobs.values())
 
     # -- event loop -----------------------------------------------------
 
@@ -354,46 +355,37 @@ class PreemptiveSimulator:
                     )
                 self.d_min = max(self.d_min, new_dmin)
             self._regenerate_plan()
-            self._reset_decay_reference()
         if self.assert_level >= 1:
-            self.check_invariants()
+            curve = self.check_invariants()
+            if accept and self.assert_level >= 2:
+                self._decay_curve, self._decay_clock = curve, self.clock
         return accept
 
     def advance_to(self, target: float) -> None:
-        """Run the current plan forward to ``target``, regenerating at expiry."""
+        """Run the current plan forward to ``target``, regenerating at expiry.
+        With no job left the clock jumps to ``target`` if it is finite."""
         while self.clock < target - TOL:
-            if self.plan is None or not self.plan.segments:
-                if not self.active_jobs():
-                    self.clock = target
-                    break
-                self._regenerate_plan()
-                if not self.plan.segments:
+            if not self.plan.segments:
+                # The plan was built for the current state, so an empty one
+                # means either no job is left or a broken plan.
+                if self.active_jobs():
                     raise InvariantError(
                         f"plan for a nonempty active set has no work at t={self.clock}"
                     )
-                continue
+                if target < math.inf:
+                    self.clock = target
+                break
             step_end = min(target, self.plan.end)
             self._commit_window(self.clock, step_end)
             self.clock = step_end
             if step_end >= self.plan.end - TOL:
-                self.plan = None
                 self.event_times.append(self.clock)
-                if self.active_jobs():
-                    self._regenerate_plan()
+                self._regenerate_plan()
                 self._window_checkpoint()
 
     def finish(self) -> SimulationResult:
         """Run the remaining plan to completion and return the outcome."""
-        while self.active_jobs():
-            if self.plan is None:
-                self._regenerate_plan()
-            assert self.plan is not None
-            horizon = self.plan.end
-            self._commit_window(self.clock, horizon)
-            self.clock = horizon
-            self.plan = None
-            self.event_times.append(self.clock)
-            self._window_checkpoint()
+        self.advance_to(math.inf)
         return SimulationResult(
             decisions=self.decisions,
             schedule=self.schedule,
@@ -404,10 +396,15 @@ class PreemptiveSimulator:
     # -- internals ------------------------------------------------------
 
     def _regenerate_plan(self) -> None:
-        self.plan = generate_plan(self.active_jobs(), self.clock, self.machines)
+        # Finished jobs leave the live state here, where the old plan is
+        # dropped, not when a segment commits: a plan window can still hold
+        # a dust segment for a job whose remaining work is already down to TOL.
+        active = self.active_jobs()
+        self.committed_work = {job.id: self.committed_work[job.id] for job in active}
+        self.plan = generate_plan(active, self.clock, self.machines)
 
     def _commit_window(self, t0: float, t1: float) -> None:
-        if t1 <= t0 + _EVENT_EPS or self.plan is None:
+        if t1 <= t0 + _EVENT_EPS:
             return
         for seg in self.plan.segments:
             s, e = max(seg.start, t0), min(seg.end, t1)
@@ -415,27 +412,26 @@ class PreemptiveSimulator:
                 self.schedule.segments.append(Segment(seg.machine, seg.job, s, e))
                 self.committed_work[seg.job] += e - s
 
-    def _reset_decay_reference(self) -> None:
-        if self.assert_level >= 2:
-            self._decay_curve = v_min_curve(self.active_jobs(), self.clock)
-            self._decay_clock = self.clock
-
     def _window_checkpoint(self) -> None:
         if self.assert_level >= 1:
-            self.check_invariants()
-            if self.assert_level >= 2 and self._decay_curve is not None:
-                self._check_progression()
-        self._reset_decay_reference()
+            curve = self.check_invariants()
+            if self.assert_level >= 2:
+                self._check_progression(curve)
+                self._decay_curve, self._decay_clock = curve, self.clock
 
-    def check_invariants(self) -> None:
-        """Envelope and feasibility conditions that must hold at every event."""
+    def check_invariants(self) -> PiecewiseLinear:
+        """Envelope and feasibility conditions that must hold at every event.
+
+        Returns the mandatory-volume curve of the active set at the clock,
+        which the volume-decay check reuses.
+        """
         active = self.active_jobs()
         t = self.clock
         if not horn_feasible(active, t, self.machines):
             raise InvariantError(f"active set infeasible at t={t}")
-        if self.policy != "lazy":
-            return
         curve = v_min_curve(active, t)
+        if self.policy != "lazy":
+            return curve
         d_eff = max(self.d_min, t)
         slack = 1e-7
         v_at_dmin = curve.value(d_eff)
@@ -459,15 +455,16 @@ class PreemptiveSimulator:
                         f"shape envelope breached at tau={tau}, t={t}: "
                         f"{curve.value(tau)} > {bound}"
                     )
+        return curve
 
-    def _check_progression(self) -> None:
+    def _check_progression(self, now: PiecewiseLinear) -> None:
         # Volume decay across a plan window with no acceptance inside:
-        # v_now(tau) <= ((tau - t') / (tau - t)) * v_ref(tau).
+        # v_now(tau) <= ((tau - t') / (tau - t)) * v_ref(tau), where ``now``
+        # is the curve at the clock and the reference was set at t.
         assert self._decay_curve is not None
         t_old, t_new = self._decay_clock, self.clock
         if t_new <= t_old + TOL:
             return
-        now = v_min_curve(self.active_jobs(), t_new)
         taus = sorted(set(now.breakpoints) | {bp for bp in self._decay_curve.breakpoints if bp > t_new})
         for tau in taus:
             if tau <= t_new + TOL:
@@ -479,17 +476,13 @@ class PreemptiveSimulator:
                 )
 
 
-def simulate_preemptive(
-    instance: Instance, assert_level: int = 0, trace: IO[str] | None = None
-) -> SimulationResult:
+def simulate_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:
     """Run the lazy-threshold policy over a full instance."""
     sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "lazy")
-    return driver.drive(sim, instance, trace)
+    return driver.drive(sim, instance)
 
 
-def greedy_preemptive(
-    instance: Instance, assert_level: int = 0, trace: IO[str] | None = None
-) -> SimulationResult:
+def greedy_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:
     """Baseline: accept whenever the active set plus the job stays feasible."""
     sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "greedy")
-    return driver.drive(sim, instance, trace)
+    return driver.drive(sim, instance)

@@ -5,6 +5,8 @@ output passes its checks (``verify_schedule``, the row bounds, the replay
 re-runs) and its accept/reject sequence and volume must hash to the
 reference in ``benchmarks/fingerprints.json``:
 
+- ``preemptive-stream`` runs alg1+2 and greedy-p through ``submit`` on two
+  instances at n=2500, m=8;
 - ``nonpreemptive-stream`` runs alg3, alg3-partitioned and greedy-np at
   n=20000, m=16, and alg3-randomized at n=20000, m=1;
 - ``oracle-sweep`` runs 150 sweep steps, each an alg3 row at n=10 and an
@@ -28,6 +30,10 @@ def _one_pass(workload: str) -> set[str]:
     assert stats.failed == 0
     assert set(stats.fingerprints) == set(references)
     return set(references)
+
+
+def test_preemptive_stream_matches_reference_fingerprints():
+    assert _one_pass("preemptive-stream") == {"alg1+2/0", "alg1+2/1", "greedy-p/0", "greedy-p/1"}
 
 
 def test_nonpreemptive_stream_matches_reference_fingerprints():

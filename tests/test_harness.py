@@ -287,6 +287,19 @@ class TestCli:
         assert "finite" in captured.err
         assert "ok" not in captured.out
 
+    @pytest.mark.parametrize("header, job_id", [("2.7", "1.9"), ("true", "1")])
+    def test_verify_rejects_non_integer_counts(self, header, job_id, tmp_path, capsys):
+        path = tmp_path / "counts.jsonl"
+        path.write_text(
+            f'{{"epsilon": 1.0, "machines": {header}}}\n'
+            '{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}\n'
+            f'{{"id": {job_id}, "r": 0.0, "p": 1.0, "d": 4.0}}\n'
+        )
+        assert main(["verify", "--instance-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "must be a JSON integer" in captured.err
+        assert "ok" not in captured.out
+
     def test_verify_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"epsilon": 1.0, "machines": 1}\n{"id": 0, "r": 0.0, "p": 1.0, "d": 1.5}\n')

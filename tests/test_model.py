@@ -188,6 +188,21 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match="ids"):
             read_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "header, job_id, where",
+        [("2.7", "0", "line 1: machines"), ("1", "1.9", "line 3: id"), ("true", "0", "line 1: machines")],
+    )
+    def test_rejects_non_integer_counts(self, tmp_path, header, job_id, where):
+        # int() would truncate 2.7 machines to 2 and id 1.9 to 1, and read true as 1.
+        path = tmp_path / "counts.jsonl"
+        path.write_text(
+            f'{{"epsilon": 1.0, "machines": {header}}}\n'
+            '{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}\n'
+            f'{{"id": {job_id}, "r": 0.0, "p": 1.0, "d": 4.0}}\n'
+        )
+        with pytest.raises(ValueError, match=f"{where} must be a JSON integer"):
+            read_instance(str(path))
+
     def test_rejects_malformed_lines(self, tmp_path):
         bad_header = tmp_path / "h.jsonl"
         bad_header.write_text('{"machines": 1}\n')

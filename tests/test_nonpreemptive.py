@@ -21,7 +21,7 @@ from commitsched.nonpreemptive import (
     simulate_partitioned,
     simulate_randomized_single,
 )
-from commitsched.policy import drive
+from commitsched.policy import drive, make_policy
 
 
 def make_instance(eps, m, triples):
@@ -158,7 +158,7 @@ class TestSimulate:
 
         buf = io.StringIO()
         inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), (0.0, 0.4, 1.9)])
-        res = simulate_nonpreemptive(inst, trace=buf)
+        res = drive(make_policy("alg3", inst.machines, inst.epsilon), inst, buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 2
         limit = res.decisions[0].threshold

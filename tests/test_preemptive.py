@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commitsched.model import Instance, Job, Schedule, verify_schedule
+from commitsched.harness import random_instance
+from commitsched.model import Instance, InvariantError, Job, Schedule, verify_schedule
+from commitsched.policy import drive, make_policy
 from commitsched.preemptive import (
     PreemptiveSimulator,
     generate_plan,
@@ -14,7 +16,7 @@ from commitsched.preemptive import (
     solve_dmin,
     wrap_fill,
 )
-from commitsched.vmin import ActiveJob, f_threshold, v_min, v_min_curve
+from commitsched.vmin import ActiveJob, PiecewiseLinear, f_threshold, v_min, v_min_curve
 
 
 def scan_largest_crossing(active, f, v_delta, r, hi=200.0, steps=400000):
@@ -293,7 +295,7 @@ class TestSimulate:
     def test_trace_lines_emitted(self):
         buf = io.StringIO()
         inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0)])
-        res = simulate_preemptive(inst, trace=buf)
+        res = drive(make_policy("alg1+2", inst.machines, inst.epsilon), inst, buf)
         assert buf.getvalue() == f"0 job=0 accept threshold={res.decisions[0].threshold:.9g}\n"
 
     @pytest.mark.parametrize("seed", range(25))
@@ -328,3 +330,48 @@ class TestSimulate:
             sim.submit(job)
             thresholds.append(sim.d_min)
         assert all(b >= a - 1e-9 for a, b in zip(thresholds, thresholds[1:]))
+
+
+class TestLiveState:
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_committed_work_holds_only_live_jobs(self, policy):
+        inst = random_instance(2000, 8, 0.5, seed=1, release_span=1000)
+        sim = PreemptiveSimulator(8, 0.5, policy=policy)
+        largest = 0
+        for job in inst.jobs:
+            if sim.submit(job):
+                assert set(sim.committed_work) == {a.id for a in sim.active_jobs()}
+            largest = max(largest, len(sim.committed_work))
+        result = sim.finish()
+        # The history is long, the live state stays small.
+        assert len(sim.jobs) > 1900
+        assert largest <= 32
+        assert sim.committed_work == {}
+        assert result.accepted_volume == sum(inst.jobs[j].processing for j in result.decisions.accepted_ids())
+
+    def test_decay_check_trips_on_a_lowered_reference(self):
+        def accept_two():
+            sim = PreemptiveSimulator(1, 1.0, assert_level=2)
+            for job in (Job(0, 0.0, 1.0, 3.0), Job(1, 0.0, 2.0, 8.0)):
+                assert sim.submit(job)
+            return sim
+
+        intact = accept_two()
+        intact.advance_to(intact.plan.end)
+        assert intact.active_jobs() and intact._decay_clock == intact.clock
+        lowered = accept_two()
+        ref = lowered._decay_curve
+        lowered._decay_curve = PiecewiseLinear(
+            ref.start, ref.breakpoints, tuple(0.5 * v for v in ref.values), tuple(0.5 * s for s in ref.slopes)
+        )
+        with pytest.raises(InvariantError, match="volume decay violated"):
+            lowered.advance_to(lowered.plan.end)
+
+    @pytest.mark.parametrize("scale, check", [(0.5, "growth cap"), (0.9, "shape envelope")])
+    def test_envelope_checks_trip_on_a_lowered_threshold(self, scale, check):
+        sim = PreemptiveSimulator(2, 0.5, assert_level=1)
+        for job in (Job(0, 0.0, 2.0, 3.0), Job(1, 0.0, 2.0, 3.0), Job(2, 0.0, 1.0, 6.0)):
+            assert sim.submit(job)  # each submit passes check_invariants
+        sim.d_min *= scale
+        with pytest.raises(InvariantError, match=check):
+            sim.check_invariants()
