@@ -1,8 +1,8 @@
 """Adaptive stress generators that realise the worst-case lower bounds.
 
-Both generators emit jobs one at a time and adapt to the tested policy's
-accept/reject decisions, so a replay is a pure function of the decision
-history.  Alongside each realised sequence they build an explicit
+Each generator is a Python generator, ``play()``: it yields jobs one at
+a time and receives the tested policy's answer to each through ``send``,
+so a replay is a pure function of the decision history.  Alongside each realised sequence they build an explicit
 certificate schedule whose volume lower-bounds the offline optimum; the
 measured ratio is certificate volume over accepted volume.
 """
@@ -10,6 +10,7 @@ measured ratio is certificate volume over accepted volume.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .model import (
@@ -151,6 +152,8 @@ class PreemptiveAdversary:
     """
 
     def __init__(self, m: int, epsilon: float, delta: float = 1.0 / 64) -> None:
+        if m < 1:
+            raise ValueError("m must be >= 1")
         if not (0 < epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
         if not (0 < delta < 1):
@@ -165,13 +168,6 @@ class PreemptiveAdversary:
         self.delta = target_volume / self.target_count
         self.block1_max = math.floor(m * (1.0 + epsilon) / self.delta + 1e-12)
         self.block_cap = math.floor(m * (1.0 + epsilon) + 1e-12)
-        self.block = 1
-        self.submitted_in_block = 0
-        self.accepted_in_block = 0
-        self.done = False
-        self.next_id = 0
-        self.jobs: list[Job] = []
-        self.block_of: dict[int, int] = {}
 
     def block_processing(self, block: int) -> float:
         if block == 1:
@@ -185,50 +181,34 @@ class PreemptiveAdversary:
             return 1.0 + self.epsilon
         return (1.0 + self.epsilon) * self.block_processing(block)
 
-    def next_job(self) -> Job | None:
-        while True:
-            if self.done:
-                return None
-            if self.block == self.m + 2:
-                if self.submitted_in_block >= self.block_cap:
-                    self.done = True
-                    return None
-                break
-            target = self.target_count if self.block == 1 else 1
-            cap = self.block1_max if self.block == 1 else self.block_cap
-            if self.accepted_in_block >= target:
-                self.block += 1
-                self.submitted_in_block = 0
-                self.accepted_in_block = 0
-                continue
-            if self.submitted_in_block >= cap:
-                self.done = True
-                return None
-            break
-        job = Job(
-            self.next_id,
-            0.0,
-            self.block_processing(self.block),
-            self.block_deadline(self.block),
-        )
-        self.next_id += 1
-        self.submitted_in_block += 1
-        self.jobs.append(job)
-        self.block_of[job.id] = self.block
-        return job
+    def play(self) -> Generator[Job, object, None]:
+        """Yield the jobs one at a time; ``send`` each answer back (truthy
+        on acceptance).  ``blocks`` keeps the offered jobs, one list per
+        block reached."""
+        self.blocks: list[list[Job]] = []
+        for block in range(1, self.m + 2):
+            target = self.target_count if block == 1 else 1
+            cap = self.block1_max if block == 1 else self.block_cap
+            self.blocks.append([])
+            accepted = 0
+            while accepted < target:
+                if len(self.blocks[-1]) >= cap:
+                    return
+                if (yield self._offer(block)):
+                    accepted += 1
+        self.blocks.append([])
+        for _ in range(self.block_cap):
+            yield self._offer(self.m + 2)
 
-    def record(self, job_id: int, accepted: bool) -> None:
-        if accepted:
-            self.accepted_in_block += 1
+    def _offer(self, block: int) -> Job:
+        return _append(self.blocks, 0.0, self.block_processing(block), self.block_deadline(block))
 
     def certificate(self) -> tuple[float, Schedule, int, list[Job]]:
         """Volume, schedule, last block and jobs of the explicit offline
         certificate: every job of the last block reached, packed
         wrap-around."""
-        last = self.block
-        members = [j for j in self.jobs if self.block_of[j.id] == last]
-        if not members:
-            return 0.0, Schedule(machines=self.m), last, members
+        last = len(self.blocks)
+        members = self.blocks[-1]
         sched = _mcnaughton(members, self.m, 0.0, self.block_deadline(last))
         return sum(j.processing for j in members), sched, last, members
 
@@ -251,101 +231,62 @@ class NonpreemptiveAdversary:
         self.m = m
         self.epsilon = epsilon
         self.delta = delta
-        self.c = solve_c_lower(m, epsilon)
         self.group_sizes = group_processing_times(m, epsilon)  # p_2..p_{m+1}
         self.first_deadline = 1.0 + (1.0 + epsilon) * (1.0 + 1.0 / epsilon)
-        self.t: float | None = None
-        self.group = 0  # 0 = the probe job; 1..m-1 = escalation; m = final
-        self.submitted_in_group = 0
-        self.accepted_in_group = 0
-        self.done = False
-        self.next_id = 0
-        self.jobs: list[Job] = []
-        self.group_of: dict[int, int] = {}
 
-    def _group_processing(self, group: int) -> float:
-        if group == self.m:
-            return 1.0 / self.epsilon - self.delta
-        return self.group_sizes[group - 1]
-
-    def next_job(self) -> Job | None:
-        while True:
-            if self.done:
-                return None
-            if self.group == 0:
-                if self.submitted_in_group:
-                    return None  # waiting for record() of the probe job
-                job = Job(self.next_id, 0.0, 1.0, self.first_deadline)
-                break
-            if self.group == self.m:
-                if self.submitted_in_group >= self.m:
-                    self.done = True
-                    return None
-            else:
-                if self.accepted_in_group >= 1:
-                    self.group += 1
-                    self.submitted_in_group = 0
-                    self.accepted_in_group = 0
-                    continue
-                if self.submitted_in_group >= self.m:
-                    self.done = True
-                    return None
-            assert self.t is not None
-            p = self._group_processing(self.group)
-            job = Job(self.next_id, self.t, p, self.t + (1.0 + self.epsilon) * p)
-            break
-        self.next_id += 1
-        self.submitted_in_group += 1
-        self.jobs.append(job)
-        self.group_of[job.id] = self.group
-        return job
-
-    def record(self, job_id: int, placement: CommittedStart | None) -> None:
-        """Note the policy's answer: None (or any falsy value) on rejection,
-        the committed start on acceptance."""
-        if self.group == 0:
-            if not placement:
-                self.done = True
-                return
-            if not isinstance(placement, CommittedStart):
-                raise ValueError("the probe job's committed start is required")
-            self.t = placement.start
-            self.group = 1 if self.m > 1 else self.m
-            self.submitted_in_group = 0
-            self.accepted_in_group = 0
+    def play(self) -> Generator[Job, object, None]:
+        """Yield the jobs one at a time; ``send`` each answer back: the
+        committed start on acceptance, anything falsy on rejection.
+        ``blocks`` keeps the offered jobs, one list per group reached:
+        the probe, the escalation groups, the final group."""
+        self.blocks: list[list[Job]] = [[]]
+        placement = yield _append(self.blocks, 0.0, 1.0, self.first_deadline)
+        if not placement:
             return
-        if placement:
-            self.accepted_in_group += 1
+        if not isinstance(placement, CommittedStart):
+            raise ValueError("the probe job's committed start is required")
+        t = placement.start
+        for p in self.group_sizes[: self.m - 1]:
+            self.blocks.append([])
+            while not (yield _append(self.blocks, t, p, t + (1.0 + self.epsilon) * p)):
+                if len(self.blocks[-1]) >= self.m:
+                    return
+        self.blocks.append([])
+        p = 1.0 / self.epsilon - self.delta
+        for _ in range(self.m):
+            yield _append(self.blocks, t, p, t + (1.0 + self.epsilon) * p)
 
     def certificate(self) -> tuple[float, Schedule, int, list[Job]]:
         """Volume, schedule, last group and jobs of the certificate: the
         probe job run clear of [t, t + 1/eps) plus every job of the last
         offered group, one per machine at t."""
-        probe = self.jobs[0]
-        if self.t is None:
-            sched = Schedule(machines=self.m)
+        probe = self.blocks[0][0]
+        sched = Schedule(machines=self.m)
+        if len(self.blocks) == 1:
             sched.segments.append(Segment(0, probe.id, 0.0, 1.0))
             return 1.0, sched, 0, [probe]
-        last = self.group
-        members = [j for j in self.jobs if self.group_of[j.id] == last]
-        sched = Schedule(machines=self.m)
+        members = self.blocks[-1]
+        t = members[0].release
         for lane, job in enumerate(members):
             sched.segments.append(Segment(lane, job.id, job.release, job.release + job.processing))
-        p_last = members[0].processing if members else 0.0
-        if self.t >= 1.0:
-            sched.segments.append(Segment(0, probe.id, self.t - 1.0, self.t))
+        if t >= 1.0:
+            sched.segments.append(Segment(0, probe.id, t - 1.0, t))
         else:
-            sched.segments.append(
-                Segment(0, probe.id, self.t + p_last, self.t + p_last + 1.0)
-            )
-        return 1.0 + sum(j.processing for j in members), sched, last, [probe] + members
+            p_last = members[0].processing
+            sched.segments.append(Segment(0, probe.id, t + p_last, t + p_last + 1.0))
+        return 1.0 + sum(j.processing for j in members), sched, len(self.blocks) - 1, [probe] + members
+
+
+def _append(blocks: list[list[Job]], release: float, processing: float, deadline: float) -> Job:
+    """A new job in the last block; its id is its position in the
+    realised sequence."""
+    job = Job(sum(map(len, blocks)), release, processing, deadline)
+    blocks[-1].append(job)
+    return job
 
 
 def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
-    renumbered = tuple(
-        Job(i, j.release, j.processing, j.deadline) for i, j in enumerate(jobs)
-    )
-    inst = Instance(epsilon=epsilon, machines=m, jobs=renumbered)
+    inst = Instance(epsilon=epsilon, machines=m, jobs=tuple(jobs))
     problems = validate_instance(inst)
     if problems:
         raise InvariantError("generator emitted an invalid sequence: " + "; ".join(map(str, problems)))
@@ -357,15 +298,20 @@ def _replay(
 ) -> StressOutcome:
     """Offer the generator's jobs to the policy, one decision at a time,
     then verify the generator's certificate against its own jobs."""
-    while (job := adv.next_job()) is not None:
-        adv.record(job.id, policy.submit(job))
+    jobs = adv.play()
+    try:
+        job = next(jobs)
+        while True:
+            job = jobs.send(policy.submit(job))
+    except StopIteration:
+        pass
     result = policy.finish()
     opt_volume, opt_schedule, last, members = adv.certificate()
     problems = verify_schedule(opt_schedule, {j.id: j for j in members})
     if problems:
         raise InvariantError("certificate schedule invalid: " + "; ".join(map(str, problems)))
     return StressOutcome(
-        instance=_realized_instance(adv.m, adv.epsilon, adv.jobs),
+        instance=_realized_instance(adv.m, adv.epsilon, [j for block in adv.blocks for j in block]),
         decisions=result.decisions,
         alg_volume=result.accepted_volume,
         opt_volume=opt_volume,

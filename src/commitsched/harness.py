@@ -38,6 +38,11 @@ from .policy import ALGORITHMS, drive, make_policy
 NONPREEMPTIVE_ALGS = ("alg3", "alg3-partitioned", "alg3-randomized", "greedy-np")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon={epsilon} must be finite and > 0")
+
+
 def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     """Closed-form ratio guarantees and lower bounds for (m, epsilon).
 
@@ -45,6 +50,9 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     bounds need one machine; the partitioned bound needs an integral group
     log that divides m).
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    _check_epsilon(epsilon)
     rho = (1.0 + epsilon) / epsilon
     root = rho ** (1.0 / m)
     log_rho = math.log(rho)
@@ -97,6 +105,9 @@ def random_instance(
     """Seeded random instance: releases uniform on [0, span], processing
     log-uniform on [1, 8], deadlines tight with probability ``slack_mix``
     and otherwise stretched by a uniform factor from [1, 3]."""
+    _check_epsilon(epsilon)
+    if not (0.0 <= release_span < math.inf):
+        raise ValueError(f"release_span={release_span} must be finite and >= 0")
     rng = random.Random(seed)
     releases = sorted(rng.uniform(0.0, release_span) for _ in range(n))
     jobs = []

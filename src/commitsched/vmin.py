@@ -9,7 +9,6 @@ exact breakpoint reasoning possible throughout the package.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
@@ -69,10 +68,6 @@ class PiecewiseLinear:
         i = bisect_right(self.breakpoints, tau) - 1
         i = max(i, 0)
         return self.values[i] + self.slopes[i] * (tau - self.breakpoints[i])
-
-    @property
-    def final_value(self) -> float:
-        return self.values[-1]
 
 
 def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
@@ -161,25 +156,11 @@ def v_shape(x: float, m: int, epsilon: float) -> float:
     if x >= 1.0:
         return x * f_threshold(m, epsilon)
 
-    def branch(h: int) -> float:
-        tail = sum(lo ** ((m - i) / m) for i in range(h + 1))
-        return tail + x * (m - h - 1)
-
-    # h from the segment index; near segment joins float error makes the
-    # index ambiguous, so evaluate the neighbouring branches that admit a
-    # valid y and keep the largest (they agree analytically at the joins).
-    h0 = math.floor(m * (1.0 + math.log(x) / math.log(rho)))
-    y_hi = rho ** (1.0 / m)
-    candidates = []
-    for h in (h0 - 1, h0, h0 + 1):
-        if 0 <= h <= m - 1:
-            y = x * rho ** ((m - h) / m)
-            if 1.0 - 1e-9 <= y <= y_hi + 1e-9:
-                candidates.append(branch(h))
-    if not candidates:
-        # Only reachable through float dust at the outer joins.
-        return max(x * m if x <= lo + 1e-9 else 0.0, x * f_threshold(m, epsilon))
-    return max(candidates)
+    # Between corners h and h+1 the slope is m-h-1; neighbouring branches
+    # agree at the corners, so the side a corner falls on does not matter.
+    corners = v_shape_corners(m, epsilon)
+    h = bisect_right(corners, x) - 1
+    return sum(corners[: h + 1]) + x * (m - h - 1)
 
 
 def v_shape_corners(m: int, epsilon: float) -> list[float]:

@@ -15,6 +15,20 @@ from commitsched.adversary import (
 from commitsched.model import validate_instance
 
 
+def _play(adv, answer):
+    """Run the generator to its end with ``answer(job)`` as the policy's
+    reply to each job; return the jobs offered."""
+    offered = []
+    jobs = adv.play()
+    try:
+        job = next(jobs)
+        while True:
+            offered.append(job)
+            job = jobs.send(answer(job))
+    except StopIteration:
+        return offered
+
+
 class TestLowerBoundSolver:
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     def test_single_machine_closed_form(self, eps):
@@ -140,29 +154,31 @@ class TestPreemptiveAdversary:
 
     def test_accept_nothing_policy_reported_unbounded(self):
         adv = PreemptiveAdversary(1, 1.0, delta=1.0 / 32)
-        while True:
-            job = adv.next_job()
-            if job is None:
-                break
-            adv.record(job.id, False)
-        assert adv.block == 1  # never left the flood block
+        offered = _play(adv, lambda job: False)
         opt_volume, sched, last, members = adv.certificate()
         # Maximum flood: floor(m(1+eps)/delta) jobs of size delta.
         assert opt_volume == pytest.approx(2.0)
-        assert last == 1
+        assert last == 1  # never left the flood block
+        assert members == offered
         assert opt_volume == pytest.approx(sum(j.processing for j in members))
 
 
 class TestNonpreemptiveAdversary:
     def test_probe_rejection_is_unbounded(self):
         adv = NonpreemptiveAdversary(2, 0.25)
-        probe = adv.next_job()
-        assert probe.processing == 1.0
-        adv.record(probe.id, False)
-        assert adv.next_job() is None
-        opt_volume, _, _, members = adv.certificate()
+        offered = _play(adv, lambda job: None)
+        assert [job.processing for job in offered] == [1.0]
+        opt_volume, _, last, members = adv.certificate()
         assert opt_volume == pytest.approx(1.0)
-        assert members == [probe]
+        assert last == 0
+        assert members == offered
+
+    def test_probe_acceptance_needs_a_committed_start(self):
+        adv = NonpreemptiveAdversary(2, 0.25)
+        jobs = adv.play()
+        next(jobs)
+        with pytest.raises(ValueError, match="committed start is required"):
+            jobs.send(True)
 
     def test_groups_have_tight_slack(self):
         out = replay_nonpreemptive(2, 0.25, algorithm="alg3")

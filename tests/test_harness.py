@@ -314,6 +314,24 @@ class TestCli:
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["run", "--alg", "alg3-randomized", "--m", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bounds --m 2 --epsilon 0",
+            "bounds --m 0 --epsilon 0.5",
+            "adversary --alg alg1+2 --m 0 --epsilon 0.5",
+            "run --alg alg3 --n 4 --epsilon nan",
+            "run --alg alg3 --n 4 --epsilon inf",
+            "run --alg alg3 --n 4 --release-span -5",
+            "gen --epsilon nan --file inst.jsonl",
+        ],
+    )
+    def test_bad_parameters_are_input_errors(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "inst.jsonl").exists()
+
     def test_run_on_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.jsonl"
         assert main(["gen", "--n", "7", "--m", "1", "--epsilon", "1.0", "--seed", "5", "--file", str(path)]) == 0

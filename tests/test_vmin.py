@@ -175,6 +175,19 @@ class TestShapeEnvelope:
         assert v_shape(lo + 1e-12, 2, 1.0) == pytest.approx(1.0, rel=1e-9)
         assert v_shape(lo - 1e-12, 2, 1.0) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_continuous_at_every_corner(self, m, eps):
+        # At corner k = (eps/(1+eps))^((m-k)/m) the staircase has summed the
+        # corners 0..k and still rises with slope m-k-1 (slope m below the
+        # first corner, f_threshold at the last, where the sum is f itself).
+        lo = eps / (1.0 + eps)
+        corners = [lo ** ((m - k) / m) for k in range(m + 1)]
+        for k, corner in enumerate(corners):
+            level = sum(corners[: k + 1]) + corner * (m - k - 1)
+            for x in (corner - 1e-12, corner, corner + 1e-12):
+                assert v_shape(x, m, eps) == pytest.approx(level, rel=1e-9), (k, x)
+
     @pytest.mark.parametrize("m,eps", [(1, 1.0), (2, 1.0), (2, 0.5), (3, 0.5), (5, 0.1)])
     def test_grid_properties(self, m, eps):
         f = f_threshold(m, eps)
