@@ -106,8 +106,12 @@ def random_instance(
     log-uniform on [1, 8], deadlines tight with probability ``slack_mix``
     and otherwise stretched by a uniform factor from [1, 3]."""
     _check_epsilon(epsilon)
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     if not (0.0 <= release_span < math.inf):
         raise ValueError(f"release_span={release_span} must be finite and >= 0")
+    if not (0.0 <= slack_mix <= 1.0):
+        raise ValueError(f"slack_mix={slack_mix} must lie in [0, 1]")
     rng = random.Random(seed)
     releases = sorted(rng.uniform(0.0, release_span) for _ in range(n))
     jobs = []

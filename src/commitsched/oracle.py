@@ -10,15 +10,21 @@ The most work that fits before a cut is a max flow on the same network.
 
 Optima are found by enumerating job subsets in decreasing-volume order and
 returning the first feasible one.  A vectorised necessary condition (forced
-work per interval pair must fit aggregate capacity) discards most
-infeasible subsets before any flow or search runs.
+work per interval pair must fit aggregate capacity), tested on chunks of
+subsets, discards most infeasible subsets before any flow or search runs.
+Non-preemptive feasibility is a depth-first search over job orders, each
+job starting on the machine that is free first.  It prunes a state when
+some prefix of its remaining jobs in deadline order, with work W, largest
+deadline D and smallest release rmin, holds more work than the machines
+can still run in time: W > sum_i max(0, D + TOL - max(free_i, rmin)) + TOL,
+with free_i the time machine i becomes free.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,19 +36,29 @@ MAX_NONPREEMPTIVE_JOBS = 10
 MAX_FLOW_JOBS = 24
 
 _FLOW_EPS = 1e-12
+#: Masks per vectorised step of the subset pre-filter.
+_FILTER_CHUNK = 64
 
 
 class _MaxFlow:
-    """Plain breadth-first augmenting max-flow on a dense adjacency matrix."""
+    """Plain breadth-first augmenting max-flow on a sparse residual graph.
+
+    ``cap[u]`` maps each neighbour of u, in either arc direction, to the
+    residual capacity of u -> v.  The search scans neighbours in ascending
+    order, so it visits nodes in the same order as a scan of a dense
+    adjacency row would.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.cap = [[0.0] * n for _ in range(n)]
+        self.cap: list[dict[int, float]] = [{} for _ in range(n)]
 
     def add(self, u: int, v: int, capacity: float) -> None:
-        self.cap[u][v] += capacity
+        self.cap[u][v] = self.cap[u].get(v, 0.0) + capacity
+        self.cap[v].setdefault(u, 0.0)
 
     def max_flow(self, s: int, t: int) -> float:
+        neighbours = [sorted(row) for row in self.cap]
         total = 0.0
         while True:
             parent = [-1] * self.n
@@ -51,7 +67,7 @@ class _MaxFlow:
             while queue and parent[t] == -1:
                 u = queue.popleft()
                 row = self.cap[u]
-                for v in range(self.n):
+                for v in neighbours[u]:
                     if parent[v] == -1 and row[v] > _FLOW_EPS:
                         parent[v] = u
                         queue.append(v)
@@ -188,6 +204,30 @@ def _descending_subsets(processing: Sequence[float]) -> tuple[np.ndarray, np.nda
     return order, vols
 
 
+def _passing_masks(order: np.ndarray, F: np.ndarray, caps: np.ndarray) -> Iterator[int]:
+    """The masks of ``order``, in order, whose members' summed forced work
+    ``F[members].sum(axis=0)`` fits ``caps`` (up to 1e-9) in every interval
+    pair; ``F`` is non-negative.  Tested in chunks; each member row is added
+    in ascending job order, which gives exactly the floats of the row-by-row
+    sum."""
+    # With non-negative rows no subset outgrows the whole set, so a pair the
+    # whole set fits can be dropped.
+    whole = np.zeros(F.shape[1])
+    for row in F:
+        whole += row
+    live = whole > caps + 1e-9
+    F, caps = F[:, live], caps[live]
+    shifts = np.arange(F.shape[0])
+    for begin in range(0, len(order), _FILTER_CHUNK):
+        chunk = order[begin : begin + _FILTER_CHUNK]
+        bits = (chunk[:, None] >> shifts) & 1 == 1
+        demand = np.zeros((len(chunk), F.shape[1]))
+        for ji, row in enumerate(F):
+            np.add(demand, row, out=demand, where=bits[:, ji : ji + 1])
+        fits = ~np.any(demand > caps + 1e-9, axis=1)
+        yield from chunk[fits].tolist()
+
+
 def _best_subset(
     instance: Instance, max_jobs: int, feasible: Callable[[list[Job], int], bool]
 ) -> float | None:
@@ -201,15 +241,8 @@ def _best_subset(
     m = instance.machines
     order, vols = _descending_subsets([j.processing for j in jobs])
     F, widths = _forced_work_table(jobs)
-    caps = m * widths
-    for mask in order:
-        mask = int(mask)
-        members = [ji for ji in range(len(jobs)) if mask >> ji & 1]
-        if members:
-            demand = F[members].sum(axis=0)
-            if np.any(demand > caps + 1e-9):
-                continue
-        if feasible([jobs[ji] for ji in members], m):
+    for mask in _passing_masks(order, F, m * widths):
+        if feasible([job for ji, job in enumerate(jobs) if mask >> ji & 1], m):
             return float(vols[mask])
     return 0.0
 
@@ -223,61 +256,70 @@ def opt_preemptive(instance: Instance) -> float | None:
 def _np_search(jobs: Sequence[Job], m: int) -> bool:
     """Depth-first feasibility for a fixed job set without preemption.
 
-    Branches on which job starts next and on which distinct machine load it
-    lands; identical machines and identical jobs are collapsed, dead states
-    are memoised on (remaining set, rounded machine free times).
-    """
-    n = len(jobs)
-    order = sorted(range(n), key=lambda ji: (jobs[ji].deadline, jobs[ji].release, ji))
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    Branches on which job starts next; it starts at max(release, f) on the
+    machine that is free first, at f, and must end by deadline + TOL.  That
+    loses no schedule: take the jobs of a feasible one by start time and
+    place each in turn on the machine free first.  By induction each starts
+    no later than before, since if all m machines were still busy at job
+    k's old start, m + 1 jobs would overlap there.  Identical jobs are
+    collapsed, and dead states are memoised on (remaining set, rounded
+    machine free times).  A state is dead when some remaining job cannot
+    end in time, or when a prefix of the remaining jobs in deadline order,
+    with work W, largest deadline D and smallest release rmin, breaks the
+    capacity bound
 
-    def key(mask: int, free: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
-        return mask, tuple(int(round(f / TOL)) for f in free)
+        W <= sum_i max(0, D + TOL - max(free_i, rmin)) + TOL.
+    """
+    order = sorted(range(len(jobs)), key=lambda ji: (jobs[ji].deadline, jobs[ji].release, ji))
+    # (bit, release, processing, latest end), in deadline order.
+    items = [(1 << ji, jobs[ji].release, jobs[ji].processing, jobs[ji].deadline + TOL) for ji in order]
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
     def rec(mask: int, free: tuple[float, ...]) -> bool:
         if mask == 0:
             return True
-        k = key(mask, free)
+        k = (mask, tuple([round(f / TOL) for f in free]))
         if k in failed:
             return False
         min_free = free[0]
-        # Dead-state prune: some job can no longer meet its deadline anywhere.
-        for ji in order:
-            if mask >> ji & 1:
-                job = jobs[ji]
-                if max(job.release, min_free) + job.processing > job.deadline + TOL:
+        # The two dead-state tests of the docstring, one deadline prefix at a time.
+        work = 0.0
+        rmin = math.inf
+        for bit, r, p, end in items:
+            if mask & bit:
+                if max(r, min_free) + p > end:
+                    failed.add(k)
+                    return False
+                work += p
+                if r < rmin:
+                    rmin = r
+                # sum_i max(0, end - max(free_i, rmin)), written out: this
+                # loop runs at every node of the search.
+                room = 0.0
+                for f in free:
+                    gap = end - (f if f > rmin else rmin)
+                    if gap > 0.0:
+                        room += gap
+                if work > room + TOL:
                     failed.add(k)
                     return False
         seen_jobs: set[tuple[float, float, float]] = set()
-        for ji in order:
-            if not (mask >> ji & 1):
+        for bit, r, p, end in items:
+            if not mask & bit or (r, p, end) in seen_jobs:
                 continue
-            job = jobs[ji]
-            sig = (job.release, job.processing, job.deadline)
-            if sig in seen_jobs:
-                continue
-            seen_jobs.add(sig)
-            seen_loads: set[float] = set()
-            for slot, f_time in enumerate(free):
-                if f_time in seen_loads:
-                    continue
-                seen_loads.add(f_time)
-                start = max(job.release, f_time)
-                if start + job.processing > job.deadline + TOL:
-                    break  # free times sorted ascending; later slots only worse
-                nxt = tuple(sorted(free[:slot] + (start + job.processing,) + free[slot + 1 :]))
-                if rec(mask & ~(1 << ji), nxt):
-                    return True
+            seen_jobs.add((r, p, end))
+            start = max(r, min_free)
+            if rec(mask & ~bit, tuple(sorted((start + p,) + free[1:]))):
+                return True
         failed.add(k)
         return False
 
-    return rec((1 << n) - 1, tuple([0.0] * m))
+    return rec((1 << len(jobs)) - 1, tuple([0.0] * m))
 
 
 def opt_nonpreemptive(instance: Instance) -> float | None:
     """Exact non-preemptive optimum by subset enumeration, or None when the
-    instance exceeds the enumeration limit.  Preemption relaxes the
-    problem, so the cheaper flow test screens each subset first."""
-    return _best_subset(
-        instance, MAX_NONPREEMPTIVE_JOBS, lambda jobs, m: flow_feasible(jobs, m) and _np_search(jobs, m)
-    )
+    instance exceeds the enumeration limit.  Each subset that passes the
+    forced-work filter goes straight to :func:`_np_search`, whose capacity
+    bound prunes faster than a preemptive flow test would screen."""
+    return _best_subset(instance, MAX_NONPREEMPTIVE_JOBS, _np_search)

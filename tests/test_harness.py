@@ -87,6 +87,19 @@ class TestRandomInstance:
         with pytest.raises(InvariantError, match="invalid instance: slack"):
             random_instance(3, 1, 0.5, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n": -1}, {"slack_mix": float("nan")}, {"slack_mix": -0.1}, {"slack_mix": 1.5}],
+    )
+    def test_bad_size_or_slack_mix_is_rejected(self, kwargs):
+        args = {"n": 3, "m": 1, "epsilon": 0.5, "seed": 0, **kwargs}
+        with pytest.raises(ValueError):
+            random_instance(**args)
+
+    def test_boundary_values_are_accepted(self):
+        assert len(random_instance(0, 1, 0.5, seed=0)) == 0
+        assert len(random_instance(3, 1, 0.5, seed=0, slack_mix=0.0)) == 3
+
 
 class TestRun:
     def test_csv_deterministic(self, tmp_path):
@@ -324,6 +337,10 @@ class TestCli:
             "run --alg alg3 --n 4 --epsilon inf",
             "run --alg alg3 --n 4 --release-span -5",
             "gen --epsilon nan --file inst.jsonl",
+            "gen --n -3 --file inst.jsonl",
+            "gen --slack-mix 1.5 --file inst.jsonl",
+            "run --alg alg3 --n 3 --slack-mix nan",
+            "run --alg alg3 --n 3 --slack-mix -0.1",
         ],
     )
     def test_bad_parameters_are_input_errors(self, argv, tmp_path, monkeypatch, capsys):

@@ -1,16 +1,27 @@
+import math
 import random
+from collections import deque
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
-from commitsched.model import Instance, Job
+from commitsched import oracle
+from commitsched.harness import random_instance
+from commitsched.model import TOL, Instance, Job
 from commitsched.oracle import (
+    _descending_subsets,
+    _forced_work_table,
+    _MaxFlow,
+    _np_search,
+    _passing_masks,
     flow_feasible,
     max_prefix_work,
     opt_nonpreemptive,
     opt_preemptive,
 )
+from commitsched.preemptive import PreemptiveSimulator
 from commitsched.vmin import ActiveJob, horn_feasible
 
 
@@ -259,3 +270,222 @@ class TestPrefixWork:
             assert max_prefix_work(jobs, m, cut) == pytest.approx(-lp.fun, abs=1e-6)
             checked += 1
 
+
+def np_brute_feasible(jobs, m):
+    """Independent non-preemptive oracle for a few jobs: ``fits(S)`` says
+    whether some order of the set S runs on one machine, each job as early
+    as possible and ending by its deadline (+ TOL, as in ``_np_search``).
+    Returns a function of a job mask: whether that set splits into at most
+    m sets that each fit, which is feasibility on m machines."""
+    n = len(jobs)
+
+    def in_order(perm):
+        t = 0.0
+        for job in perm:
+            t = max(t, job.release) + job.processing
+            if t > job.deadline + TOL:
+                return False
+        return True
+
+    fits = [
+        any(in_order(perm) for perm in permutations([jobs[i] for i in range(n) if mask >> i & 1]))
+        for mask in range(1 << n)
+    ]
+
+    @lru_cache(maxsize=None)
+    def split(mask, k):
+        if mask == 0:
+            return True
+        if k == 0:
+            return False
+        low = mask & -mask  # the lowest job goes on the next machine
+        sub = mask
+        while sub:
+            if sub & low and fits[sub] and split(mask & ~sub, k - 1):
+                return True
+            sub = (sub - 1) & mask
+        return False
+
+    return lambda mask: split(mask, m)
+
+
+class TestNonpreemptiveAgainstBruteForce:
+    """``_np_search`` and ``opt_nonpreemptive`` against per-machine orders
+    run as early as possible, on every subset of small seeded instances.
+    Tight slack and short release spans make the capacity bound fire."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_every_subset_agrees(self, seed):
+        rng = random.Random(900 + seed)
+        m = 1 + seed % 3
+        n = rng.randint(4, 7)
+        epsilon = rng.choice([0.1, 0.25, 0.5])
+        inst = random_instance(
+            n, m, epsilon, seed=seed, release_span=rng.choice([1.0, 3.0]), slack_mix=rng.choice([0.5, 1.0])
+        )
+        jobs = list(inst.jobs)
+        brute = np_brute_feasible(jobs, m)
+        best = 0.0
+        for mask in range(1 << n):
+            subset = [jobs[i] for i in range(n) if mask >> i & 1]
+            assert _np_search(subset, m) == brute(mask), (mask, subset)
+            if brute(mask):
+                best = max(best, sum(j.processing for j in subset))
+        assert opt_nonpreemptive(inst) == pytest.approx(best, abs=1e-9)
+
+    def test_corpus_needs_the_search(self):
+        # Sets that preemption can schedule but the brute force cannot: the
+        # search, not the flow relaxation, decides them.
+        decided = 0
+        for seed in range(24):
+            inst = random_instance(6, 1 + seed % 3, 0.1, seed=seed, release_span=1.0, slack_mix=1.0)
+            jobs = list(inst.jobs)
+            brute = np_brute_feasible(jobs, inst.machines)
+            for mask in range(1 << len(jobs)):
+                subset = [jobs[i] for i in range(len(jobs)) if mask >> i & 1]
+                if flow_feasible(subset, inst.machines) and not brute(mask):
+                    assert not _np_search(subset, inst.machines)
+                    decided += 1
+        assert decided > 50
+
+
+def per_mask_filter(order, F, caps):
+    """The forced-work rule one mask at a time."""
+    out = []
+    for mask in order:
+        members = [ji for ji in range(F.shape[0]) if int(mask) >> ji & 1]
+        if members and np.any(F[members].sum(axis=0) > caps + 1e-9):
+            continue
+        out.append(int(mask))
+    return out
+
+
+class TestPassingMasks:
+    def check(self, jobs, m, order=None):
+        F, widths = _forced_work_table(jobs)
+        if order is None:
+            order, _ = _descending_subsets([j.processing for j in jobs])
+        expected = per_mask_filter(order, F, m * widths)
+        assert list(_passing_masks(order, F, m * widths)) == expected
+        return len(order) - len(expected)
+
+    def test_no_jobs(self):
+        assert self.check([], 1) == 0
+
+    def test_one_job(self):
+        assert self.check([Job(0, 1.0, 2.0, 4.0)], 1) == 0
+
+    def test_ragged_last_chunk(self):
+        jobs = list(random_instance(9, 1, 0.25, seed=4, release_span=3.0).jobs)
+        order, _ = _descending_subsets([j.processing for j in jobs])
+        assert self.check(jobs, 1, order[:150]) > 0
+
+    def test_tolerance_at_capacity(self):
+        # Two jobs forced into [0, 1) fill two machines exactly; 2e-9 more
+        # of each is over the 1e-9 tolerance.
+        assert self.check([Job(0, 0.0, 1.0, 1.0), Job(1, 0.0, 1.0, 1.0)], 2) == 0
+        assert self.check([Job(0, 0.0, 1.0 + 2e-9, 1.0), Job(1, 0.0, 1.0 + 2e-9, 1.0)], 2) == 1
+
+    def test_no_interval_pairs(self):
+        F = np.zeros((3, 0))
+        order, _ = _descending_subsets([1.0, 2.0, 3.0])
+        assert list(_passing_masks(order, F, np.zeros(0))) == list(order)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_mask_rule(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        m = rng.choice([1, 2, 3])
+        inst = random_instance(n, m, rng.choice([0.1, 0.5, 1.0]), seed=seed, release_span=rng.choice([2.0, 10.0]))
+        self.check(list(inst.jobs), m)
+
+
+class DenseMaxFlow:
+    """Reference: breadth-first augmenting paths, scanning a dense
+    adjacency row in node order."""
+
+    def __init__(self, n):
+        self.n = n
+        self.cap = [[0.0] * n for _ in range(n)]
+
+    def add(self, u, v, capacity):
+        self.cap[u][v] += capacity
+
+    def max_flow(self, s, t):
+        total = 0.0
+        while True:
+            parent = [-1] * self.n
+            parent[s] = s
+            queue = deque([s])
+            while queue and parent[t] == -1:
+                u = queue.popleft()
+                for v in range(self.n):
+                    if parent[v] == -1 and self.cap[u][v] > 1e-12:
+                        parent[v] = u
+                        queue.append(v)
+            if parent[t] == -1:
+                return total
+            bottleneck = math.inf
+            v = t
+            while v != s:
+                bottleneck = min(bottleneck, self.cap[parent[v]][v])
+                v = parent[v]
+            v = t
+            while v != s:
+                u = parent[v]
+                self.cap[u][v] -= bottleneck
+                self.cap[v][u] += bottleneck
+                v = u
+            total += bottleneck
+
+
+class TestSparseMaxFlow:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_dense_reference_in_two_phases(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        sparse, dense = _MaxFlow(n), DenseMaxFlow(n)
+        for phase in range(2):
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                capacity = rng.choice([rng.uniform(0.0, 5.0), float(rng.randint(1, 3))])
+                sparse.add(u, v, capacity)
+                dense.add(u, v, capacity)
+            assert repr(sparse.max_flow(0, n - 1)) == repr(dense.max_flow(0, n - 1))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_oracles_match_dense_reference(self, seed, monkeypatch):
+        rng = random.Random(500 + seed)
+        m = rng.choice([1, 2, 3])
+        jobs = list(random_instance(rng.randint(1, 9), m, 0.5, seed=seed, release_span=5.0).jobs)
+        cuts = [rng.uniform(0.0, 12.0) for _ in range(3)]
+
+        def answers():
+            feasible = flow_feasible(jobs, m)
+            prefix = [max_prefix_work(jobs, m, cut) for cut in cuts] if feasible else []
+            return repr((feasible, prefix, opt_preemptive(Instance(0.5, m, tuple(jobs)))))
+
+        sparse = answers()
+        monkeypatch.setattr(oracle, "_MaxFlow", DenseMaxFlow)
+        assert answers() == sparse
+
+
+class TestGreedyMatchesFlow:
+    """Each greedy-p decision equals ``flow_feasible`` on the active
+    remainders plus the new job, all released at the clock."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decisions(self, seed):
+        rng = random.Random(700 + seed)
+        m = rng.choice([1, 2, 3])
+        inst = random_instance(40, m, rng.choice([0.1, 0.5]), seed=seed, release_span=rng.choice([10.0, 30.0]))
+        sim = PreemptiveSimulator(m, inst.epsilon, policy="greedy")
+        rejected = 0
+        for job in inst.jobs:
+            sim.advance_to(job.release)
+            candidate = [Job(a.id, sim.clock, a.remaining, a.deadline) for a in sim.active_jobs()]
+            candidate.append(Job(job.id, sim.clock, job.processing, job.deadline))
+            expected = flow_feasible(candidate, m)
+            assert sim.on_arrival(job) == expected, job
+            rejected += not expected
+        assert rejected > 0
