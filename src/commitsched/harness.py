@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         if self.algorithm == "alg3-randomized" and self.m != 1:
             raise ValueError("alg3-randomized runs on a single machine")
+        if not self.instance_file and self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
 
 
 @dataclass
@@ -203,13 +205,15 @@ def _ratio(opt_volume: float | None, alg_volume: float) -> float | None:
     return opt_volume / alg_volume
 
 
+def oracle_job_limit(algorithm: str) -> int:
+    """Most jobs the exact oracle of ``algorithm``'s family enumerates."""
+    return MAX_NONPREEMPTIVE_JOBS if algorithm in NONPREEMPTIVE_ALGS else MAX_PREEMPTIVE_JOBS
+
+
 def _oracle_volume(algorithm: str, instance: Instance) -> float | None:
+    # Both oracles return None above their enumeration limit.
     if algorithm in NONPREEMPTIVE_ALGS:
-        if len(instance) > MAX_NONPREEMPTIVE_JOBS:
-            return None
         return opt_nonpreemptive(instance)
-    if len(instance) > MAX_PREEMPTIVE_JOBS:
-        return None
     return opt_preemptive(instance)
 
 

@@ -24,7 +24,7 @@ class InvariantError(RuntimeError):
     """An internal guarantee of a policy was observed to fail."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """One deadline-constrained task."""
 
@@ -61,7 +61,7 @@ class Instance:
         return len(self.jobs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Execution of one job on one machine over [start, end)."""
 
@@ -95,7 +95,7 @@ class Schedule:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """Outcome of one admission decision.
 
@@ -118,26 +118,27 @@ class DecisionLog:
     """One record per submitted job, in submission order."""
 
     def __init__(self, records: Iterable[DecisionRecord] = ()) -> None:
-        self._records: list[DecisionRecord] = list(records)
-        self._by_job: dict[int, DecisionRecord] = {r.job: r for r in self._records}
+        # A dict keeps insertion order: it is both the sequence and the index.
+        self._by_job: dict[int, DecisionRecord] = {}
+        for record in records:
+            self.add(record)
 
     def add(self, record: DecisionRecord) -> None:
         if record.job in self._by_job:
             raise ValueError(f"duplicate decision for job {record.job}")
-        self._records.append(record)
         self._by_job[record.job] = record
 
     def __iter__(self) -> Iterator[DecisionRecord]:
-        return iter(self._records)
+        return iter(self._by_job.values())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_job)
 
     def __getitem__(self, job_id: int) -> DecisionRecord:
         return self._by_job[job_id]
 
     def accepted_ids(self) -> list[int]:
-        return [r.job for r in self._records if r.accepted]
+        return [r.job for r in self._by_job.values() if r.accepted]
 
 
 @dataclass(frozen=True)

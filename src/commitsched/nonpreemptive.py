@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from . import policy as driver  # a module import: policy imports this module
@@ -31,7 +33,7 @@ class CommitmentError(InvariantError):
     """A committed start would miss its deadline; the policy forbids this."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommittedStart:
     """The irrevocable placement handed out at acceptance time."""
 
@@ -91,9 +93,10 @@ class _Commitments:
 class NonpreemptiveSimulator(_Commitments):
     """Threshold-based online allocation on ``machines`` identical machines.
 
-    ``limit`` is ``d_lim`` of the current loads and clock.  It is computed
-    once per state: after each clock advance, and after each acceptance,
-    where the winning trial placement already evaluated it.
+    Each state, after a clock advance and after an acceptance, ranks the
+    loads once.  That one ranked vector gives ``limit`` (``d_lim`` of the
+    loads and clock), the two largest loads the invariant checks read, and
+    the threshold of each of the m trial placements of an arrival.
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
@@ -102,17 +105,36 @@ class NonpreemptiveSimulator(_Commitments):
         self.epsilon = epsilon
         self.clock = 0.0
         self.loads = [0.0] * machines  # outstanding work per stable machine id
-        self.limit = 0.0  # d_lim of zero loads at time 0
+        rho = (1.0 + epsilon) / epsilon
+        # Weight of ascending position j, which is load rank m - j: the floats d_lim uses.
+        self._weights = [rho ** ((machines - j) / machines) for j in range(machines)]
+        self._rho_down = rho ** (-1.0 / machines)
+        self._rho_up = rho ** (1.0 / machines)
+        self._rank()
+
+    def _rank(self) -> None:
+        """Sort the loads and refresh ``limit`` and the top-two load sum.
+
+        ``limit`` is max(load * weight) + t, which equals d_lim's
+        max(t, load * weight + t) bit for bit: the terms are >= 0 and
+        adding t rounds monotonically.
+        """
+        asc = self._ascending = sorted(self.loads)
+        terms = self._terms = [load * w for load, w in zip(asc, self._weights)]
+        self.limit = max(terms) + self.clock
+        # The two largest loads summed; for m=1 the second reads as zero.
+        self._top_two = asc[-1] + (asc[-2] if self.machines > 1 else 0.0)
+        self._check_load_sum()
 
     def advance_to(self, t: float) -> None:
         """Decay every load by the elapsed time, floored at zero."""
         if t < self.clock - TOL:
             raise ValueError(f"time moves backwards: {self.clock} -> {t}")
-        dt = max(0.0, t - self.clock)
-        self.loads = [max(0.0, load - dt) for load in self.loads]
-        self.clock = max(self.clock, t)
-        self.limit = d_lim(self.loads, self.clock, self.machines, self.epsilon)
-        self._check_load_sum()
+        if t > self.clock:
+            dt = t - self.clock
+            self.loads = [load - dt if load > dt else 0.0 for load in self.loads]
+            self.clock = t
+        self._rank()
 
     def submit(self, job: Job) -> CommittedStart | None:
         self.advance_to(job.release)
@@ -134,52 +156,71 @@ class NonpreemptiveSimulator(_Commitments):
         if job.deadline < limit - TOL:
             self._check_usable_interval(job)
             return limit, None
-        # Try every placement; keep the one minimising the post-acceptance
-        # threshold, breaking ties by smaller pre-load then machine id.
-        best: tuple[float, float, int] | None = None
-        for i in range(self.machines):
-            trial = list(self.loads)
-            trial[i] += job.processing
-            cand = d_lim(trial, self.clock, self.machines, self.epsilon)
-            key = (cand, self.loads[i], i)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        after, pre_load, machine = best
+        position = self._best_trial(job.processing)
+        pre_load = self._ascending[position]
+        # Ids sorted stably by load line up with the ranked positions, and the
+        # first of equal loads is the lowest id.
+        machine = sorted(range(self.machines), key=self.loads.__getitem__)[position]
         start = self.clock + pre_load
         if start + job.processing > job.deadline + TOL:
             raise CommitmentError(
                 f"job {job.id} placed at {start} would finish {start + job.processing} "
                 f"past deadline {job.deadline}"
             )
-        # The winning trial is these loads, so ``after`` is their d_lim.
         self.loads[machine] += job.processing
-        self.limit = after
-        self._check_load_sum()
+        self._rank()
         return limit, CommittedStart(job.id, machine, start)
+
+    def _best_trial(self, p: float) -> int:
+        """Ascending position of the machine whose trial placement of ``p``
+        minimises (d_lim after it, pre-load, machine id).
+
+        Adding p at position j moves that load up to position k >= j; only
+        positions j+1..k shift down by one, and each of them takes the
+        weight one rank lower.  So a trial's threshold is the max of the
+        unchanged terms below j and above k, the moved load's term at k,
+        and the shifted terms, plus t: the same floats as d_lim of the
+        trial loads.  Equal loads give equal trials, so only the first of
+        them is scored.
+        """
+        asc, terms, w, t = self._ascending, self._terms, self._weights, self.clock
+        # below[j]: max of terms[:j]; above[k]: max of terms[k:]; shifted[i - 1]:
+        # the term of asc[i] one rank lower.
+        below = list(accumulate(terms, max, initial=0.0))
+        above = list(accumulate(reversed(terms), max, initial=0.0))[::-1]
+        shifted = [load * weight for load, weight in zip(asc[1:], w)]
+        best = (math.inf, math.inf)
+        position = 0
+        for j, load in enumerate(asc):
+            if below[j] + t > best[0]:
+                break  # below[] only grows and bounds every later trial from below
+            if j and load == asc[j - 1]:
+                continue
+            moved = load + p
+            k = bisect_left(asc, moved, j + 1) - 1
+            score = max(below[j], moved * w[k], above[k + 1], max(shifted[j:k], default=0.0))
+            key = (score + t, load)
+            if key < best:
+                best, position = key, j
+        return position
 
     # -- invariants -------------------------------------------------------
 
-    def _top_two_and_rho(self) -> tuple[float, float]:
-        # The two largest loads summed (for m=1 the second reads as zero), and rho.
-        ranked = sorted(self.loads, reverse=True)
-        return ranked[0] + (ranked[1] if len(ranked) > 1 else 0.0), (1.0 + self.epsilon) / self.epsilon
-
     def _check_load_sum(self) -> None:
         # The two largest loads always cover the threshold scaled back by rho^(-1/m).
-        top_two, rho = self._top_two_and_rho()
-        need = (self.limit - self.clock) * rho ** (-1.0 / self.machines)
+        top_two = self._top_two
+        need = (self.limit - self.clock) * self._rho_down
         if top_two < need - 1e-7:
             raise InvariantError(
                 f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"
             )
 
     def _check_usable_interval(self, job: Job) -> None:
-        top_two, rho = self._top_two_and_rho()
-        if job.deadline - job.release > top_two * rho ** (1.0 / self.machines) + 1e-7:
+        bound = self._top_two * self._rho_up
+        if job.deadline - job.release > bound + 1e-7:
             raise InvariantError(
                 f"rejected job {job.id} has window {job.deadline - job.release} beyond "
-                f"the usable bound {top_two * rho ** (1.0 / self.machines)}"
+                f"the usable bound {bound}"
             )
 
 

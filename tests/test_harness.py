@@ -194,6 +194,11 @@ class TestRun:
             ExperimentConfig(algorithm="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="alg3-randomized", m=2)
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="count"):
+                ExperimentConfig(algorithm="alg3", count=count)
+        # A file run ignores the count.
+        ExperimentConfig(algorithm="alg3", count=0, instance_file="inst.jsonl")
 
 
 class TestCli:
@@ -341,6 +346,8 @@ class TestCli:
             "gen --slack-mix 1.5 --file inst.jsonl",
             "run --alg alg3 --n 3 --slack-mix nan",
             "run --alg alg3 --n 3 --slack-mix -0.1",
+            "run --alg alg3 --n 3 --count 0",
+            "run --alg alg3 --n 3 --count -2",
         ],
     )
     def test_bad_parameters_are_input_errors(self, argv, tmp_path, monkeypatch, capsys):
@@ -365,3 +372,17 @@ class TestCli:
         assert main(["gen", "--m", "4", "--epsilon", "0.5", "--n", "10", "--seed", "3", "--file", str(path)]) == 0
         assert main(["run", "--alg", "alg1+2", "--instance-file", str(path), "--oracle"]) == 0
         assert "bound [preemptive_upper]: 1.896444" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alg, n, limit", [("alg3", 20, 10), ("alg1+2", 17, 16)])
+    def test_run_beyond_the_oracle_limit_checks_no_bound(self, alg, n, limit, capsys):
+        assert main(["run", "--alg", alg, "--n", str(n), "--count", "2", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert f"no optimum for 2 of 2 instances: the {alg} oracle enumerates at most {limit} jobs" in out
+        assert "no bound checked" in out and "all bounds held" not in out
+
+    def test_run_reports_held_bounds_only_when_checked(self, capsys):
+        assert main(["run", "--alg", "alg3", "--n", "6", "--count", "2", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "all bounds held" in out and "no optimum" not in out
+        assert main(["run", "--alg", "alg3", "--n", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "no bound checked"

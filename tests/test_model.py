@@ -224,6 +224,8 @@ class TestDecisionLog:
         log.add(DecisionRecord(0, True, 0.0, 0.0))
         with pytest.raises(ValueError, match="duplicate"):
             log.add(DecisionRecord(0, False, 1.0, 0.0))
+        with pytest.raises(ValueError, match="duplicate"):
+            DecisionLog([DecisionRecord(0, True, 0.0, 0.0), DecisionRecord(0, False, 1.0, 0.0)])
 
     def test_lookup_and_order(self):
         log = DecisionLog(

@@ -5,7 +5,7 @@ import pytest
 
 from commitsched import nonpreemptive
 from commitsched.harness import random_instance
-from commitsched.model import Instance, InvariantError, Job, verify_schedule
+from commitsched.model import TOL, Instance, InvariantError, Job, verify_schedule
 from commitsched.nonpreemptive import (
     CommitmentError,
     NonpreemptiveSimulator,
@@ -121,23 +121,47 @@ class TestSimulate:
         with pytest.raises(InvariantError, match="load-sum"):
             sim.on_arrival(Job(0, 0.0, 0.1, 100.0))
 
-    @pytest.mark.parametrize("m", [1, 4, 16])
-    def test_one_d_lim_per_state(self, m, monkeypatch):
-        # One evaluation per clock advance and m trial placements per
-        # acceptance; the load-sum check and the admission test reuse them.
-        calls = []
-        real = nonpreemptive.d_lim
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(nonpreemptive, "d_lim", counted)
-        inst = random_instance(300, m, 0.5, seed=m, release_span=60.0)
-        res = simulate_nonpreemptive(inst)
-        accepted = len(res.starts)
-        assert 0 < accepted < len(inst)
-        assert len(calls) == len(inst) + m * accepted
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 16, 32])
+    def test_ranked_loads_match_d_lim(self, m, eps):
+        # Differential test of the ranked load vector against the reference
+        # d_lim: the threshold after every clock advance and acceptance, the
+        # admission test, and every placement against the brute-force argmin
+        # of (d_lim of the trial loads, pre-load, machine id) over all m trials.
+        ties = [  # an all-zero start, then batches of equal jobs: equal loads
+            (float(r), p, r + 3 * (1 + eps) * p)
+            for r in range(12)
+            for p in (1.0, 1.0, 2.0, 1.0)
+        ]
+        instances = [make_instance(eps, m, ties)] + [
+            random_instance(150, m, eps, seed=seed, release_span=span)
+            for seed in range(m, m + 4)
+            for span in (5.0, 10.0, 60.0)
+        ]
+        shifted = 0
+        for inst in instances:
+            sim = NonpreemptiveSimulator(m, eps)
+            assert sim.limit == d_lim(sim.loads, sim.clock, m, eps)
+            for job in inst.jobs:
+                sim.advance_to(job.release)
+                loads, t, limit = list(sim.loads), sim.clock, sim.limit
+                assert limit == d_lim(loads, t, m, eps)
+                placed = sim.on_arrival(job)
+                assert (placed is not None) == (job.deadline >= limit - TOL)
+                if placed is None:
+                    continue
+                trials = []
+                for i in range(m):
+                    trial = list(loads)
+                    trial[i] += job.processing
+                    trials.append((d_lim(trial, t, m, eps), loads[i], i))
+                _, pre_load, machine = min(trials)
+                assert (placed.machine, placed.start) == (machine, t + pre_load)
+                assert sim.limit == d_lim(sim.loads, t, m, eps)
+                others = loads[:machine] + loads[machine + 1 :]
+                shifted += any(pre_load <= load < pre_load + job.processing for load in others)
+        # Some winning placements moved the loaded machine past others.
+        assert shifted > 0 or m == 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_commitment_on_random_instances(self, seed):
@@ -303,6 +327,54 @@ class TestRandomizedSingle:
         inst = make_instance(1.0, 2, [(0.0, 1.0, 2.0)])
         with pytest.raises(ValueError):
             simulate_randomized_single(inst, seed=0)
+
+
+def scaled(inst, k):
+    """The instance with every release, processing time and deadline times 2^k."""
+    jobs = tuple(
+        Job(j.id, math.ldexp(j.release, k), math.ldexp(j.processing, k), math.ldexp(j.deadline, k))
+        for j in inst.jobs
+    )
+    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
+
+
+class TestTimeScaling:
+    """Scaling every time by a power of two is exact in binary floating
+    point, so the alg3 family must make the same decisions on the same
+    machines, with starts and thresholds scaled by exactly 2^k.
+
+    The tolerances are absolute, so a deadline within ``TOL`` of its
+    threshold could flip at some scale; seeded random instances keep such
+    near-ties away, which is the regime this test covers.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_power_of_two_scaling(self, seed):
+        rng = random.Random(9000 + seed)
+        eps = rng.choice([0.05, 0.1, 0.5, 1.0])
+        m = rng.choice([3, 4, 8])  # at least the group size, 3 at eps = 0.05
+        multi = random_instance(80, m, eps, seed=seed, release_span=rng.choice([5.0, 20.0]))
+        single = random_instance(80, 1, eps, seed=seed + 1000, release_span=20.0)
+        assert simulate_nonpreemptive(multi).starts and simulate_nonpreemptive(single).starts
+        runs = [
+            (multi, simulate_nonpreemptive),
+            (multi, simulate_partitioned),
+            (single, lambda inst: simulate_randomized_single(inst, seed)),
+        ]
+        for inst, simulate in runs:
+            base = simulate(inst)
+            assert len(base.starts) < len(inst)
+            for k in range(-4, 9):
+                got = simulate(scaled(inst, k))
+                assert [
+                    (r.job, r.accepted, r.time, r.threshold) for r in got.decisions
+                ] == [
+                    (r.job, r.accepted, math.ldexp(r.time, k), math.ldexp(r.threshold, k))
+                    for r in base.decisions
+                ]
+                assert [(cs.job, cs.machine, cs.start) for cs in got.starts] == [
+                    (cs.job, cs.machine, math.ldexp(cs.start, k)) for cs in base.starts
+                ]
 
 
 class TestGreedy:
