@@ -223,7 +223,10 @@ def verify_schedule(schedule: Schedule, accepted: Mapping[int, Job]) -> list[Vio
     by_machine: dict[int, list[Segment]] = {}
     by_job: dict[int, list[Segment]] = {}
     for seg in schedule.segments:
-        if seg.end <= seg.start + TOL and seg.end <= seg.start:
+        # Every comparison with NaN is False, so no later check would fire.
+        if not (isfinite(seg.start) and isfinite(seg.end)):
+            out.append(Violation("finite", seg.job, f"segment [{seg.start}, {seg.end}) must be finite"))
+        elif seg.end <= seg.start:
             out.append(Violation("segment", seg.job, f"empty or inverted segment [{seg.start}, {seg.end})"))
         if not (0 <= seg.machine < schedule.machines):
             out.append(Violation("machine", seg.job, f"machine {seg.machine} out of range"))

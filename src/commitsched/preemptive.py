@@ -14,7 +14,9 @@ with wrap-around splitting of tied groups.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 from . import policy as driver  # a module import: policy imports this module
@@ -31,7 +33,6 @@ from .model import (
 from .vmin import (
     ActiveJob,
     PiecewiseLinear,
-    contribution,
     f_threshold,
     horn_feasible,
     v_min,
@@ -224,26 +225,38 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
         if not horn_feasible(jobs, t, m):
             raise InvariantError(f"plan requested for an infeasible active set at t={t}")
+    # (id, latest start, remaining, deadline); a job contributes to class d
+    # when contribution(remaining, deadline, d) > TOL.
+    rows = [(j.id, j.deadline - j.remaining, j.remaining, j.deadline) for j in jobs]
 
-    def contributors(d: float) -> list[ActiveJob]:
-        return [j for j in jobs if contribution(j.remaining, j.deadline, d) > TOL]
+    def contributors(d: float) -> list[tuple[int, float, float, float]]:
+        return [row for row in rows if row[1] < d and (row[2] if d >= row[3] else d - row[1]) > TOL]
 
-    # With no class of at most m jobs, k = -1: nothing is pre-allocated and
-    # longest-remaining runs over the first class on every machine.
-    chosen_k, pre = -1, []
-    for k in range(len(deadlines) - 1, -1, -1):
-        found = contributors(deadlines[k])
-        if len(found) <= m:
-            chosen_k, pre = k, found
-            break
+    # A job that contributes to a class contributes to every later one, so
+    # the contributor count is nondecreasing in the class: the classes with
+    # at most m contributors are a prefix, all of them when n <= m.  With
+    # none, k = -1: nothing is pre-allocated and longest-remaining runs over
+    # the first class on every machine.
+    if len(jobs) <= m:
+        chosen_k = len(deadlines) - 1
+    else:
+        chosen_k = bisect_left(deadlines, True, key=lambda d: len(contributors(d)) > m) - 1
+    pre = contributors(deadlines[chosen_k]) if chosen_k >= 0 else []
 
-    end = t + min(contribution(j.remaining, j.deadline, deadlines[chosen_k]) for j in pre) if pre else deadlines[0]
-    segments = [Segment(machine, job.id, t, end) for machine, job in enumerate(pre)]
+    if pre:
+        d = deadlines[chosen_k]
+        end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre)
+    else:
+        end = deadlines[0]
+    segments = [Segment(machine, job_id, t, end) for machine, (job_id, _, _, _) in enumerate(pre)]
     if chosen_k < len(deadlines) - 1 and len(pre) < m:
         d_next = deadlines[chosen_k + 1]
-        pre_ids = {j.id for j in pre}
-        extra = [j for j in contributors(d_next) if j.id not in pre_ids]
-        volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
+        pre_ids = {row[0] for row in pre}
+        volumes = {
+            job_id: rem if d_next >= dl else d_next - ls
+            for job_id, ls, rem, dl in contributors(d_next)
+            if job_id not in pre_ids
+        }
         segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
         if first_idle is not None and first_idle < end:
             end = first_idle
@@ -251,7 +264,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
 
     end = max(end, t + _EVENT_EPS)
     clipped = tuple(
-        Segment(s.machine, s.job, s.start, min(s.end, end))
+        s if s.end <= end else Segment(s.machine, s.job, s.start, end)
         for s in segments
         if s.start < end - _EVENT_EPS
     )
@@ -289,6 +302,8 @@ class PreemptiveSimulator:
         self.jobs: dict[int, Job] = {}  # every accepted job
         self.committed_work: dict[int, float] = {}  # unfinished jobs only
         self.schedule = Schedule(machines=machines)
+        # machine -> index in schedule.segments of its last committed segment
+        self._last_piece: dict[int, int] = {}
         self.decisions = DecisionLog()
         self.plan = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
         self.event_times: list[float] = [0.0]
@@ -329,9 +344,10 @@ class PreemptiveSimulator:
                 f"arrival handled at clock {self.clock} != release {job.release}; advance first"
             )
         r = job.release
+        # The live set at the arrival; every step of this event reads it.
+        active = self.active_jobs()
         if self.policy == "lazy":
             self.d_min = max(self.d_min, r)
-            active = self.active_jobs()
             self.v_delta = (self.d_min - r) * self.f - v_min(active, r, self.d_min)
             if self.v_delta < -1e-7:
                 raise InvariantError(f"negative compensation volume {self.v_delta} at t={r}")
@@ -339,24 +355,28 @@ class PreemptiveSimulator:
             threshold = self.d_min
             accept = job.deadline >= threshold - TOL
         else:
-            candidate = self.active_jobs() + [ActiveJob(job.id, job.processing, job.deadline)]
+            # Live jobs first, then the new one: horn_feasible's sums run in
+            # this order.
+            candidate = active + [ActiveJob(job.id, job.processing, job.deadline)]
             threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
         if accept:
             self.jobs[job.id] = job
             self.committed_work[job.id] = 0.0
+            if job.processing > TOL:  # the filter active_jobs applies
+                insort(active, ActiveJob(job.id, job.processing, job.deadline), key=attrgetter("id"))
             if self.policy == "lazy":
-                curve = v_min_curve(self.active_jobs(), r)
+                curve = v_min_curve(active, r)
                 new_dmin = solve_dmin(curve, self.f, self.v_delta, r)
                 if new_dmin < self.d_min - 1e-7:
                     raise InvariantError(
                         f"threshold moved backwards: {self.d_min} -> {new_dmin} at t={r}"
                     )
                 self.d_min = max(self.d_min, new_dmin)
-            self._regenerate_plan()
+            self._regenerate_plan(active)
         if self.assert_level >= 1:
-            curve = self.check_invariants()
+            curve = self.check_invariants(active)
             if accept and self.assert_level >= 2:
                 self._decay_curve, self._decay_clock = curve, self.clock
         return accept
@@ -380,8 +400,9 @@ class PreemptiveSimulator:
             self.clock = step_end
             if step_end >= self.plan.end - TOL:
                 self.event_times.append(self.clock)
-                self._regenerate_plan()
-                self._window_checkpoint()
+                active = self.active_jobs()
+                self._regenerate_plan(active)
+                self._window_checkpoint(active)
 
     def finish(self) -> SimulationResult:
         """Run the remaining plan to completion and return the outcome."""
@@ -395,37 +416,53 @@ class PreemptiveSimulator:
 
     # -- internals ------------------------------------------------------
 
-    def _regenerate_plan(self) -> None:
+    def _regenerate_plan(self, active: list[ActiveJob]) -> None:
         # Finished jobs leave the live state here, where the old plan is
         # dropped, not when a segment commits: a plan window can still hold
         # a dust segment for a job whose remaining work is already down to TOL.
-        active = self.active_jobs()
         self.committed_work = {job.id: self.committed_work[job.id] for job in active}
         self.plan = generate_plan(active, self.clock, self.machines)
 
     def _commit_window(self, t0: float, t1: float) -> None:
+        """Commit the plan's work inside [t0, t1).  A piece that continues
+        the machine's last committed segment, same job and ending exactly
+        where the piece starts, extends that segment instead of adding one."""
         if t1 <= t0 + _EVENT_EPS:
             return
+        segments, last, work = self.schedule.segments, self._last_piece, self.committed_work
         for seg in self.plan.segments:
-            s, e = max(seg.start, t0), min(seg.end, t1)
-            if e > s + _EVENT_EPS:
-                self.schedule.segments.append(Segment(seg.machine, seg.job, s, e))
-                self.committed_work[seg.job] += e - s
+            s, e = seg.start, seg.end
+            if s < t0:
+                s = t0
+            if e > t1:
+                e = t1
+            if e <= s + _EVENT_EPS:
+                continue
+            machine, job = seg.machine, seg.job
+            i = last.get(machine)
+            if i is not None and segments[i].job == job and segments[i].end == s:
+                segments[i] = Segment(machine, job, segments[i].start, e)
+            else:
+                last[machine] = len(segments)
+                segments.append(seg if s == seg.start and e == seg.end else Segment(machine, job, s, e))
+            work[job] += e - s
 
-    def _window_checkpoint(self) -> None:
+    def _window_checkpoint(self, active: list[ActiveJob]) -> None:
         if self.assert_level >= 1:
-            curve = self.check_invariants()
+            curve = self.check_invariants(active)
             if self.assert_level >= 2:
                 self._check_progression(curve)
                 self._decay_curve, self._decay_clock = curve, self.clock
 
-    def check_invariants(self) -> PiecewiseLinear:
+    def check_invariants(self, active: list[ActiveJob] | None = None) -> PiecewiseLinear:
         """Envelope and feasibility conditions that must hold at every event.
 
-        Returns the mandatory-volume curve of the active set at the clock,
-        which the volume-decay check reuses.
+        ``active`` is the live set at the clock, ``active_jobs()`` when
+        omitted.  Returns the mandatory-volume curve of the active set at
+        the clock, which the volume-decay check reuses.
         """
-        active = self.active_jobs()
+        if active is None:
+            active = self.active_jobs()
         t = self.clock
         if not horn_feasible(active, t, self.machines):
             raise InvariantError(f"active set infeasible at t={t}")
@@ -435,13 +472,12 @@ class PreemptiveSimulator:
         d_eff = max(self.d_min, t)
         slack = 1e-7
         v_at_dmin = curve.value(d_eff)
-        for tau in curve.breakpoints:
+        # At its own breakpoints the curve's value is the stored one.
+        for tau, value in zip(curve.breakpoints, curve.values):
             if tau >= d_eff:
                 bound = v_at_dmin + (tau - d_eff) * self.f
-                if curve.value(tau) > bound + slack:
-                    raise InvariantError(
-                        f"growth cap breached at tau={tau}, t={t}: {curve.value(tau)} > {bound}"
-                    )
+                if value > bound + slack:
+                    raise InvariantError(f"growth cap breached at tau={tau}, t={t}: {value} > {bound}")
         if d_eff > t + TOL:
             span = d_eff - t
             taus = [bp for bp in curve.breakpoints if t <= bp < d_eff]

@@ -80,27 +80,33 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     deltas: dict[float, int] = {}
     base = 0.0
     for job in active:
-        lo = max(t, job.deadline - job.remaining)
-        hi = max(t, job.deadline)
-        base += contribution(job.remaining, job.deadline, t)
+        # contribution(remaining, deadline, t), and its clipped breakpoints
+        remaining, deadline = job.remaining, job.deadline
+        latest_start = deadline - remaining
+        if latest_start < t:
+            base += remaining if t >= deadline else t - latest_start
+            lo = t
+        else:
+            lo = latest_start
+        hi = deadline if deadline > t else t
         if hi > lo:
             deltas[lo] = deltas.get(lo, 0) + 1
             deltas[hi] = deltas.get(hi, 0) - 1
-    points = sorted(deltas)
-    if not points or points[0] > t:
-        points.insert(0, t)
-    breakpoints = [points[0]]
-    for p in points[1:]:
-        if p > breakpoints[-1]:
-            breakpoints.append(p)
+    # Every point is >= t and dict keys are distinct, so the sorted keys
+    # are strictly increasing.
+    breakpoints = sorted(deltas)
+    if not breakpoints or breakpoints[0] > t:
+        breakpoints.insert(0, t)
     slopes: list[float] = []
     values: list[float] = [base]
-    running = 0
-    for i, bp in enumerate(breakpoints):
+    value, running = base, 0
+    for bp, nxt in zip(breakpoints, breakpoints[1:]):
         running += deltas.get(bp, 0)
         slopes.append(float(running))
-        if i + 1 < len(breakpoints):
-            values.append(values[-1] + running * (breakpoints[i + 1] - bp))
+        value += running * (nxt - bp)
+        values.append(value)
+    running += deltas.get(breakpoints[-1], 0)
+    slopes.append(float(running))
     return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
 
 

@@ -132,6 +132,22 @@ class TestVerifySchedule:
         kinds2 = {v.kind for v in verify_schedule(sched2, {0: job2})}
         assert "deadline" in kinds2
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(0.0, float("nan")), (float("nan"), 1.0), (float("nan"), float("nan")), (0.0, float("inf"))],
+    )
+    def test_non_finite_segment_rejected(self, start, end):
+        job = Job(0, 0.0, 1.0, 3.0)
+        sched = Schedule(machines=1, segments=[Segment(0, 0, start, end)])
+        kinds = {v.kind for v in verify_schedule(sched, {0: job})}
+        assert "finite" in kinds
+
+    def test_inverted_and_empty_segments_rejected(self):
+        job = Job(0, 0.0, 1.0, 3.0)
+        for start, end in ((1.0, 0.5), (1.0, 1.0)):
+            sched = Schedule(machines=1, segments=[Segment(0, 0, start, end)])
+            assert "segment" in {v.kind for v in verify_schedule(sched, {0: job})}
+
 
 @given(st.permutations(range(6)))
 def test_utilization_invariant_under_segment_permutation(perm):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitsched.harness import random_instance
-from commitsched.model import Instance, InvariantError, Job, Schedule, verify_schedule
+from commitsched.model import TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
 from commitsched.policy import drive, make_policy
 from commitsched.preemptive import (
+    _EVENT_EPS,
+    PlanWindow,
     PreemptiveSimulator,
     generate_plan,
     greedy_preemptive,
@@ -16,7 +18,15 @@ from commitsched.preemptive import (
     solve_dmin,
     wrap_fill,
 )
-from commitsched.vmin import ActiveJob, PiecewiseLinear, f_threshold, v_min, v_min_curve
+from commitsched.vmin import (
+    ActiveJob,
+    PiecewiseLinear,
+    contribution,
+    f_threshold,
+    horn_feasible,
+    v_min,
+    v_min_curve,
+)
 
 
 def scan_largest_crossing(active, f, v_delta, r, hi=200.0, steps=400000):
@@ -235,6 +245,94 @@ class TestLrptAssign:
         assert segs3 == [] and idle3 is None
 
 
+def reference_generate_plan(active, t, m):
+    """The plan built by scanning every deadline class from the latest
+    down with contribution(), as before the bisection; kept to compare
+    against by repr."""
+    jobs = sorted(active, key=lambda j: j.id)
+    if not jobs:
+        return PlanWindow(t, float("inf"), ())
+    deadlines = sorted({j.deadline for j in jobs})
+    if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
+        if not horn_feasible(jobs, t, m):
+            raise InvariantError(f"plan requested for an infeasible active set at t={t}")
+
+    def contributors(d):
+        return [j for j in jobs if contribution(j.remaining, j.deadline, d) > TOL]
+
+    chosen_k, pre = -1, []
+    for k in range(len(deadlines) - 1, -1, -1):
+        found = contributors(deadlines[k])
+        if len(found) <= m:
+            chosen_k, pre = k, found
+            break
+
+    end = t + min(contribution(j.remaining, j.deadline, deadlines[chosen_k]) for j in pre) if pre else deadlines[0]
+    segments = [Segment(machine, job.id, t, end) for machine, job in enumerate(pre)]
+    if chosen_k < len(deadlines) - 1 and len(pre) < m:
+        d_next = deadlines[chosen_k + 1]
+        pre_ids = {j.id for j in pre}
+        extra = [j for j in contributors(d_next) if j.id not in pre_ids]
+        volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
+        segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
+        if first_idle is not None and first_idle < end:
+            end = first_idle
+        segments.extend(segs)
+
+    end = max(end, t + _EVENT_EPS)
+    clipped = tuple(
+        Segment(s.machine, s.job, s.start, min(s.end, end)) for s in segments if s.start < end - _EVENT_EPS
+    )
+    return PlanWindow(t, end, clipped)
+
+
+def _plan_or_error(active, t, m, plan):
+    try:
+        return repr(plan(active, t, m))
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+def random_plan_input(rng, n, t):
+    """Active jobs with tied deadlines, remainders just above or at most
+    TOL, and latest starts before t, in shuffled id order; one set in ten
+    has a deadline within TOL of t, which sends it through the feasibility
+    check."""
+    pool = [t + rng.uniform(0.5, 30.0) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.1:
+        pool.append(t + rng.choice([0.0, TOL / 2]))
+    active = []
+    for job_id in rng.sample(range(3 * n + 1), n):
+        deadline = rng.choice(pool) if rng.random() < 0.6 else t + rng.uniform(0.5, 30.0)
+        kind = rng.random()
+        if kind < 0.15:
+            remaining = TOL * rng.choice([0.5, 1.0, 1.0 + 1e-6, 1.5, 3.0])
+        elif kind < 0.25:
+            remaining = deadline - t + rng.uniform(0.0, 2.0)  # latest start before t
+        elif kind < 0.35:
+            remaining = rng.choice([0.5, 1.0, 2.0])  # tied remainders and latest starts
+        else:
+            remaining = rng.uniform(0.01, min(10.0, deadline - t))
+        active.append(ActiveJob(job_id, remaining, deadline))
+    return active
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generate_plan_equals_class_scan_by_repr(seed):
+    rng = random.Random(seed)
+    below = above = 0
+    for _ in range(150):
+        m = rng.choice([1, 2, 3, 4, 8])
+        n = rng.choice([1, 2, 3, m, m + 1, 3 * m, 12 * m])
+        below += n <= m
+        above += n > 2 * m
+        t = rng.choice([0.0, 2.5, 1024.25])
+        active = random_plan_input(rng, n, t)
+        got = _plan_or_error(active, t, m, generate_plan)
+        assert got == _plan_or_error(active, t, m, reference_generate_plan)
+    assert below and above
+
+
 class TestGeneratePlan:
     def test_single_job_preallocated(self):
         plan = generate_plan([ActiveJob(0, 2.0, 5.0)], 0.0, 2)
@@ -348,6 +446,21 @@ class TestLiveState:
         assert largest <= 32
         assert sim.committed_work == {}
         assert result.accepted_volume == sum(inst.jobs[j].processing for j in result.decisions.accepted_ids())
+
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_continued_pieces_coalesce(self, policy):
+        inst = random_instance(300, 4, 0.5, seed=3, release_span=150)
+        res = drive(PreemptiveSimulator(4, 0.5, 1, policy), inst)
+        accepted = {j: inst.jobs[j] for j in res.decisions.accepted_ids()}
+        # verify_schedule also holds every per-job total within COMMIT_TOL of p.
+        assert verify_schedule(res.schedule, accepted) == []
+        pieces = {}
+        for seg in res.schedule.segments:
+            pieces.setdefault((seg.machine, seg.job), []).append(seg)
+        assert any(len(segs) > 1 for segs in pieces.values())
+        for segs in pieces.values():
+            segs.sort(key=lambda s: s.start)
+            assert all(a.end != b.start for a, b in zip(segs, segs[1:]))
 
     def test_decay_check_trips_on_a_lowered_reference(self):
         def accept_two():

@@ -1,11 +1,15 @@
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commitsched.model import TOL
 from commitsched.vmin import (
     ActiveJob,
+    PiecewiseLinear,
+    contribution,
     f_threshold,
     horn_feasible,
     v_min,
@@ -29,6 +33,66 @@ def grid_oracle(active, t, taus):
                 total += tau - (j.deadline - j.remaining)
         out.append(total)
     return out
+
+
+def reference_v_min_curve(active, t):
+    """The curve built with max(), contribution() and a dedupe pass, as
+    before the single-loop version; kept to compare against by repr."""
+    deltas = {}
+    base = 0.0
+    for job in active:
+        lo = max(t, job.deadline - job.remaining)
+        hi = max(t, job.deadline)
+        base += contribution(job.remaining, job.deadline, t)
+        if hi > lo:
+            deltas[lo] = deltas.get(lo, 0) + 1
+            deltas[hi] = deltas.get(hi, 0) - 1
+    points = sorted(deltas)
+    if not points or points[0] > t:
+        points.insert(0, t)
+    breakpoints = [points[0]]
+    for p in points[1:]:
+        if p > breakpoints[-1]:
+            breakpoints.append(p)
+    slopes = []
+    values = [base]
+    running = 0
+    for i, bp in enumerate(breakpoints):
+        running += deltas.get(bp, 0)
+        slopes.append(float(running))
+        if i + 1 < len(breakpoints):
+            values.append(values[-1] + running * (breakpoints[i + 1] - bp))
+    return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
+
+
+def random_active_set(rng, n, t):
+    """Active jobs with tied deadlines, remainders near TOL, latest starts
+    before t and deadlines at or before t, in shuffled id order."""
+    pool = [t + rng.choice([0.0, -1.5, rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)]) for _ in range(4)]
+    ids = rng.sample(range(3 * n + 1), n)
+    active = []
+    for job_id in ids:
+        deadline = rng.choice(pool) if rng.random() < 0.6 else t + rng.uniform(0.0, 30.0)
+        kind = rng.random()
+        if kind < 0.15:
+            remaining = TOL * (1.0 + rng.choice([1e-6, 0.5, 2.0]))
+        elif kind < 0.3:
+            remaining = max(deadline - t, 0.0) + rng.uniform(0.0, 2.0)  # latest start before t
+        elif kind < 0.4:
+            remaining = rng.choice([1.0, 2.0, 0.5])  # tied remainders and latest starts
+        else:
+            remaining = rng.uniform(0.01, 10.0)
+        active.append(ActiveJob(job_id, remaining, deadline))
+    return active
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_curve_equals_reference_by_repr(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        t = rng.choice([0.0, 3.7, 1024.5, 1e5 + 0.1])
+        active = random_active_set(rng, rng.choice([0, 1, 2, 5, 12, 40]), t)
+        assert repr(v_min_curve(active, t)) == repr(reference_v_min_curve(active, t))
 
 
 class TestVMin:
