@@ -20,6 +20,7 @@ from .model import (
     Job,
     Schedule,
     Segment,
+    check_policy_args,
     validate_instance,
     verify_schedule,
 )
@@ -42,8 +43,7 @@ def solve_c_lower(m: int, epsilon: float) -> float:
     where x >> 1.  At fixed eps, c grows only logarithmically in m: at
     m=50, eps=0.1 the root is ~5.139, not 50 * 10^(1/50) ~ 52.4.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_policy_args(m)
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
     if m == 1:
@@ -152,8 +152,7 @@ class PreemptiveAdversary:
     """
 
     def __init__(self, m: int, epsilon: float, delta: float = 1.0 / 64) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        check_policy_args(m)
         if not (0 < epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
         if not (0 < delta < 1):

@@ -23,7 +23,7 @@ from .adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from .model import Instance, InvariantError, Job, read_instance, validate_instance
+from .model import Instance, InvariantError, Job, check_policy_args, read_instance, validate_instance
 from .nonpreemptive import partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
@@ -38,11 +38,6 @@ from .policy import ALGORITHMS, drive, make_policy
 NONPREEMPTIVE_ALGS = ("alg3", "alg3-partitioned", "alg3-randomized", "greedy-np")
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < math.inf):
-        raise ValueError(f"epsilon={epsilon} must be finite and > 0")
-
-
 def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     """Closed-form ratio guarantees and lower bounds for (m, epsilon).
 
@@ -50,9 +45,7 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     bounds need one machine; the partitioned bound needs an integral group
     log that divides m).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _check_epsilon(epsilon)
+    check_policy_args(m, epsilon)
     rho = (1.0 + epsilon) / epsilon
     root = rho ** (1.0 / m)
     log_rho = math.log(rho)
@@ -105,7 +98,7 @@ def random_instance(
     """Seeded random instance: releases uniform on [0, span], processing
     log-uniform on [1, 8], deadlines tight with probability ``slack_mix``
     and otherwise stretched by a uniform factor from [1, 3]."""
-    _check_epsilon(epsilon)
+    check_policy_args(m, epsilon)
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     if not (0.0 <= release_span < math.inf):

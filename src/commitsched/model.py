@@ -1,8 +1,8 @@
 """Domain types shared by every simulator: jobs, instances, schedules, decisions.
 
-Time is a plain float.  All comparisons in this package use the absolute
-tolerance ``TOL``; instances are expected to be scaled so that processing
-times are O(1)-O(10), which keeps that tolerance meaningful.
+Time is a plain float.  Comparisons use the absolute tolerances below
+(``TOL`` unless a looser one is named); instances are expected to be scaled
+so that processing times are O(1)-O(10), which keeps them meaningful.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping
 
 #: Absolute tolerance for all time/volume comparisons.
@@ -19,9 +19,20 @@ TOL = 1e-9
 #: Looser tolerance for totals accumulated over many schedule segments.
 COMMIT_TOL = 1e-6
 
+#: Slack of the runtime invariant checks, which compare sums of many float terms.
+CHECK_SLACK = 1e-7
+
 
 class InvariantError(RuntimeError):
     """An internal guarantee of a policy was observed to fail."""
+
+
+def check_policy_args(machines: int, epsilon: float | None = None) -> None:
+    """Raise ValueError unless machines is an int >= 1 and epsilon, if given, is finite and > 0."""
+    if type(machines) is not int or machines < 1:  # a bool is not a machine count
+        raise ValueError(f"machines={machines!r} must be an integer >= 1")
+    if epsilon is not None and not 0.0 < epsilon < inf:
+        raise ValueError(f"epsilon={epsilon} must be finite and > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,8 +64,7 @@ class Instance:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.machines < 1:
-            raise ValueError("machine count must be at least 1")
+        check_policy_args(self.machines)
         object.__setattr__(self, "jobs", tuple(self.jobs))
 
     def __len__(self) -> int:

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from . import policy as driver  # a module import: policy imports this module
 from .model import (
+    CHECK_SLACK,
     TOL,
     DecisionLog,
     DecisionRecord,
@@ -26,6 +27,7 @@ from .model import (
     Job,
     Schedule,
     Segment,
+    check_policy_args,
 )
 
 
@@ -100,6 +102,7 @@ class NonpreemptiveSimulator(_Commitments):
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
+        check_policy_args(machines, epsilon)
         super().__init__()
         self.machines = machines
         self.epsilon = epsilon
@@ -210,14 +213,14 @@ class NonpreemptiveSimulator(_Commitments):
         # The two largest loads always cover the threshold scaled back by rho^(-1/m).
         top_two = self._top_two
         need = (self.limit - self.clock) * self._rho_down
-        if top_two < need - 1e-7:
+        if top_two < need - CHECK_SLACK:
             raise InvariantError(
                 f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"
             )
 
     def _check_usable_interval(self, job: Job) -> None:
         bound = self._top_two * self._rho_up
-        if job.deadline - job.release > bound + 1e-7:
+        if job.deadline - job.release > bound + CHECK_SLACK:
             raise InvariantError(
                 f"rejected job {job.id} has window {job.deadline - job.release} beyond "
                 f"the usable bound {bound}"
@@ -243,6 +246,7 @@ class PartitionedAllocator(_Commitments):
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
+        check_policy_args(machines, epsilon)
         super().__init__()
         g = partition_group_size(epsilon)
         if machines < g:
@@ -283,6 +287,7 @@ class RandomizedAllocator(_Commitments):
     uniformly from the seed before the first job, are accepted."""
 
     def __init__(self, machines: int, epsilon: float, seed: int) -> None:
+        check_policy_args(machines, epsilon)
         super().__init__()
         if machines != 1:
             raise ValueError("randomized wrapper is defined for single-machine instances")
@@ -324,6 +329,7 @@ class GreedyAllocator(_Commitments):
     placing the job for the earliest completion (ties to the lowest id)."""
 
     def __init__(self, machines: int) -> None:
+        check_policy_args(machines)
         super().__init__()
         self.free = [0.0] * machines  # absolute time each machine frees up
 

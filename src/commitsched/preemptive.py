@@ -17,10 +17,11 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import policy as driver  # a module import: policy imports this module
 from .model import (
+    CHECK_SLACK,
     TOL,
     DecisionLog,
     DecisionRecord,
@@ -37,8 +38,7 @@ from .vmin import (
     horn_feasible,
     v_min,
     v_min_curve,
-    v_shape,
-    v_shape_corners,
+    v_shape_curve,
 )
 
 _EVENT_EPS = 1e-12
@@ -71,24 +71,17 @@ def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> fl
     """
     bps, vals, slopes = curve.breakpoints, curve.values, curve.slopes
     for i in range(len(bps) - 1, -1, -1):
-        a = bps[i]
-        b = bps[i + 1] if i + 1 < len(bps) else None
-        v_a = vals[i]
-        s = slopes[i]
+        a, v_a, s = bps[i], vals[i], slopes[i]
+        b = bps[i + 1] if i + 1 < len(bps) else math.inf
         if abs(f - s) < 1e-15:
             # Parallel: a crossing exists only if the lines coincide, in
             # which case the right end of the segment is the largest point.
-            if abs((a - r) * f - v_a - v_delta) <= TOL and b is not None:
+            if abs((a - r) * f - v_a - v_delta) <= TOL and b < math.inf:
                 return b
             continue
         tau = (v_a - s * a + v_delta + r * f) / (f - s)
-        lo, hi = a - TOL, (b + TOL) if b is not None else float("inf")
-        if lo <= tau <= hi:
-            if b is not None:
-                tau = min(max(tau, a), b)
-            else:
-                tau = max(tau, a)
-            return tau
+        if a - TOL <= tau <= b + TOL:
+            return min(max(tau, a), b)
     raise InvariantError(
         f"threshold equation has no crossing: f={f}, v_delta={v_delta}, r={r}, curve={curve}"
     )
@@ -295,7 +288,8 @@ class PreemptiveSimulator:
         self.epsilon = epsilon
         self.policy = policy
         self.assert_level = assert_level
-        self.f = f_threshold(machines, epsilon)
+        self.f = f_threshold(machines, epsilon)  # rejects a bad (machines, epsilon)
+        self._shape = v_shape_curve(machines, epsilon)
         self.clock = 0.0
         self.d_min = 0.0
         self.v_delta = 0.0
@@ -349,7 +343,7 @@ class PreemptiveSimulator:
         if self.policy == "lazy":
             self.d_min = max(self.d_min, r)
             self.v_delta = (self.d_min - r) * self.f - v_min(active, r, self.d_min)
-            if self.v_delta < -1e-7:
+            if self.v_delta < -CHECK_SLACK:
                 raise InvariantError(f"negative compensation volume {self.v_delta} at t={r}")
             self.v_delta = max(self.v_delta, 0.0)
             threshold = self.d_min
@@ -361,6 +355,7 @@ class PreemptiveSimulator:
             threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
+        curve = None  # the mandatory-volume curve of the live set at r, once built
         if accept:
             self.jobs[job.id] = job
             self.committed_work[job.id] = 0.0
@@ -369,14 +364,14 @@ class PreemptiveSimulator:
             if self.policy == "lazy":
                 curve = v_min_curve(active, r)
                 new_dmin = solve_dmin(curve, self.f, self.v_delta, r)
-                if new_dmin < self.d_min - 1e-7:
+                if new_dmin < self.d_min - CHECK_SLACK:
                     raise InvariantError(
                         f"threshold moved backwards: {self.d_min} -> {new_dmin} at t={r}"
                     )
                 self.d_min = max(self.d_min, new_dmin)
             self._regenerate_plan(active)
         if self.assert_level >= 1:
-            curve = self.check_invariants(active)
+            curve = self.check_invariants(active, curve if r == self.clock else None)
             if accept and self.assert_level >= 2:
                 self._decay_curve, self._decay_clock = curve, self.clock
         return accept
@@ -454,43 +449,38 @@ class PreemptiveSimulator:
                 self._check_progression(curve)
                 self._decay_curve, self._decay_clock = curve, self.clock
 
-    def check_invariants(self, active: list[ActiveJob] | None = None) -> PiecewiseLinear:
+    def check_invariants(
+        self, active: list[ActiveJob] | None = None, curve: PiecewiseLinear | None = None
+    ) -> PiecewiseLinear:
         """Envelope and feasibility conditions that must hold at every event.
 
         ``active`` is the live set at the clock, ``active_jobs()`` when
-        omitted.  Returns the mandatory-volume curve of the active set at
-        the clock, which the volume-decay check reuses.
+        omitted; ``curve`` is its mandatory-volume curve at the clock, built
+        here when omitted.  Returns that curve, which the volume-decay check
+        reuses.
         """
         if active is None:
             active = self.active_jobs()
         t = self.clock
-        if not horn_feasible(active, t, self.machines):
+        if curve is None:
+            curve = v_min_curve(active, t)
+        if not horn_feasible(active, t, self.machines, curve):
             raise InvariantError(f"active set infeasible at t={t}")
-        curve = v_min_curve(active, t)
         if self.policy != "lazy":
             return curve
+        # The curve grows at most at rate f beyond d_eff, and stays under the
+        # envelope stretched to span * v_shape((tau - t) / span) on [t, d_eff).
         d_eff = max(self.d_min, t)
-        slack = 1e-7
-        v_at_dmin = curve.value(d_eff)
-        # At its own breakpoints the curve's value is the stored one.
-        for tau, value in zip(curve.breakpoints, curve.values):
-            if tau >= d_eff:
-                bound = v_at_dmin + (tau - d_eff) * self.f
-                if value > bound + slack:
-                    raise InvariantError(f"growth cap breached at tau={tau}, t={t}: {value} > {bound}")
+        cap = PiecewiseLinear(d_eff, (d_eff,), (curve.value(d_eff),), (self.f,))
+        bounds = [("growth cap", cap, d_eff, math.inf)]
         if d_eff > t + TOL:
-            span = d_eff - t
-            taus = [bp for bp in curve.breakpoints if t <= bp < d_eff]
-            taus += [t + x * span for x in v_shape_corners(self.machines, self.epsilon)]
-            for tau in taus:
-                if not (t <= tau < d_eff):
-                    continue
-                bound = span * v_shape((tau - t) / span, self.machines, self.epsilon)
-                if curve.value(tau) > bound + slack:
-                    raise InvariantError(
-                        f"shape envelope breached at tau={tau}, t={t}: "
-                        f"{curve.value(tau)} > {bound}"
-                    )
+            span, shape = d_eff - t, self._shape
+            stretched = tuple(t + x * span for x in shape.breakpoints), tuple(span * v for v in shape.values)
+            bounds.append(("shape envelope", PiecewiseLinear(t, *stretched, shape.slopes), -math.inf, d_eff))
+        for name, bound_curve, lo, hi in bounds:
+            for tau, value, bound in _pointwise(curve, bound_curve, lo, hi):
+                if value > bound + CHECK_SLACK:
+                    raise InvariantError(f"{name} breached at tau={tau}, t={t}: {value} > {bound}")
         return curve
 
     def _check_progression(self, now: PiecewiseLinear) -> None:
@@ -501,15 +491,17 @@ class PreemptiveSimulator:
         t_old, t_new = self._decay_clock, self.clock
         if t_new <= t_old + TOL:
             return
-        taus = sorted(set(now.breakpoints) | {bp for bp in self._decay_curve.breakpoints if bp > t_new})
-        for tau in taus:
-            if tau <= t_new + TOL:
-                continue
-            allowed = (tau - t_new) / (tau - t_old) * self._decay_curve.value(tau)
-            if now.value(tau) > allowed + 1e-7:
-                raise InvariantError(
-                    f"volume decay violated at tau={tau}: {now.value(tau)} > {allowed}"
-                )
+        for tau, value, ref in _pointwise(now, self._decay_curve, t_new + TOL, math.inf):
+            allowed = (tau - t_new) / (tau - t_old) * ref
+            if value > allowed + CHECK_SLACK:
+                raise InvariantError(f"volume decay violated at tau={tau}: {value} > {allowed}")
+
+
+def _pointwise(a: PiecewiseLinear, b: PiecewiseLinear, lo: float, hi: float) -> Iterator[tuple[float, float, float]]:
+    """(tau, a(tau), b(tau)) at every breakpoint of either curve with
+    lo < tau < hi, ascending."""
+    taus = sorted({tau for tau in a.breakpoints + b.breakpoints if lo < tau < hi})
+    return zip(taus, a.values_at(taus), b.values_at(taus))
 
 
 def simulate_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:

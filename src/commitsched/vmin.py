@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .model import TOL
+from .model import TOL, check_policy_args
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,16 @@ class PiecewiseLinear:
     def value(self, tau: float) -> float:
         if tau < self.start - TOL:
             raise ValueError(f"tau={tau} precedes curve start {self.start}")
-        i = bisect_right(self.breakpoints, tau) - 1
-        i = max(i, 0)
+        i = max(bisect_right(self.breakpoints, tau) - 1, 0)
         return self.values[i] + self.slopes[i] * (tau - self.breakpoints[i])
+
+    def values_at(self, taus: Iterable[float]) -> Iterator[float]:
+        """``value(tau)`` for ascending taus, in one forward pass instead of a lookup each."""
+        bps, i = self.breakpoints, 0
+        for tau in taus:
+            while i + 1 < len(bps) and bps[i + 1] <= tau:
+                i += 1
+            yield self.values[i] + self.slopes[i] * (tau - bps[i])
 
 
 def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
@@ -110,19 +117,21 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
 
 
-def horn_feasible(active: Iterable[ActiveJob], t: float, m: int) -> bool:
+def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: PiecewiseLinear | None = None) -> bool:
     """Whether a valid preemptive schedule of the active jobs exists from t.
 
     Requires every job to fit its own window (deadline >= t + remaining)
     and the mandatory volume to stay within aggregate capacity,
     v_min(tau) <= (tau - t) * m, at every tau.  Both sides are piecewise
-    linear, so checking at breakpoints is exact.
+    linear, so checking at breakpoints is exact.  ``curve``, when given,
+    must be ``v_min_curve(active, t)``; it is built otherwise.
     """
     jobs = list(active)
     for job in jobs:
         if job.deadline < t + job.remaining - TOL:
             return False
-    curve = v_min_curve(jobs, t)
+    if curve is None:
+        curve = v_min_curve(jobs, t)
     for bp, val in zip(curve.breakpoints, curve.values):
         if val > (bp - t) * m + TOL:
             return False
@@ -136,37 +145,27 @@ def f_threshold(m: int, epsilon: float) -> float:
     geometric-sum form (eps/(1+eps)) * sum_{j<m} ((1+eps)/eps)^(j/m) is
     used as an independent cross-check in the tests.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_policy_args(m, epsilon)
     rho = (1.0 + epsilon) / epsilon
     return 1.0 / ((1.0 + epsilon) * (rho ** (1.0 / m) - 1.0))
 
 
+def v_shape_curve(m: int, epsilon: float) -> PiecewiseLinear:
+    """Piecewise-linear envelope used by the preemptive invariant checks:
+    slope m up to the first corner eps/(1+eps), slopes m-1, ..., 0 between
+    the corners up to x = 1, where it equals f = f_threshold(m, eps), and
+    slope f beyond."""
+    breakpoints = [0.0] + v_shape_corners(m, epsilon)
+    slopes = [float(m - h) for h in range(m + 1)] + [f_threshold(m, epsilon)]
+    values = [0.0]
+    for a, b, slope in zip(breakpoints, breakpoints[1:], slopes):
+        values.append(values[-1] + slope * (b - a))
+    return PiecewiseLinear(0.0, tuple(breakpoints), tuple(values), tuple(slopes))
+
+
 def v_shape(x: float, m: int, epsilon: float) -> float:
-    """Piecewise-linear envelope used by the preemptive invariant checks.
-
-    Three regimes: slope m up to eps/(1+eps), a staircase of decreasing
-    slopes m-1, ..., 0 up to 1, and slope f_threshold(m, eps) beyond.  The
-    middle regime is parameterised by writing
-    x = y * (eps/(1+eps))^((m-h)/m) with h in {0..m-1} and
-    1 <= y <= ((1+eps)/eps)^(1/m).
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    rho = (1.0 + epsilon) / epsilon
-    lo = 1.0 / rho  # eps/(1+eps)
-    if x <= lo:
-        return x * m
-    if x >= 1.0:
-        return x * f_threshold(m, epsilon)
-
-    # Between corners h and h+1 the slope is m-h-1; neighbouring branches
-    # agree at the corners, so the side a corner falls on does not matter.
-    corners = v_shape_corners(m, epsilon)
-    h = bisect_right(corners, x) - 1
-    return sum(corners[: h + 1]) + x * (m - h - 1)
+    """The envelope ``v_shape_curve(m, epsilon)`` at x >= 0."""
+    return v_shape_curve(m, epsilon).value(x)
 
 
 def v_shape_corners(m: int, epsilon: float) -> list[float]:

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from commitsched.adversary import (
     NonpreemptiveAdversary,
+    _mcnaughton,
     PreemptiveAdversary,
     group_processing_times,
     preemptive_lower_bound,
@@ -12,7 +14,7 @@ from commitsched.adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from commitsched.model import validate_instance
+from commitsched.model import Job, validate_instance, verify_schedule
 
 
 def _play(adv, answer):
@@ -219,3 +221,41 @@ class TestNonpreemptiveAdversary:
         # verify_schedule already ran inside the replay; re-run here on the
         # renumbered instance to double-check the exported artifacts.
         assert cert_ids <= set(by_id)
+
+
+def _mcnaughton_sets(rng, count):
+    """(jobs, m, start, end) with max p <= span and sum p <= m * span, the
+    condition under which McNaughton's wrap-around rule (1959) fits a set of
+    equal-window jobs.  Every fourth set sits on the edge: dyadic sizes on a
+    power-of-two span from an integer start, summing to exactly m * span,
+    some of them equal to the span."""
+    for i in range(count):
+        m = rng.randint(1, 6)
+        if i % 4 == 0:
+            start, span = float(rng.randint(0, 100)), 2.0 ** rng.randint(-3, 3)
+            units, parts = 64 * m, []
+            while units:
+                parts.append(min(units, rng.choice([64, rng.randint(1, 64)])))
+                units -= parts[-1]
+            sizes = [u / 64 * span for u in parts]
+        else:
+            start = rng.choice([0.0, rng.uniform(0.0, 100.0)])
+            span = (start + rng.uniform(0.5, 20.0)) - start
+            sizes = [span * rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 3 * m))]
+            total = sum(sizes)
+            if total > m * span:
+                sizes = [p * (m * span / total) * (1 - 1e-12) for p in sizes]
+        yield [Job(j, start, p, start + span) for j, p in enumerate(sizes)], m, start, start + span
+
+
+def test_mcnaughton_certificate_verifies_whenever_the_bound_allows():
+    rng = random.Random(1959)
+    edges = 0
+    for jobs, m, start, end in _mcnaughton_sets(rng, 3000):
+        span = end - start
+        assert max(j.processing for j in jobs) <= span
+        assert sum(j.processing for j in jobs) <= m * span
+        edges += sum(j.processing for j in jobs) == m * span
+        sched = _mcnaughton(jobs, m, start, end)
+        assert verify_schedule(sched, {j.id: j for j in jobs}) == [], (m, start, end, jobs)
+    assert edges >= 700

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from commitsched.model import (
+    TOL,
     DecisionLog,
     DecisionRecord,
     Instance,
@@ -16,6 +18,7 @@ from commitsched.model import (
     verify_schedule,
     write_instance,
 )
+from commitsched.preemptive import _EVENT_EPS
 
 
 def make_instance(eps, m, triples):
@@ -250,3 +253,9 @@ class TestDecisionLog:
         assert log[1].threshold == 2.0
         assert log.accepted_ids() == [0]
         assert [r.job for r in log] == [0, 1]
+
+
+def test_absolute_tolerances_fall_below_float_spacing_where_the_readme_says():
+    # README "Conventions": _EVENT_EPS from t = 2^13, TOL from t = 2^23.
+    assert math.ulp(2.0**12) < _EVENT_EPS < math.ulp(2.0**13)
+    assert math.ulp(2.0**22) < TOL < math.ulp(2.0**23)

@@ -1,11 +1,20 @@
 import io
+import math
 import re
 
 import pytest
 
-from commitsched.harness import random_instance
+from commitsched.harness import random_instance, theoretical_bounds
 from commitsched.model import TOL, Instance, Job
+from commitsched.nonpreemptive import (
+    GreedyAllocator,
+    NonpreemptiveSimulator,
+    PartitionedAllocator,
+    RandomizedAllocator,
+)
 from commitsched.policy import ALGORITHMS, drive, make_policy
+from commitsched.preemptive import PreemptiveSimulator
+from commitsched.vmin import f_threshold
 
 
 def _run(algorithm, trace=None):
@@ -57,3 +66,45 @@ def test_drive_validates_the_instance():
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError, match="unknown algorithm"):
         make_policy("nope", 1, 1.0)
+
+
+#: Each policy class, built from (machines, epsilon); the greedy allocator
+#: takes no epsilon.
+_CONSTRUCTORS = {
+    "PreemptiveSimulator-lazy": lambda m, eps: PreemptiveSimulator(m, eps, policy="lazy"),
+    "PreemptiveSimulator-greedy": lambda m, eps: PreemptiveSimulator(m, eps, policy="greedy"),
+    "NonpreemptiveSimulator": NonpreemptiveSimulator,
+    "PartitionedAllocator": PartitionedAllocator,
+    "RandomizedAllocator": lambda m, eps: RandomizedAllocator(m, eps, 0),
+    "GreedyAllocator": lambda m, eps: GreedyAllocator(m),
+}
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+def test_policy_constructors_reject_bad_machines_and_epsilon(name):
+    build = _CONSTRUCTORS[name]
+    build(1, 0.5)  # one machine at eps=0.5 suits every class
+    for m in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="machines"):
+            build(m, 0.5)
+    if name != "GreedyAllocator":
+        for eps in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            with pytest.raises(ValueError, match="epsilon"):
+                build(1, eps)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_make_policy_rejects_a_bad_machine_count(algorithm):
+    with pytest.raises(ValueError, match="machines"):
+        make_policy(algorithm, 0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [f_threshold, theoretical_bounds, lambda m, eps: random_instance(3, m, eps, seed=0)],
+    ids=["f_threshold", "theoretical_bounds", "random_instance"],
+)
+def test_closed_forms_and_generator_share_the_argument_check(function):
+    for m, eps in ((0, 0.5), (2.5, 0.5), (True, 0.5), (2, math.nan), (2, math.inf), (2, 0.0)):
+        with pytest.raises(ValueError, match="machines|epsilon"):
+            function(m, eps)

@@ -1,11 +1,15 @@
 import io
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commitsched import preemptive, vmin
 from commitsched.harness import random_instance
-from commitsched.model import TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
+from commitsched.model import CHECK_SLACK, TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
 from commitsched.policy import drive, make_policy
 from commitsched.preemptive import (
     _EVENT_EPS,
@@ -26,6 +30,8 @@ from commitsched.vmin import (
     horn_feasible,
     v_min,
     v_min_curve,
+    v_shape,
+    v_shape_corners,
 )
 
 
@@ -488,3 +494,178 @@ class TestLiveState:
         sim.d_min *= scale
         with pytest.raises(InvariantError, match=check):
             sim.check_invariants()
+
+
+def reference_check_invariants(sim, active):
+    """``check_invariants`` as before the shared checkpoint curve: its own
+    feasibility test and curve, and the shape envelope evaluated at the
+    curve's breakpoints plus the stretched corners, re-filtered to
+    [t, d_eff).  Kept to compare against."""
+    t = sim.clock
+    if not horn_feasible(active, t, sim.machines):
+        raise InvariantError(f"active set infeasible at t={t}")
+    curve = v_min_curve(active, t)
+    if sim.policy != "lazy":
+        return curve
+    d_eff = max(sim.d_min, t)
+    v_at_dmin = curve.value(d_eff)
+    for tau, value in zip(curve.breakpoints, curve.values):
+        if tau >= d_eff:
+            bound = v_at_dmin + (tau - d_eff) * sim.f
+            if value > bound + CHECK_SLACK:
+                raise InvariantError(f"growth cap breached at tau={tau}, t={t}: {value} > {bound}")
+    if d_eff > t + TOL:
+        span = d_eff - t
+        taus = [bp for bp in curve.breakpoints if t <= bp < d_eff]
+        taus += [t + x * span for x in v_shape_corners(sim.machines, sim.epsilon)]
+        for tau in taus:
+            if not (t <= tau < d_eff):
+                continue
+            bound = span * v_shape((tau - t) / span, sim.machines, sim.epsilon)
+            if curve.value(tau) > bound + CHECK_SLACK:
+                raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {curve.value(tau)} > {bound}")
+    return curve
+
+
+def reference_check_progression(sim, now):
+    """``_check_progression`` as before the shared breakpoint walk: a hand-built
+    tau list and a ``value`` lookup per curve and tau.  Kept to compare against."""
+    t_old, t_new, ref = sim._decay_clock, sim.clock, sim._decay_curve
+    if t_new <= t_old + TOL:
+        return
+    for tau in sorted(set(now.breakpoints) | {bp for bp in ref.breakpoints if bp > t_new}):
+        if tau <= t_new + TOL:
+            continue
+        allowed = (tau - t_new) / (tau - t_old) * ref.value(tau)
+        if now.value(tau) > allowed + CHECK_SLACK:
+            raise InvariantError(f"volume decay violated at tau={tau}: {now.value(tau)} > {allowed}")
+
+
+def _breach(check):
+    """The condition an invariant check reports, the message up to " at ", or None."""
+    try:
+        check()
+    except InvariantError as exc:
+        return str(exc).split(" at ")[0]
+    return None
+
+
+class ComparedWithReference(PreemptiveSimulator):
+    """A simulator that, at every checkpoint, also runs the current and the
+    reference checks on the true state and on states with a lowered
+    threshold or a lowered decay reference, and records what each reported."""
+
+    D_MIN_SCALES = (1.0, 0.99, 0.9, 0.6, 0.3, 0.05)
+    DECAY_SCALES = (1.0, 0.95, 0.7, 0.3)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reports = Counter()
+
+    def check_invariants(self, active=None, curve=None):
+        active = self.active_jobs() if active is None else active
+        d_min, f = self.d_min, self.f
+        # A steeper growth cap lets a lowered threshold reach the shape envelope.
+        for scale, f_scale in itertools.product(self.D_MIN_SCALES, (1.0, 100.0)):
+            self.d_min, self.f = d_min * scale, f * f_scale
+            got = _breach(lambda: PreemptiveSimulator.check_invariants(self, active))
+            assert got == _breach(lambda: reference_check_invariants(self, active)), (self.clock, scale, f_scale)
+            self.reports[got] += 1
+        self.d_min, self.f = d_min, f
+        return super().check_invariants(active, curve)
+
+    def _check_progression(self, now):
+        ref = self._decay_curve
+        for scale in self.DECAY_SCALES:
+            self._decay_curve = PiecewiseLinear(
+                ref.start, ref.breakpoints, tuple(scale * v for v in ref.values), tuple(scale * s for s in ref.slopes)
+            )
+            got = _breach(lambda: PreemptiveSimulator._check_progression(self, now))
+            assert got == _breach(lambda: reference_check_progression(self, now)), (self.clock, scale)
+            self.reports[got] += 1
+        self._decay_curve = ref
+        super()._check_progression(now)
+
+
+class TestCheckpoint:
+    def test_checks_agree_with_the_reference(self):
+        reports = Counter()
+        for seed, (m, eps) in enumerate([(1, 1.0), (2, 0.5), (3, 0.1), (4, 0.5), (2, 1.0), (8, 0.25)]):
+            inst = random_instance(60, m, eps, seed=seed, release_span=20.0)
+            for policy in ("lazy", "greedy"):
+                sim = ComparedWithReference(m, eps, 2, policy)
+                drive(sim, inst)
+                reports += sim.reports
+        # The lowered states trip each of the three envelope and decay checks.
+        assert {"growth cap breached", "shape envelope breached", "volume decay violated"} <= set(reports)
+        assert reports[None] > 0
+
+    @pytest.mark.parametrize("policy, level", [("lazy", 1), ("lazy", 2), ("greedy", 1), ("greedy", 2)])
+    def test_one_curve_per_checkpoint(self, monkeypatch, policy, level):
+        counts = Counter()
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        curve = counted("curve", v_min_curve)
+        monkeypatch.setattr(vmin, "v_min_curve", curve)
+        monkeypatch.setattr(preemptive, "v_min_curve", curve)
+        check = counted("check", PreemptiveSimulator.check_invariants)
+        monkeypatch.setattr(PreemptiveSimulator, "check_invariants", check)
+        plan = preemptive.generate_plan
+
+        def generate_plan(*args):
+            # The plan generator's feasibility guard builds a curve of its own.
+            before = counts["curve"]
+            out = plan(*args)
+            counts["curve"] = before
+            return out
+
+        monkeypatch.setattr(preemptive, "generate_plan", generate_plan)
+        inst = random_instance(200, 4, 0.5, seed=5, release_span=60.0)
+        drive(PreemptiveSimulator(4, 0.5, level, policy), inst)
+        assert counts["check"] > len(inst)
+        # Greedy also builds the curve of each candidate set to decide it.
+        assert counts["curve"] == counts["check"] + (len(inst) if policy == "greedy" else 0)
+
+
+def scaled(inst, k):
+    """The instance with every release, processing time and deadline times 2^k."""
+    jobs = tuple(
+        Job(j.id, math.ldexp(j.release, k), math.ldexp(j.processing, k), math.ldexp(j.deadline, k))
+        for j in inst.jobs
+    )
+    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
+
+
+class TestTimeScaling:
+    """Scaling every time by a power of two is exact in binary floating
+    point, so both preemptive policies must make the same decisions, with
+    thresholds, segments and event times scaled by exactly 2^k.
+
+    The tolerances are absolute, so a comparison within ``TOL`` could flip
+    at some scale; seeded random instances keep such near-ties away, which
+    is the regime this test covers.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_power_of_two_scaling(self, seed):
+        inst = random_instance(60, 3, 0.5, seed=seed, release_span=30.0)
+        for policy, level in [("lazy", 0), ("greedy", 0)] + ([("lazy", 2), ("greedy", 2)] if seed < 2 else []):
+            base = drive(PreemptiveSimulator(3, 0.5, level, policy), inst)
+            assert 0 < len(base.decisions.accepted_ids()) < len(inst)
+            for k in range(-4, 9):
+                got = drive(PreemptiveSimulator(3, 0.5, level, policy), scaled(inst, k))
+                assert [(r.job, r.accepted, r.time, r.threshold) for r in got.decisions] == [
+                    (r.job, r.accepted, math.ldexp(r.time, k), r.threshold and math.ldexp(r.threshold, k))
+                    for r in base.decisions
+                ]
+                assert got.schedule.segments == [
+                    Segment(s.machine, s.job, math.ldexp(s.start, k), math.ldexp(s.end, k))
+                    for s in base.schedule.segments
+                ]
+                assert got.event_times == [math.ldexp(x, k) for x in base.event_times]

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from commitsched.vmin import (
     v_min_curve,
     v_shape,
     v_shape_corners,
+    v_shape_curve,
 )
 
 
@@ -167,6 +169,8 @@ def test_curve_matches_pointwise_definition(job_specs, t):
     )
     for tau, expected in zip(taus, grid_oracle(active, t, taus)):
         assert curve.value(tau) == pytest.approx(expected, abs=1e-9)
+    # One forward pass reads the same floats as a lookup per tau.
+    assert list(curve.values_at(taus)) == [curve.value(tau) for tau in taus]
     # Slope never exceeds the number of active jobs.
     assert all(0 <= s <= len(active) for s in curve.slopes)
     # Nondecreasing.
@@ -221,7 +225,32 @@ class TestThresholdConstant:
         assert values[-1] == pytest.approx(limit, abs=1e-5)
 
 
+def reference_v_shape(x, m, eps):
+    """The corner-sum form of the envelope, as before ``v_shape_curve``:
+    m*x up to eps/(1+eps), x*f from 1 on, and between corners h and h+1
+    the sum of corners 0..h plus x*(m-h-1)."""
+    lo = eps / (1.0 + eps)
+    if x <= lo:
+        return x * m
+    if x >= 1.0:
+        return x * f_threshold(m, eps)
+    corners = v_shape_corners(m, eps)
+    h = bisect_right(corners, x) - 1
+    return sum(corners[: h + 1]) + x * (m - h - 1)
+
+
 class TestShapeEnvelope:
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_curve_matches_corner_sum(self, m, eps):
+        curve = v_shape_curve(m, eps)
+        assert curve.breakpoints == (0.0, *v_shape_corners(m, eps))
+        assert curve.slopes == (*map(float, range(m, -1, -1)), f_threshold(m, eps))
+        xs = [i / 997 for i in range(1500)]
+        xs += [c + d for c in v_shape_corners(m, eps) for d in (-1e-12, 0.0, 1e-12)]
+        for x in xs:
+            assert v_shape(x, m, eps) == pytest.approx(reference_v_shape(x, m, eps), rel=1e-12, abs=0.0), x
+
     def test_zero(self):
         assert v_shape(0.0, 3, 0.5) == 0.0
 
