@@ -23,6 +23,7 @@ from .model import (
     check_policy_args,
     validate_instance,
     verify_schedule,
+    volume_ratio,
 )
 from .nonpreemptive import CommittedStart
 from .policy import Policy, make_policy
@@ -127,9 +128,7 @@ class StressOutcome:
 
     @property
     def ratio(self) -> float:
-        if self.alg_volume <= 0.0:
-            return math.inf if self.opt_volume > 0.0 else 1.0
-        return self.opt_volume / self.alg_volume
+        return volume_ratio(self.opt_volume, self.alg_volume)
 
     @property
     def unbounded(self) -> bool:

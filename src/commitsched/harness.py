@@ -23,7 +23,7 @@ from .adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from .model import Instance, InvariantError, Job, check_policy_args, read_instance, validate_instance
+from .model import Instance, InvariantError, Job, check_policy_args, read_instance, validate_instance, volume_ratio
 from .nonpreemptive import partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
@@ -188,16 +188,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _ratio(opt_volume: float | None, alg_volume: float) -> float | None:
-    if opt_volume is None:
-        return None
-    if opt_volume <= 0.0 and alg_volume <= 0.0:
-        return 1.0
-    if alg_volume <= 0.0:
-        return math.inf
-    return opt_volume / alg_volume
-
-
 def oracle_job_limit(algorithm: str) -> int:
     """Most jobs the exact oracle of ``algorithm``'s family enumerates."""
     return MAX_NONPREEMPTIVE_JOBS if algorithm in NONPREEMPTIVE_ALGS else MAX_PREEMPTIVE_JOBS
@@ -237,7 +227,7 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
         policy = make_policy(config.algorithm, instance.machines, instance.epsilon, config.assert_level, config.seed)
         alg_volume = drive(policy, instance).accepted_volume
         opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
-        ratio = _ratio(opt_volume, alg_volume)
+        ratio = None if opt_volume is None else volume_ratio(opt_volume, alg_volume)
         bound, bound_name = bound_for_algorithm(config.algorithm, instance.machines, instance.epsilon)
         margin = None
         if ratio is not None and bound is not None and not math.isinf(ratio):

@@ -209,6 +209,13 @@ def validate_instance(instance: Instance) -> list[Violation]:
     return out
 
 
+def volume_ratio(opt_volume: float, alg_volume: float) -> float:
+    """opt_volume / alg_volume, with 0/0 = 1 and x/0 = inf for x > 0."""
+    if alg_volume <= 0.0:
+        return inf if opt_volume > 0.0 else 1.0
+    return opt_volume / alg_volume
+
+
 def utilization(source: "DecisionLog | Schedule", instance: Instance) -> float:
     """Total processing time of accepted jobs (the objective value).
 
@@ -301,7 +308,7 @@ def read_instance(path: str) -> Instance:
         raise ValueError(f"{path}: empty instance file")
     header = json.loads(lines[0])
     try:
-        epsilon = float(header["epsilon"])
+        epsilon = _json_float(header["epsilon"], f"{path}: header line 1: epsilon")
         machines = _json_int(header["machines"], f"{path}: header line 1: machines")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header line") from exc
@@ -310,7 +317,7 @@ def read_instance(path: str) -> Instance:
         rec = json.loads(line)
         try:
             job_id = _json_int(rec["id"], f"{path}: job line {i + 2}: id")
-            jobs.append(Job(job_id, float(rec["r"]), float(rec["p"]), float(rec["d"])))
+            jobs.append(Job(job_id, *(_json_float(rec[k], f"{path}: job line {i + 2}: {k}") for k in "rpd")))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed job line {i + 2}") from exc
     if [j.id for j in jobs] != list(range(len(jobs))):
@@ -325,8 +332,13 @@ def read_instance(path: str) -> Instance:
 
 
 def _json_int(value: object, what: str) -> int:
-    # A count must be a JSON integer: int() would truncate 2.7 to 2 and
-    # read true as 1 without a word.
+    # int() would truncate 2.7 to 2; it and float() would read true as 1 and "5" as 5.
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def _json_float(value: object, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {json.dumps(value)}")
+    return float(value)

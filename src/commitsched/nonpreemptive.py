@@ -1,10 +1,10 @@
 """Non-preemptive online allocation with machine and start-time commitment.
 
 A job accepted at its release is bound immediately to one machine and
-starts as soon as that machine's outstanding load drains, so only the
-per-machine loads matter.  Admission compares the job's deadline against
-the load threshold ``d_lim``: the maximum over machines, ranked by
-decreasing load, of ``load * ((1+eps)/eps)^(rank/m) + t``.
+starts as soon as that machine frees up, so only the machine free times
+matter.  Admission compares the job's deadline against the load threshold
+``d_lim``: the maximum over machines, ranked by decreasing load, of
+``load * ((1+eps)/eps)^(rank/m) + t``.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ class _Commitments:
 class NonpreemptiveSimulator(_Commitments):
     """Threshold-based online allocation on ``machines`` identical machines.
 
-    Each state, after a clock advance and after an acceptance, ranks the
-    loads once.  That one ranked vector gives ``limit`` (``d_lim`` of the
-    loads and clock), the two largest loads the invariant checks read, and
-    the threshold of each of the m trial placements of an arrival.
+    Each state, after a clock advance and after an acceptance, derives the
+    loads from the machine free times ``free`` and ranks them once.  That
+    vector gives ``limit`` (``d_lim`` of the loads and clock), the two largest
+    loads the checks read, and the threshold of each of the m trial placements.
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
@@ -107,7 +107,7 @@ class NonpreemptiveSimulator(_Commitments):
         self.machines = machines
         self.epsilon = epsilon
         self.clock = 0.0
-        self.loads = [0.0] * machines  # outstanding work per stable machine id
+        self.free = [0.0] * machines  # absolute time each machine frees up, by stable id
         rho = (1.0 + epsilon) / epsilon
         # Weight of ascending position j, which is load rank m - j: the floats d_lim uses.
         self._weights = [rho ** ((machines - j) / machines) for j in range(machines)]
@@ -116,27 +116,26 @@ class NonpreemptiveSimulator(_Commitments):
         self._rank()
 
     def _rank(self) -> None:
-        """Sort the loads and refresh ``limit`` and the top-two load sum.
+        """Derive the loads at the clock, sort them and refresh ``limit`` and the top-two sum.
 
         ``limit`` is max(load * weight) + t, which equals d_lim's
         max(t, load * weight + t) bit for bit: the terms are >= 0 and
         adding t rounds monotonically.
         """
+        t = self.clock
+        self.loads = [f - t if f > t else 0.0 for f in self.free]
         asc = self._ascending = sorted(self.loads)
         terms = self._terms = [load * w for load, w in zip(asc, self._weights)]
-        self.limit = max(terms) + self.clock
+        self.limit = max(terms) + t
         # The two largest loads summed; for m=1 the second reads as zero.
         self._top_two = asc[-1] + (asc[-2] if self.machines > 1 else 0.0)
         self._check_load_sum()
 
     def advance_to(self, t: float) -> None:
-        """Decay every load by the elapsed time, floored at zero."""
+        """Move the clock forward to ``t`` and rank the loads there."""
         if t < self.clock - TOL:
             raise ValueError(f"time moves backwards: {self.clock} -> {t}")
-        if t > self.clock:
-            dt = t - self.clock
-            self.loads = [load - dt if load > dt else 0.0 for load in self.loads]
-            self.clock = t
+        self.clock = max(self.clock, t)
         self._rank()
 
     def submit(self, job: Job) -> CommittedStart | None:
@@ -160,17 +159,16 @@ class NonpreemptiveSimulator(_Commitments):
             self._check_usable_interval(job)
             return limit, None
         position = self._best_trial(job.processing)
-        pre_load = self._ascending[position]
         # Ids sorted stably by load line up with the ranked positions, and the
         # first of equal loads is the lowest id.
         machine = sorted(range(self.machines), key=self.loads.__getitem__)[position]
-        start = self.clock + pre_load
+        start = max(self.clock, self.free[machine])
         if start + job.processing > job.deadline + TOL:
             raise CommitmentError(
                 f"job {job.id} placed at {start} would finish {start + job.processing} "
                 f"past deadline {job.deadline}"
             )
-        self.loads[machine] += job.processing
+        self.free[machine] = start + job.processing
         self._rank()
         return limit, CommittedStart(job.id, machine, start)
 
@@ -325,26 +323,26 @@ def simulate_randomized_single(instance: Instance, seed: int) -> NonpreemptiveRe
 
 
 class GreedyAllocator(_Commitments):
-    """Baseline: accept whenever some machine can still meet the deadline,
-    placing the job for the earliest completion (ties to the lowest id)."""
+    """Baseline: accept whenever some machine can still meet the deadline, that
+    is, when the earliest completion does, and place the job there (ties to the lowest id)."""
 
     def __init__(self, machines: int) -> None:
         check_policy_args(machines)
         super().__init__()
+        self.clock = 0.0
         self.free = [0.0] * machines  # absolute time each machine frees up
 
     def submit(self, job: Job) -> CommittedStart | None:
-        options = []
-        for i, f_time in enumerate(self.free):
-            start = max(job.release, f_time)
-            if start + job.processing <= job.deadline + TOL:
-                options.append((start + job.processing, i, start))
-        placed = None
-        if options:
-            _, machine, start = min(options)
-            self.free[machine] = start + job.processing
-            placed = CommittedStart(job.id, machine, start)
-        return self._record(job, job.release, None, placed)
+        if job.release < self.clock - TOL:
+            raise ValueError(f"job {job.id} released at {job.release} before clock {self.clock}")
+        self.clock = max(self.clock, job.release)
+        ends = [max(job.release, f) + job.processing for f in self.free]
+        machine = ends.index(min(ends))
+        if ends[machine] > job.deadline + TOL:
+            return self._record(job, job.release, None, None)
+        start = max(job.release, self.free[machine])
+        self.free[machine] = ends[machine]
+        return self._record(job, job.release, None, CommittedStart(job.id, machine, start))
 
 
 def greedy_nonpreemptive(instance: Instance) -> NonpreemptiveResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import IO, Callable, Protocol
 
 from . import nonpreemptive, preemptive
-from .model import DecisionLog, Instance, Job, validate_instance
+from .model import DecisionLog, Instance, Job, check_policy_args, validate_instance
 
 
 class Policy(Protocol):
@@ -43,6 +43,7 @@ def make_policy(algorithm: str, machines: int, epsilon: float, assert_level: int
     the preemptive policies, ``seed`` to the randomized one."""
     if algorithm not in _FACTORIES:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    check_policy_args(machines, epsilon)
     return _FACTORIES[algorithm](machines, epsilon, assert_level, seed)
 
 

@@ -19,7 +19,7 @@ from commitsched.adversary import (
     solve_c_lower,
 )
 from commitsched.harness import random_instance, theoretical_bounds
-from commitsched.model import Instance, Job, validate_instance, verify_schedule
+from commitsched.model import Instance, Job, validate_instance, verify_schedule, volume_ratio
 from commitsched.nonpreemptive import (
     committed_schedule,
     greedy_nonpreemptive,
@@ -134,11 +134,7 @@ def corpus_with_nonpreemptive_opt(corpus):
 
 
 def _ratio(opt, alg):
-    if opt is None:
-        return None
-    if opt <= 0 and alg <= 0:
-        return 1.0
-    return math.inf if alg <= 0 else opt / alg
+    return None if opt is None else volume_ratio(opt, alg)
 
 
 def test_criterion_1_commitment_soundness(corpus):

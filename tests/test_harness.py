@@ -318,6 +318,21 @@ class TestCli:
         assert "must be a JSON integer" in captured.err
         assert "ok" not in captured.out
 
+    @pytest.mark.parametrize(
+        "header, job",
+        [
+            ('{"epsilon": true, "machines": 1}', '{"id": 0, "r": "0", "p": true, "d": "5"}'),
+            ('{"epsilon": 1.0, "machines": 1}', '{"id": 0, "r": "0", "p": 1.0, "d": 5.0}'),
+        ],
+    )
+    def test_verify_rejects_non_numeric_values(self, header, job, tmp_path, capsys):
+        path = tmp_path / "values.jsonl"
+        path.write_text(header + "\n" + job + "\n")
+        assert main(["verify", "--instance-file", str(path), "--alg", "alg3"]) == 2
+        captured = capsys.readouterr()
+        assert "must be a JSON number" in captured.err
+        assert "ok" not in captured.out
+
     def test_verify_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"epsilon": 1.0, "machines": 1}\n{"id": 0, "r": 0.0, "p": 1.0, "d": 1.5}\n')

@@ -222,6 +222,30 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match=f"{where} must be a JSON integer"):
             read_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "epsilon, job, where",
+        [
+            ("true", '"r": 0.0, "p": 1.0, "d": 4.0', "line 1: epsilon"),
+            ('"1"', '"r": 0.0, "p": 1.0, "d": 4.0', "line 1: epsilon"),
+            ("1.0", '"r": "0", "p": 1.0, "d": 4.0', "line 2: r"),
+            ("1.0", '"r": 0.0, "p": true, "d": 4.0', "line 2: p"),
+            ("1.0", '"r": 0.0, "p": 1.0, "d": "5"', "line 2: d"),
+        ],
+    )
+    def test_rejects_non_numeric_values(self, tmp_path, epsilon, job, where):
+        # float() would read true as 1.0 and "5" as 5.0.
+        path = tmp_path / "values.jsonl"
+        path.write_text(f'{{"epsilon": {epsilon}, "machines": 1}}\n{{"id": 0, {job}}}\n')
+        with pytest.raises(ValueError, match=f"{where} must be a JSON number"):
+            read_instance(str(path))
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"epsilon": 1, "machines": 1}\n{"id": 0, "r": 0, "p": 1, "d": 4}\n')
+        inst = read_instance(str(path))
+        job = inst.jobs[0]
+        assert all(type(x) is float for x in (inst.epsilon, job.release, job.processing, job.deadline))
+
     def test_rejects_malformed_lines(self, tmp_path):
         bad_header = tmp_path / "h.jsonl"
         bad_header.write_text('{"machines": 1}\n')

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -107,7 +108,7 @@ class TestSimulate:
         # Three equal loads at eps=0.1: the threshold is 11 * load, and the
         # two largest loads cover only 2 of the 11^(2/3) ~ 4.95 required.
         sim = NonpreemptiveSimulator(3, 0.1)
-        sim.loads = [1.0, 1.0, 1.0]
+        sim.free = [1.0, 1.0, 1.0]
         with pytest.raises(InvariantError, match="load-sum"):
             sim.advance_to(0.0)
         assert issubclass(CommitmentError, InvariantError)
@@ -117,7 +118,7 @@ class TestSimulate:
         # the check that follows the acceptance.
         sim = NonpreemptiveSimulator(3, 0.1)
         sim.advance_to(0.0)
-        sim.loads = [1.0, 1.0, 1.0]
+        sim.free = [1.0, 1.0, 1.0]
         with pytest.raises(InvariantError, match="load-sum"):
             sim.on_arrival(Job(0, 0.0, 0.1, 100.0))
 
@@ -127,7 +128,8 @@ class TestSimulate:
         # Differential test of the ranked load vector against the reference
         # d_lim: the threshold after every clock advance and acceptance, the
         # admission test, and every placement against the brute-force argmin
-        # of (d_lim of the trial loads, pre-load, machine id) over all m trials.
+        # of (d_lim of the trial loads, pre-load, machine id) over all m trials;
+        # the job starts when that machine frees up, or at once if it is idle.
         ties = [  # an all-zero start, then batches of equal jobs: equal loads
             (float(r), p, r + 3 * (1 + eps) * p)
             for r in range(12)
@@ -144,7 +146,7 @@ class TestSimulate:
             assert sim.limit == d_lim(sim.loads, sim.clock, m, eps)
             for job in inst.jobs:
                 sim.advance_to(job.release)
-                loads, t, limit = list(sim.loads), sim.clock, sim.limit
+                loads, free, t, limit = list(sim.loads), list(sim.free), sim.clock, sim.limit
                 assert limit == d_lim(loads, t, m, eps)
                 placed = sim.on_arrival(job)
                 assert (placed is not None) == (job.deadline >= limit - TOL)
@@ -156,7 +158,7 @@ class TestSimulate:
                     trial[i] += job.processing
                     trials.append((d_lim(trial, t, m, eps), loads[i], i))
                 _, pre_load, machine = min(trials)
-                assert (placed.machine, placed.start) == (machine, t + pre_load)
+                assert (placed.machine, placed.start) == (machine, max(t, free[machine]))
                 assert sim.limit == d_lim(sim.loads, t, m, eps)
                 others = loads[:machine] + loads[machine + 1 :]
                 shifted += any(pre_load <= load < pre_load + job.processing for load in others)
@@ -196,6 +198,61 @@ class TestSimulate:
         rng = random.Random(4000 + seed)
         inst = random_instance_local(rng, 12, 2, 0.25, 6.0)
         simulate_nonpreemptive(inst)
+
+
+def committed_reference(inst, result, groups):
+    """The largest distance, in ulps, of a recorded threshold from the exact
+    d_lim of the committed schedule's own loads; the number of starts on a
+    busy machine that miss the end of its previous job; and the number of
+    starts on a busy machine.
+
+    At decision time t a machine's load is the exact rational remainder
+    end - t of its last committed job, and the weights are the policy's
+    floats.  ``groups`` lists (first machine, size) of each allocator; a
+    threshold belongs to the group that placed the job, or to the last
+    group for a rejection.
+    """
+    rho = (1.0 + inst.epsilon) / inst.epsilon
+    by_id = {j.id: j for j in inst.jobs}
+    placed = {cs.job: cs for cs in result.starts}
+    end = [0.0] * inst.machines  # end of the last committed job on each machine
+    worst, misses, busy = Fraction(0), 0, 0
+    for r in result.decisions:
+        cs = placed.get(r.job)
+        base, size = groups[-1] if cs is None else next(g for g in groups if g[0] <= cs.machine < g[0] + g[1])
+        t = Fraction(r.time)
+        loads = sorted((max(Fraction(e) - t, Fraction(0)) for e in end[base : base + size]), reverse=True)
+        exact = t + max(load * Fraction(rho ** (i / size)) for i, load in enumerate(loads, start=1))
+        worst = max(worst, abs(Fraction(r.threshold) - exact) / Fraction(math.ulp(r.threshold)))
+        if cs is not None:
+            if end[cs.machine] > r.time:
+                busy += 1
+                misses += cs.start != end[cs.machine]
+            end[cs.machine] = cs.start + by_id[cs.job].processing
+    return worst, misses, busy
+
+
+class TestCommittedScheduleReference:
+    """Thresholds measure the committed schedule: each is within 2 ulps of
+    the exact threshold of the loads that the committed jobs leave, and a
+    job placed on a busy machine starts exactly where the previous one ends."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_thresholds_and_starts_match_the_committed_schedule(self, seed):
+        rng = random.Random(6000 + seed)
+        eps = rng.choice([0.05, 0.1, 0.5, 1.0])
+        m = rng.choice([3, 4, 8, 16])  # at least the group size, 3 at eps = 0.05
+        inst = random_instance(300, m, eps, seed=seed, release_span=rng.choice([0.5, 2.0]) * 300 / m)
+        g = partition_group_size(eps)
+        runs = [
+            (simulate_nonpreemptive(inst), [(0, m)]),
+            (simulate_partitioned(inst), [(i, min(g, m - i)) for i in range(0, m, g)]),
+        ]
+        for result, groups in runs:
+            worst, misses, busy = committed_reference(inst, result, groups)
+            assert busy > 0
+            assert worst <= 2, float(worst)
+            assert misses == 0
 
 
 class TestPartitioned:
@@ -375,6 +432,39 @@ class TestTimeScaling:
                 assert [(cs.job, cs.machine, cs.start) for cs in got.starts] == [
                     (cs.job, cs.machine, math.ldexp(cs.start, k)) for cs in base.starts
                 ]
+
+
+def time_shifted(inst, offset):
+    """The instance with every release and deadline moved by ``offset``."""
+    jobs = tuple(Job(j.id, j.release + offset, j.processing, j.deadline + offset) for j in inst.jobs)
+    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
+
+
+class TestTimeShift:
+    """Starts are read off machine free times, so a job on a busy machine
+    starts exactly where the previous one ends at any time scale.  Near
+    2^30 the float spacing (2^-22) is far above ``TOL``, so any second
+    rounding of a start shows as an overlap or a gap; generous slack
+    (``slack_mix=0``) keeps the deadlines clear of their thresholds."""
+
+    @pytest.mark.parametrize("k", [10, 20, 23, 26, 30])
+    @pytest.mark.parametrize("seed, eps", [(0, 0.1), (1, 0.5), (2, 1.0)])
+    def test_shift_keeps_decisions_and_verifies(self, seed, eps, k):
+        multi = random_instance(150, 4, eps, seed=seed, release_span=60.0, slack_mix=0.0)
+        single = random_instance(150, 1, eps, seed=seed + 100, release_span=200.0, slack_mix=0.0)
+        runs = [
+            (multi, simulate_nonpreemptive),
+            (multi, simulate_partitioned),
+            (multi, greedy_nonpreemptive),
+            (single, lambda inst: simulate_randomized_single(inst, seed)),
+        ]
+        for inst, simulate in runs:
+            base = simulate(inst)
+            moved = time_shifted(inst, 2.0**k)
+            got = simulate(moved)
+            assert [r.accepted for r in got.decisions] == [r.accepted for r in base.decisions]
+            accepted = {j.id: j for j in moved.jobs if got.decisions[j.id].accepted}
+            assert verify_schedule(committed_schedule(got, moved), accepted) == []
 
 
 class TestGreedy:

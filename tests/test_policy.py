@@ -99,6 +99,18 @@ def test_make_policy_rejects_a_bad_machine_count(algorithm):
         make_policy(algorithm, 0, 0.5)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_policy_rejects_bad_epsilon_and_an_earlier_release(algorithm):
+    m = 1 if algorithm == "alg3-randomized" else 2
+    with pytest.raises(ValueError, match="epsilon"):
+        make_policy(algorithm, m, math.nan)
+    policy = make_policy(algorithm, m, 0.5)
+    assert policy.submit(Job(0, 5.0, 1.0, 10.0))
+    # Committing a job released before the clock would start it in the past.
+    with pytest.raises(ValueError):
+        policy.submit(Job(1, 0.0, 1.0, 3.0))
+
+
 @pytest.mark.parametrize(
     "function",
     [f_threshold, theoretical_bounds, lambda m, eps: random_instance(3, m, eps, seed=0)],
