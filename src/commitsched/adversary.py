@@ -14,6 +14,7 @@ from collections.abc import Generator
 from dataclasses import dataclass
 
 from .model import (
+    DUST,
     DecisionLog,
     Instance,
     InvariantError,
@@ -29,15 +30,13 @@ from .nonpreemptive import CommittedStart
 from .policy import Policy, make_policy
 from .preemptive import wrap_fill
 
-_BISECT_REL = 1e-12
-
 
 def solve_c_lower(m: int, epsilon: float) -> float:
     """Root of c/m == (m / ((c-1) * eps))^(1/(m-1)) - 1, the non-preemptive
     lower-bound constant.  For m == 1 the closed form 1 + 1/eps applies.
 
     The left side increases and the right side decreases in c, so the root
-    is unique; it is bracketed and bisected to 1e-12 relative precision.
+    is unique; it is bracketed and bisected to ``DUST`` relative precision.
 
     Writing c = m*x turns the equation into x^m * (1 + 1/x)^(m-1) ~ 1/eps,
     so the asymptote c/m -> (1/eps)^(1/m) holds as eps -> 0 at fixed m,
@@ -53,7 +52,7 @@ def solve_c_lower(m: int, epsilon: float) -> float:
     def gap(c: float) -> float:
         return c / m - ((m / ((c - 1.0) * epsilon)) ** (1.0 / (m - 1)) - 1.0)
 
-    lo = 1.0 + 1e-12
+    lo = 1.0 + DUST
     hi = 2.0 * m * (1.0 / epsilon) ** (1.0 / m)
     if gap(hi) <= 0:
         hi *= 8.0
@@ -61,7 +60,7 @@ def solve_c_lower(m: int, epsilon: float) -> float:
             raise ArithmeticError(f"failed to bracket the lower-bound constant for m={m}, eps={epsilon}")
     while gap(lo) >= 0:
         lo = 1.0 + (lo - 1.0) / 2.0
-    while hi - lo > _BISECT_REL * hi:
+    while hi - lo > DUST * hi:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0:
             lo = mid
@@ -162,10 +161,10 @@ class PreemptiveAdversary:
         self.rho = rho
         target_volume = epsilon * sum(rho ** (i / m) for i in range(m))
         # Shrink delta so the block-1 target is an exact multiple of it.
-        self.target_count = math.ceil(target_volume / delta - 1e-12)
+        self.target_count = math.ceil(target_volume / delta - DUST)
         self.delta = target_volume / self.target_count
-        self.block1_max = math.floor(m * (1.0 + epsilon) / self.delta + 1e-12)
-        self.block_cap = math.floor(m * (1.0 + epsilon) + 1e-12)
+        self.block1_max = math.floor(m * (1.0 + epsilon) / self.delta + DUST)
+        self.block_cap = math.floor(m * (1.0 + epsilon) + DUST)
 
     def block_processing(self, block: int) -> float:
         if block == 1:

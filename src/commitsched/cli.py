@@ -28,7 +28,6 @@ from .preemptive import SimulationResult
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, default=1, help="machine count")
     parser.add_argument("--epsilon", type=float, default=1.0, help="slack factor")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output directory")
 
 
@@ -43,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a policy over random or file instances")
     p_run.add_argument("--alg", choices=ALGORITHMS, required=True)
     _add_common(p_run)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--n", type=int, default=8, help="jobs per random instance")
     p_run.add_argument("--count", type=int, default=1, help="number of random instances")
     p_run.add_argument("--release-span", type=float, default=10.0)
@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a random instance file")
     _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--n", type=int, default=8)
     p_gen.add_argument("--release-span", type=float, default=10.0)
     p_gen.add_argument("--slack-mix", type=float, default=0.5)

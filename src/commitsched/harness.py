@@ -23,7 +23,17 @@ from .adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from .model import Instance, InvariantError, Job, check_policy_args, read_instance, validate_instance, volume_ratio
+from .model import (
+    BOUND_SLACK,
+    TOL,
+    Instance,
+    InvariantError,
+    Job,
+    check_policy_args,
+    read_instance,
+    validate_instance,
+    volume_ratio,
+)
 from .nonpreemptive import partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
@@ -60,7 +70,7 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
         "partitioned_upper": None,
         "randomized_single_upper": None,
     }
-    if abs(log_rho - round(log_rho)) < 1e-9 and round(log_rho) >= 1 and m % g == 0:
+    if abs(log_rho - round(log_rho)) < TOL and round(log_rho) >= 1 and m % g == 0:
         bounds["partitioned_upper"] = math.e * log_rho + 1.0
     if m == 1:
         k = randomized_virtual_machines(epsilon)
@@ -219,7 +229,7 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     """Execute the configured experiment.
 
     Returns the rows and a flag that is False when any applicable bound
-    was exceeded by more than 1e-6 or an invariant failed.
+    was exceeded by more than ``BOUND_SLACK`` or an invariant failed.
     """
     rows: list[RatioRow] = []
     ok = True
@@ -232,7 +242,7 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
         margin = None
         if ratio is not None and bound is not None and not math.isinf(ratio):
             margin = bound - ratio
-            if ratio > bound + 1e-6:
+            if ratio > bound + BOUND_SLACK:
                 ok = False
         rows.append(
             RatioRow(

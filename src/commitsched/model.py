@@ -1,8 +1,9 @@
 """Domain types shared by every simulator: jobs, instances, schedules, decisions.
 
-Time is a plain float.  Comparisons use the absolute tolerances below
-(``TOL`` unless a looser one is named); instances are expected to be scaled
-so that processing times are O(1)-O(10), which keeps them meaningful.
+Time is a plain float.  Every comparison slack of the package is one of the
+tolerances below, absolute unless its entry names a scale, and each names the
+first power of two whose float spacing exceeds it.  Instances are expected to
+be scaled so that processing times are O(1)-O(10), which keeps them meaningful.
 """
 
 from __future__ import annotations
@@ -13,14 +14,28 @@ from dataclasses import dataclass, field
 from math import inf, isfinite
 from typing import Iterable, Iterator, Mapping
 
-#: Absolute tolerance for all time/volume comparisons.
+#: Times and volumes: ties, the slack condition, feasibility, plans, LRPT groups, forced work.
+#: Scaled by max(1, total work) in ``flow_feasible``.  Float spacing exceeds it from 2^23.
 TOL = 1e-9
 
-#: Looser tolerance for totals accumulated over many schedule segments.
+#: Each job's executed total in ``verify_schedule``; scaled by max(1, total work) in
+#: ``max_prefix_work``.  Float spacing exceeds it from 2^33.
 COMMIT_TOL = 1e-6
 
-#: Slack of the runtime invariant checks, which compare sums of many float terms.
+#: Runtime invariant checks, which compare sums of many float terms.  Float spacing exceeds it from 2^29.
 CHECK_SLACK = 1e-7
+
+#: A measured ratio over its proven bound in ``harness.run``.  Float spacing exceeds it from 2^33.
+BOUND_SLACK = 1e-6
+
+#: Float dust: the shortest preemptive window or piece, the least max-flow residual, the guard of
+#: the adversary's floors, ceilings and bracket start; relative in ``solve_c_lower``'s bisection.
+#: Float spacing exceeds it from 2^13.
+DUST = 1e-12
+
+#: Rates: parallel slopes in ``solve_dmin``, a closing rate in ``lrpt_assign``.
+#: Float spacing exceeds it from 2^3.
+SLOPE_TOL = 1e-15
 
 
 class InvariantError(RuntimeError):

@@ -126,7 +126,9 @@ class NonpreemptiveSimulator(_Commitments):
         self.loads = [f - t if f > t else 0.0 for f in self.free]
         asc = self._ascending = sorted(self.loads)
         terms = self._terms = [load * w for load, w in zip(asc, self._weights)]
-        self.limit = max(terms) + t
+        # The weighted peak, limit - t before the clock's rounding; the check reads it.
+        self._peak = max(terms)
+        self.limit = self._peak + t
         # The two largest loads summed; for m=1 the second reads as zero.
         self._top_two = asc[-1] + (asc[-2] if self.machines > 1 else 0.0)
         self._check_load_sum()
@@ -208,9 +210,9 @@ class NonpreemptiveSimulator(_Commitments):
     # -- invariants -------------------------------------------------------
 
     def _check_load_sum(self) -> None:
-        # The two largest loads always cover the threshold scaled back by rho^(-1/m).
+        # The two largest loads always cover the weighted peak scaled back by rho^(-1/m).
         top_two = self._top_two
-        need = (self.limit - self.clock) * self._rho_down
+        need = self._peak * self._rho_down
         if top_two < need - CHECK_SLACK:
             raise InvariantError(
                 f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"

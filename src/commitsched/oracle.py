@@ -28,14 +28,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import TOL, Instance, Job
+from .model import COMMIT_TOL, DUST, TOL, Instance, Job
 
 #: Subset-enumeration limits; beyond these the oracles report "unavailable".
 MAX_PREEMPTIVE_JOBS = 16
 MAX_NONPREEMPTIVE_JOBS = 10
 MAX_FLOW_JOBS = 24
 
-_FLOW_EPS = 1e-12
 #: Masks per vectorised step of the subset pre-filter.
 _FILTER_CHUNK = 64
 
@@ -68,7 +67,7 @@ class _MaxFlow:
                 u = queue.popleft()
                 row = self.cap[u]
                 for v in neighbours[u]:
-                    if parent[v] == -1 and row[v] > _FLOW_EPS:
+                    if parent[v] == -1 and row[v] > DUST:
                         parent[v] = u
                         queue.append(v)
             if parent[t] == -1:
@@ -141,7 +140,7 @@ def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
     net, intervals, total = _network(jobs)
     _add_sink_arcs(net, intervals, m)
     flow = net.max_flow(0, net.n - 1)
-    return flow >= total - 1e-9 * max(1.0, total)
+    return flow >= total - TOL * max(1.0, total)
 
 
 def max_prefix_work(jobs: Sequence[Job], m: int, cut: float) -> float:
@@ -168,7 +167,7 @@ def max_prefix_work(jobs: Sequence[Job], m: int, cut: float) -> float:
     _add_sink_arcs(net, intervals, m, stop=split)
     prefix = net.max_flow(0, sink)
     _add_sink_arcs(net, intervals, m, start=split)
-    if prefix + net.max_flow(0, sink) < total - 1e-6 * max(1.0, total):
+    if prefix + net.max_flow(0, sink) < total - COMMIT_TOL * max(1.0, total):
         raise ValueError("job set is infeasible; prefix-work oracle needs a feasible set")
     return prefix
 
@@ -206,7 +205,7 @@ def _descending_subsets(processing: Sequence[float]) -> tuple[np.ndarray, np.nda
 
 def _passing_masks(order: np.ndarray, F: np.ndarray, caps: np.ndarray) -> Iterator[int]:
     """The masks of ``order``, in order, whose members' summed forced work
-    ``F[members].sum(axis=0)`` fits ``caps`` (up to 1e-9) in every interval
+    ``F[members].sum(axis=0)`` fits ``caps`` (up to TOL) in every interval
     pair; ``F`` is non-negative.  Tested in chunks; each member row is added
     in ascending job order, which gives exactly the floats of the row-by-row
     sum."""
@@ -215,7 +214,7 @@ def _passing_masks(order: np.ndarray, F: np.ndarray, caps: np.ndarray) -> Iterat
     whole = np.zeros(F.shape[1])
     for row in F:
         whole += row
-    live = whole > caps + 1e-9
+    live = whole > caps + TOL
     F, caps = F[:, live], caps[live]
     shifts = np.arange(F.shape[0])
     for begin in range(0, len(order), _FILTER_CHUNK):
@@ -224,7 +223,7 @@ def _passing_masks(order: np.ndarray, F: np.ndarray, caps: np.ndarray) -> Iterat
         demand = np.zeros((len(chunk), F.shape[1]))
         for ji, row in enumerate(F):
             np.add(demand, row, out=demand, where=bits[:, ji : ji + 1])
-        fits = ~np.any(demand > caps + 1e-9, axis=1)
+        fits = ~np.any(demand > caps + TOL, axis=1)
         yield from chunk[fits].tolist()
 
 

@@ -22,6 +22,8 @@ from typing import Iterable, Iterator
 from . import policy as driver  # a module import: policy imports this module
 from .model import (
     CHECK_SLACK,
+    DUST,
+    SLOPE_TOL,
     TOL,
     DecisionLog,
     DecisionRecord,
@@ -40,8 +42,6 @@ from .vmin import (
     v_min_curve,
     v_shape_curve,
 )
-
-_EVENT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> fl
     for i in range(len(bps) - 1, -1, -1):
         a, v_a, s = bps[i], vals[i], slopes[i]
         b = bps[i + 1] if i + 1 < len(bps) else math.inf
-        if abs(f - s) < 1e-15:
+        if abs(f - s) < SLOPE_TOL:
             # Parallel: a crossing exists only if the lines coincide, in
             # which case the right end of the segment is the largest point.
             if abs((a - r) * f - v_a - v_delta) <= TOL and b < math.inf:
@@ -105,13 +105,13 @@ def wrap_fill(
     capacity = q * span
     for item, amount in amounts:
         left = amount
-        while left > _EVENT_EPS:
-            if offset >= capacity - _EVENT_EPS:
+        while left > DUST:
+            if offset >= capacity - DUST:
                 break  # float dust beyond total capacity
-            lane = min(int((offset + _EVENT_EPS) // span), q - 1)
+            lane = min(int((offset + DUST) // span), q - 1)
             pos = offset - lane * span
             room = span - pos
-            if room <= _EVENT_EPS:
+            if room <= DUST:
                 offset = (lane + 1) * span
                 continue
             take = min(left, room)
@@ -138,18 +138,18 @@ def lrpt_assign(
     not count, since no later event will change their situation).
     """
     m = len(machines)
-    if m == 0 or end <= start + _EVENT_EPS:
+    if m == 0 or end <= start + DUST:
         return [], None
     rem = {j: v for j, v in volumes.items() if v > TOL}
     segments: list[Segment] = []
     cur = start
     first_idle: float | None = None
-    while cur < end - _EVENT_EPS and rem:
+    while cur < end - DUST and rem:
         # Group jobs by (tolerance-equal) remaining volume, largest first.
         order = sorted(rem, key=lambda j: (-rem[j], j))
         groups: list[list[int]] = []
         for j in order:
-            if groups and abs(rem[groups[-1][0]] - rem[j]) <= 1e-9:
+            if groups and abs(rem[groups[-1][0]] - rem[j]) <= TOL:
                 groups[-1].append(j)
             else:
                 groups.append([j])
@@ -170,10 +170,11 @@ def lrpt_assign(
         for i in range(len(groups) - 1):
             gap = rem[groups[i][0]] - rem[groups[i + 1][0]]
             closing = rates[i] - rates[i + 1]
-            if closing > 1e-15 and gap > 0:
+            if closing > SLOPE_TOL and gap > 0:
                 delta = min(delta, gap / closing)
-        delta = max(delta, _EVENT_EPS)
         nxt = min(end, cur + delta)
+        if nxt <= cur:
+            raise InvariantError(f"LRPT sub-step of {delta} cannot advance t={cur} (float spacing)")
         span = nxt - cur
         # Realise this sub-interval: full machines for untied capacity,
         # wrap-around for shared groups.
@@ -197,7 +198,7 @@ def lrpt_assign(
         for j in [j for j, v in rem.items() if v <= TOL]:
             del rem[j]
         cur = nxt
-        if first_idle is None and len(rem) < m and cur < end - _EVENT_EPS:
+        if first_idle is None and len(rem) < m and cur < end - DUST:
             first_idle = cur
     return segments, first_idle
 
@@ -255,11 +256,11 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
             end = first_idle
         segments.extend(segs)
 
-    end = max(end, t + _EVENT_EPS)
+    end = max(end, t + DUST)
     clipped = tuple(
         s if s.end <= end else Segment(s.machine, s.job, s.start, end)
         for s in segments
-        if s.start < end - _EVENT_EPS
+        if s.start < end - DUST
     )
     return PlanWindow(t, end, clipped)
 
@@ -391,6 +392,8 @@ class PreemptiveSimulator:
                     self.clock = target
                 break
             step_end = min(target, self.plan.end)
+            if step_end <= self.clock:
+                raise InvariantError(f"plan window ends at the clock t={self.clock} (float spacing)")
             self._commit_window(self.clock, step_end)
             self.clock = step_end
             if step_end >= self.plan.end - TOL:
@@ -422,7 +425,7 @@ class PreemptiveSimulator:
         """Commit the plan's work inside [t0, t1).  A piece that continues
         the machine's last committed segment, same job and ending exactly
         where the piece starts, extends that segment instead of adding one."""
-        if t1 <= t0 + _EVENT_EPS:
+        if t1 <= t0 + DUST:
             return
         segments, last, work = self.schedule.segments, self._last_piece, self.committed_work
         for seg in self.plan.segments:
@@ -431,7 +434,7 @@ class PreemptiveSimulator:
                 s = t0
             if e > t1:
                 e = t1
-            if e <= s + _EVENT_EPS:
+            if e <= s + DUST:
                 continue
             machine, job = seg.machine, seg.job
             i = last.get(machine)

@@ -344,6 +344,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'alg3-partitioned'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bounds", "adversary --alg alg3"])
+    def test_deterministic_commands_take_no_seed(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--m", "2", "--epsilon", "0.5", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["run", "--alg", "alg3-randomized", "--m", "2"]) == 2
 

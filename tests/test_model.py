@@ -1,9 +1,14 @@
+import ast
+import inspect
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from commitsched import model
 from commitsched.model import (
     TOL,
     DecisionLog,
@@ -18,7 +23,6 @@ from commitsched.model import (
     verify_schedule,
     write_instance,
 )
-from commitsched.preemptive import _EVENT_EPS
 
 
 def make_instance(eps, m, triples):
@@ -279,7 +283,33 @@ class TestDecisionLog:
         assert [r.job for r in log] == [0, 1]
 
 
+def tolerance_table() -> dict[str, float]:
+    """The comparison slacks ``model`` defines: its upper-case float constants."""
+    return {name: v for name, v in vars(model).items() if name.isupper() and type(v) is float}
+
+
+def first_power_above(value: float) -> int:
+    """The least k with math.ulp(2^k) > value."""
+    return next(k for k in range(-60, 60) if math.ulp(2.0**k) > value)
+
+
 def test_absolute_tolerances_fall_below_float_spacing_where_the_readme_says():
-    # README "Conventions": _EVENT_EPS from t = 2^13, TOL from t = 2^23.
-    assert math.ulp(2.0**12) < _EVENT_EPS < math.ulp(2.0**13)
-    assert math.ulp(2.0**22) < TOL < math.ulp(2.0**23)
+    # Each entry's comment ends by naming the first power of two whose float
+    # spacing exceeds it; README "Conventions" repeats the power (test_readme).
+    pattern = r"exceeds it from 2\^(\d+)\.\n([A-Z_]+) = "
+    named = {name: int(k) for k, name in re.findall(pattern, inspect.getsource(model))}
+    assert named == {name: first_power_above(v) for name, v in tolerance_table().items()}
+
+
+def test_no_module_keeps_a_private_epsilon():
+    # Every slack below 1e-5 is read from the table in ``model``, never
+    # written as a literal elsewhere in the package.
+    package = Path(model.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-5:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []

@@ -445,26 +445,45 @@ class TestTimeShift:
     starts exactly where the previous one ends at any time scale.  Near
     2^30 the float spacing (2^-22) is far above ``TOL``, so any second
     rounding of a start shows as an overlap or a gap; generous slack
-    (``slack_mix=0``) keeps the deadlines clear of their thresholds."""
+    (``slack_mix=0``) keeps the deadlines clear of their thresholds.
 
-    @pytest.mark.parametrize("k", [10, 20, 23, 26, 30])
-    @pytest.mark.parametrize("seed, eps", [(0, 0.1), (1, 0.5), (2, 1.0)])
-    def test_shift_keeps_decisions_and_verifies(self, seed, eps, k):
+    The load-sum check reads the weighted peak, not ``limit - clock``,
+    which loses up to half the spacing of the clock: with it, every seed
+    here raised InvariantError at one of 2^31 to 2^33.  From 2^34 half the
+    spacing exceeds ``COMMIT_TOL``, and ``verify_schedule`` reports
+    under-completion and over-execution of executed totals that are p up to
+    rounding; that regime is stated, not loosened."""
+
+    @staticmethod
+    def runs(seed, eps):
         multi = random_instance(150, 4, eps, seed=seed, release_span=60.0, slack_mix=0.0)
         single = random_instance(150, 1, eps, seed=seed + 100, release_span=200.0, slack_mix=0.0)
-        runs = [
+        return [
             (multi, simulate_nonpreemptive),
             (multi, simulate_partitioned),
             (multi, greedy_nonpreemptive),
             (single, lambda inst: simulate_randomized_single(inst, seed)),
         ]
-        for inst, simulate in runs:
+
+    @pytest.mark.parametrize("k", [10, 20, 23, 26, 30, 31, 32, 33])
+    @pytest.mark.parametrize("seed, eps", [(0, 0.1), (1, 0.5), (2, 1.0), (6, 0.25)])
+    def test_shift_keeps_decisions_and_verifies(self, seed, eps, k):
+        for inst, simulate in self.runs(seed, eps):
             base = simulate(inst)
             moved = time_shifted(inst, 2.0**k)
             got = simulate(moved)
             assert [r.accepted for r in got.decisions] == [r.accepted for r in base.decisions]
             accepted = {j.id: j for j in moved.jobs if got.decisions[j.id].accepted}
             assert verify_schedule(committed_schedule(got, moved), accepted) == []
+
+    def test_commit_tol_gives_out_from_2_34(self):
+        for inst, simulate in self.runs(1, 0.5):
+            moved = time_shifted(inst, 2.0**34)
+            got = simulate(moved)
+            assert [r.accepted for r in got.decisions] == [r.accepted for r in simulate(inst).decisions]
+            accepted = {j.id: j for j in moved.jobs if got.decisions[j.id].accepted}
+            problems = verify_schedule(committed_schedule(got, moved), accepted)
+            assert problems and {v.kind for v in problems} <= {"under-completion", "over-execution"}
 
 
 class TestGreedy:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -22,7 +23,7 @@ from commitsched.oracle import (
     opt_preemptive,
 )
 from commitsched.preemptive import PreemptiveSimulator
-from commitsched.vmin import ActiveJob, horn_feasible
+from commitsched.vmin import ActiveJob, contribution, horn_feasible
 
 
 def make_instance(eps, m, triples):
@@ -107,6 +108,67 @@ class TestFlowFeasible:
         active = [ActiveJob(j.id, j.processing, j.deadline) for j in jobs]
         assert flow_feasible(jobs, m) == horn_feasible(active, 0.0, m)
 
+
+
+def capacity_margin(jobs, m, num=Fraction):
+    """Least room of a common-release set: over jobs, d - r - p; over every
+    deadline and latest start tau, m * (tau - r) - v_min(tau).  In exact
+    arithmetic (``num=Fraction``) the set is feasible iff it is >= 0 (Horn
+    1974): both sides are linear between these points."""
+    r = num(jobs[0].release)
+    rows = [(num(j.processing), num(j.deadline)) for j in jobs]
+    taus = {d for _, d in rows} | {d - p for p, d in rows if d - p > r}
+    window = min(d - r - p for p, d in rows)
+    return min(window, min(m * (tau - r) - sum(contribution(p, d, tau) for p, d in rows) for tau in taus))
+
+
+def scaled_to_margin(jobs, m, target):
+    """The set with every processing time scaled by s, at the two ends of a
+    float bisection for the largest s whose float margin is >= target."""
+
+    def scaled(s):
+        return [Job(j.id, j.release, j.processing * s, j.deadline) for j in jobs]
+
+    lo, hi = 0.0, 1.0
+    while capacity_margin(scaled(hi), m, float) >= target:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if capacity_margin(scaled(mid), m, float) >= target else (lo, mid)
+    return scaled(lo), scaled(hi)
+
+
+def test_horn_and_flow_agree_outside_the_tol_band():
+    # Seeded common-release sets, n <= 12 and m in 1..4, with jobs that
+    # exactly fill their windows, scaled onto the capacity edge and to four
+    # band widths either side of it.  Where the exact margin is >= 0 both
+    # tests admit (ties admit).  Beyond the band TOL * max(1, total work),
+    # the slack of flow_feasible and at least the absolute TOL of
+    # horn_feasible, they agree with the sign of the margin.
+    seen = {"edge": 0, "feasible": 0, "infeasible": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 12), rng.randint(1, 4)
+        r = rng.choice([0.0, rng.uniform(0.0, 50.0)])
+        jobs = []
+        for i in range(n):
+            p = rng.uniform(0.5, 4.0)
+            jobs.append(Job(i, r, p, r + p * (1.0 if rng.random() < 0.3 else rng.uniform(1.0, 3.0))))
+        band = TOL * max(1.0, sum(j.processing for j in jobs))
+        variants = [jobs, *scaled_to_margin(jobs, m, 0.0)]
+        variants += [scaled_to_margin(jobs, m, 4 * band)[0], scaled_to_margin(jobs, m, -4 * band)[0]]
+        for variant in variants:
+            margin = capacity_margin(variant, m)
+            band = TOL * max(1.0, sum(j.processing for j in variant))
+            flow = flow_feasible(variant, m)
+            horn = horn_feasible([ActiveJob(j.id, j.processing, j.deadline) for j in variant], r, m)
+            if margin >= 0:
+                assert flow and horn, (seed, float(margin))
+                seen["edge" if margin <= band else "feasible"] += 1
+            elif margin < -band:
+                assert not flow and not horn, (seed, float(margin))
+                seen["infeasible"] += 1
+    assert min(seen.values()) >= 100, seen
 
 class TestOptPreemptive:
     def test_fully_feasible_set_takes_everything(self):

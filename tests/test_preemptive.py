@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from commitsched import preemptive, vmin
 from commitsched.harness import random_instance
-from commitsched.model import CHECK_SLACK, TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
+from commitsched.model import CHECK_SLACK, DUST, TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
 from commitsched.policy import drive, make_policy
 from commitsched.preemptive import (
-    _EVENT_EPS,
     PlanWindow,
     PreemptiveSimulator,
     generate_plan,
@@ -285,9 +284,9 @@ def reference_generate_plan(active, t, m):
             end = first_idle
         segments.extend(segs)
 
-    end = max(end, t + _EVENT_EPS)
+    end = max(end, t + DUST)
     clipped = tuple(
-        Segment(s.machine, s.job, s.start, min(s.end, end)) for s in segments if s.start < end - _EVENT_EPS
+        Segment(s.machine, s.job, s.start, min(s.end, end)) for s in segments if s.start < end - DUST
     )
     return PlanWindow(t, end, clipped)
 
@@ -669,3 +668,54 @@ class TestTimeScaling:
                     for s in base.schedule.segments
                 ]
                 assert got.event_times == [math.ldexp(x, k) for x in base.event_times]
+
+
+def time_shifted(inst, offset):
+    """The instance with every release and deadline moved by ``offset``."""
+    jobs = tuple(Job(j.id, j.release + offset, j.processing, j.deadline + offset) for j in inst.jobs)
+    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
+
+
+class TestTimeShift:
+    """A shift keeps the decisions while ``TOL`` stays above the float
+    spacing of the shifted times, which holds through 2^22 and, on these
+    instances, through 2^23.  From 2^24 the spacing (2^-28) exceeds TOL, a
+    remaining volume can sit below half of it, and a plan step there cannot
+    advance the clock: the run raises InvariantError instead of looping."""
+
+    INSTANCES = [
+        # The smallest found: two jobs on one machine; both policies looped from 2^24.
+        random_instance(2, 1, 0.5, seed=18, release_span=1.0, slack_mix=0.0),
+        random_instance(600, 4, 0.5, seed=5, release_span=300.0, slack_mix=0.0),
+    ]
+
+    @pytest.mark.parametrize("k", [10, 13, 20, 23])
+    @pytest.mark.parametrize("policy", ["alg1+2", "greedy-p"])
+    def test_shift_keeps_decisions_and_verifies(self, policy, k):
+        for inst in self.INSTANCES:
+            base = drive(make_policy(policy, inst.machines, inst.epsilon), inst)
+            moved = time_shifted(inst, 2.0**k)
+            got = drive(make_policy(policy, inst.machines, inst.epsilon, assert_level=2), moved)
+            assert [r.accepted for r in got.decisions] == [r.accepted for r in base.decisions]
+            accepted = {j.id: j for j in moved.jobs if got.decisions[j.id].accepted}
+            assert verify_schedule(got.schedule, accepted) == []
+
+    @pytest.mark.parametrize("k", [24, 25, 26])
+    @pytest.mark.parametrize("policy", ["alg1+2", "greedy-p"])
+    def test_shift_beyond_tol_raises(self, policy, k):
+        for inst in self.INSTANCES:
+            moved = time_shifted(inst, 2.0**k)
+            with pytest.raises(InvariantError, match=r"at t=|advance t="):
+                drive(make_policy(policy, inst.machines, inst.epsilon), moved)
+
+    def test_lrpt_step_below_the_spacing_raises(self):
+        # 1.5e-9 of work is above TOL but below half the spacing at 2^24.
+        with pytest.raises(InvariantError, match="cannot advance t=16777216.0"):
+            lrpt_assign({0: 1.5e-9}, [0], 2.0**24, 2.0**24 + 1.0)
+
+    def test_window_ending_at_the_clock_raises(self):
+        sim = PreemptiveSimulator(1, 0.5)
+        sim.submit(Job(0, 0.0, 1.0, 2.0))
+        sim.plan = PlanWindow(0.0, 0.0, sim.plan.segments)
+        with pytest.raises(InvariantError, match="window ends at the clock t=0.0"):
+            sim.advance_to(1.0)

@@ -1,8 +1,12 @@
-"""The CLI examples in README.md run as written."""
+"""README.md says what the code does: its CLI examples run as written,
+and its tolerance table is the one in ``commitsched.model``."""
 
+import math
+import re
 import shlex
 from pathlib import Path
 
+from commitsched import model
 from commitsched.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,3 +28,14 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in examples:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_readme_lists_exactly_the_tolerance_table():
+    # Rows "| `NAME` | value | meaning | 2^k |" of the table under "## Conventions".
+    section = README.read_text(encoding="utf-8").split("\n## Conventions\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\s*\| `([A-Z_]+)` \| ([^|]+) \|.*\| 2\^(\d+) \|$", section, re.MULTILINE)
+    table = {name: v for name, v in vars(model).items() if name.isupper() and type(v) is float}
+    assert {name: float(value) for name, value, _ in rows} == table
+    assert len(rows) == len(table)
+    for name, value, k in rows:
+        assert math.ulp(2.0 ** (int(k) - 1)) <= float(value) < math.ulp(2.0 ** int(k)), name
