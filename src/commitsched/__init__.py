@@ -45,7 +45,7 @@ from .nonpreemptive import (
     simulate_partitioned,
     simulate_randomized_single,
 )
-from .policy import ALGORITHMS, Policy, drive, make_policy
+from .policy import ALGORITHM_TABLE, ALGORITHMS, Policy, drive, make_policy
 from .adversary import (
     StressOutcome,
     replay_nonpreemptive,

@@ -27,7 +27,7 @@ from .model import (
     volume_ratio,
 )
 from .nonpreemptive import CommittedStart
-from .policy import Policy, make_policy
+from .policy import Policy, make_policy, stress_algorithms
 from .preemptive import wrap_fill
 
 
@@ -332,7 +332,7 @@ def replay_preemptive(
     same sequence with the same admissions and the same ratio; see
     ``PreemptiveAdversary``.
     """
-    if algorithm not in ("alg1+2", "greedy-p"):
+    if algorithm not in stress_algorithms(preemptive=True):
         raise ValueError(f"unsupported preemptive algorithm {algorithm!r}")
     adv = PreemptiveAdversary(m, epsilon, delta)
     return _replay(adv, make_policy(algorithm, m, epsilon, assert_level), preemptive_lower_bound(m, epsilon))
@@ -346,7 +346,7 @@ def replay_nonpreemptive(
 ) -> StressOutcome:
     """Drive the non-preemptive generator against the threshold or greedy
     allocator."""
-    if algorithm not in ("alg3", "greedy-np"):
+    if algorithm not in stress_algorithms(preemptive=False):
         raise ValueError(f"unsupported non-preemptive algorithm {algorithm!r}")
     adv = NonpreemptiveAdversary(m, epsilon, delta)
     return _replay(adv, make_policy(algorithm, m, epsilon), solve_c_lower(m, epsilon))

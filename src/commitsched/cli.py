@@ -21,8 +21,7 @@ from .harness import (
 )
 from .model import InvariantError, read_instance, verify_schedule, write_instance
 from .nonpreemptive import committed_schedule
-from .policy import ALGORITHMS, drive, make_policy
-from .preemptive import SimulationResult
+from .policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy, stress_algorithms
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--file", required=True, help="output path")
 
     p_adv = sub.add_parser("adversary", help="replay an adaptive stress generator")
-    p_adv.add_argument("--alg", choices=("alg1+2", "greedy-p", "alg3", "greedy-np"), required=True)
+    p_adv.add_argument("--alg", choices=stress_algorithms(True) + stress_algorithms(False), required=True)
     _add_common(p_adv)
     p_adv.add_argument("--delta", type=float, default=1.0 / 64)
     p_adv.add_argument("--assert-level", type=int, default=0, choices=(0, 1, 2))
@@ -175,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance_file)
     policy = make_policy(args.alg, instance.machines, instance.epsilon, args.assert_level, args.seed)
     result = drive(policy, instance)
-    if isinstance(result, SimulationResult):
+    if ALGORITHM_TABLE[args.alg].preemptive:
         schedule = result.schedule
     else:
         schedule = committed_schedule(result, instance)

@@ -12,7 +12,7 @@ import csv
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .adversary import (
@@ -41,19 +41,16 @@ from .oracle import (
     opt_nonpreemptive,
     opt_preemptive,
 )
-from .policy import ALGORITHMS, drive, make_policy
-
-#: Policies whose accepted jobs form a non-preemptive schedule, so the
-#: non-preemptive oracle bounds them; the preemptive oracle bounds everything.
-NONPREEMPTIVE_ALGS = ("alg3", "alg3-partitioned", "alg3-randomized", "greedy-np")
+from .policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy
 
 
 def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     """Closed-form ratio guarantees and lower bounds for (m, epsilon).
 
     Entries are None when a bound's hypotheses do not apply (randomized
-    bounds need one machine; the partitioned bound needs an integral group
-    log that divides m).
+    and greedy bounds need one machine; the partitioned bound needs an
+    integral group log that divides m; the non-preemptive lower bound
+    needs epsilon <= 1).
     """
     check_policy_args(m, epsilon)
     rho = (1.0 + epsilon) / epsilon
@@ -69,32 +66,24 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
         "nonpreemptive_lower": solve_c_lower(m, epsilon) if epsilon <= 1.0 else None,
         "partitioned_upper": None,
         "randomized_single_upper": None,
+        "greedy_p_single_upper": None,
+        "greedy_np_single_upper": None,
     }
     if abs(log_rho - round(log_rho)) < TOL and round(log_rho) >= 1 and m % g == 0:
         bounds["partitioned_upper"] = math.e * log_rho + 1.0
     if m == 1:
         k = randomized_virtual_machines(epsilon)
         bounds["randomized_single_upper"] = k * k * rho ** (1.0 / k) + k
+        bounds["greedy_p_single_upper"] = rho
+        bounds["greedy_np_single_upper"] = 2.0 + 1.0 / epsilon
     return bounds
 
 
 def bound_for_algorithm(algorithm: str, m: int, epsilon: float) -> tuple[float | None, str]:
     """The guarantee that applies to a policy's measured ratio, if any."""
-    bounds = theoretical_bounds(m, epsilon)
-    if algorithm == "alg1+2":
-        return bounds["preemptive_upper"], "preemptive_upper"
-    if algorithm == "alg3":
-        return bounds["nonpreemptive_upper"], "nonpreemptive_upper"
-    if algorithm == "alg3-partitioned":
-        if bounds["partitioned_upper"] is not None:
-            return bounds["partitioned_upper"], "partitioned_upper"
-        return None, "none"
-    if algorithm == "greedy-p" and m == 1:
-        return (1.0 + epsilon) / epsilon, "greedy_single_machine"
-    if algorithm == "greedy-np" and m == 1:
-        return 2.0 + 1.0 / epsilon, "greedy_single_machine"
-    # Randomized guarantee holds in expectation only; not per run.
-    return None, "none"
+    key = ALGORITHM_TABLE[algorithm].guarantee
+    bound = None if key is None else theoretical_bounds(m, epsilon)[key]
+    return (None, "none") if bound is None else (bound, key)
 
 
 def random_instance(
@@ -148,8 +137,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.algorithm == "alg3-randomized" and self.m != 1:
-            raise ValueError("alg3-randomized runs on a single machine")
         if not self.instance_file and self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
 
@@ -184,30 +171,17 @@ class RatioRow:
         }
 
 
-CSV_COLUMNS = [
-    "instance_id",
-    "algorithm",
-    "m",
-    "epsilon",
-    "alg_volume",
-    "opt_volume",
-    "ratio",
-    "bound",
-    "bound_name",
-    "margin",
-]
+CSV_COLUMNS = [f.name for f in fields(RatioRow)]
 
 
 def oracle_job_limit(algorithm: str) -> int:
     """Most jobs the exact oracle of ``algorithm``'s family enumerates."""
-    return MAX_NONPREEMPTIVE_JOBS if algorithm in NONPREEMPTIVE_ALGS else MAX_PREEMPTIVE_JOBS
+    return MAX_PREEMPTIVE_JOBS if ALGORITHM_TABLE[algorithm].preemptive else MAX_NONPREEMPTIVE_JOBS
 
 
 def _oracle_volume(algorithm: str, instance: Instance) -> float | None:
     # Both oracles return None above their enumeration limit.
-    if algorithm in NONPREEMPTIVE_ALGS:
-        return opt_nonpreemptive(instance)
-    return opt_preemptive(instance)
+    return (opt_preemptive if ALGORITHM_TABLE[algorithm].preemptive else opt_nonpreemptive)(instance)
 
 
 def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance]]:
@@ -229,7 +203,8 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     """Execute the configured experiment.
 
     Returns the rows and a flag that is False when any applicable bound
-    was exceeded by more than ``BOUND_SLACK`` or an invariant failed.
+    was exceeded by more than ``BOUND_SLACK``.  A failed invariant raises
+    ``InvariantError`` to the caller.
     """
     rows: list[RatioRow] = []
     ok = True
@@ -270,20 +245,12 @@ def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOu
     falls short of the lower bound by more than the delta slack, and the
     replay itself.
     """
-    if config.algorithm in NONPREEMPTIVE_ALGS:
-        outcome = replay_nonpreemptive(
-            config.m, config.epsilon, delta=config.delta, algorithm=config.algorithm
-        )
-        lb_slack = 5.0 * outcome.delta * config.m
-    else:
-        outcome = replay_preemptive(
-            config.m,
-            config.epsilon,
-            delta=config.delta,
-            algorithm=config.algorithm,
-            assert_level=config.assert_level,
-        )
+    if ALGORITHM_TABLE[config.algorithm].preemptive:
+        outcome = replay_preemptive(config.m, config.epsilon, config.delta, config.algorithm, config.assert_level)
         lb_slack = 10.0 * outcome.delta
+    else:
+        outcome = replay_nonpreemptive(config.m, config.epsilon, config.delta, config.algorithm)
+        lb_slack = 5.0 * outcome.delta * config.m
     ratio = outcome.ratio
     bound = outcome.lower_bound
     rows = [
@@ -327,10 +294,10 @@ def write_bound_curves(path: str, epsilon: float, max_m: int = 16) -> None:
         )
         for m in range(1, max_m + 1):
             b = theoretical_bounds(m, epsilon)
-            lower = b["nonpreemptive_lower"]
+            lower = math.nan if b["nonpreemptive_lower"] is None else b["nonpreemptive_lower"]
             fh.write(
                 f"{m} {b['preemptive_upper']:.9g} {b['preemptive_lower']:.9g} "
-                f"{b['nonpreemptive_upper']:.9g} {lower if lower is None else format(lower, '.9g')}\n"
+                f"{b['nonpreemptive_upper']:.9g} {lower:.9g}\n"
             )
 
 

@@ -33,7 +33,6 @@ from .model import COMMIT_TOL, DUST, TOL, Instance, Job
 #: Subset-enumeration limits; beyond these the oracles report "unavailable".
 MAX_PREEMPTIVE_JOBS = 16
 MAX_NONPREEMPTIVE_JOBS = 10
-MAX_FLOW_JOBS = 24
 
 #: Masks per vectorised step of the subset pre-filter.
 _FILTER_CHUNK = 64
@@ -132,8 +131,6 @@ def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
     jobs = list(jobs)
     if not jobs:
         return True
-    if len(jobs) > MAX_FLOW_JOBS:
-        raise ValueError(f"flow feasibility limited to {MAX_FLOW_JOBS} jobs")
     for job in jobs:
         if job.deadline - job.release < job.processing - TOL:
             return False

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from commitsched.cli import main
@@ -9,6 +10,7 @@ from commitsched.harness import (
     run,
     stress_run,
     theoretical_bounds,
+    write_bound_curves,
 )
 from commitsched import cli, harness
 from commitsched.adversary import (
@@ -59,6 +61,15 @@ class TestTheoreticalBounds:
         b = theoretical_bounds(1, eps)
         assert b["randomized_single_upper"] == pytest.approx(4 * math.e + 2)
         assert theoretical_bounds(2, eps)["randomized_single_upper"] is None
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0])
+    def test_greedy_bounds_single_machine_only(self, eps):
+        b = theoretical_bounds(1, eps)
+        assert b["greedy_p_single_upper"] == (1.0 + eps) / eps
+        assert b["greedy_np_single_upper"] == 2.0 + 1.0 / eps
+        b = theoretical_bounds(2, eps)
+        assert b["greedy_p_single_upper"] is None
+        assert b["greedy_np_single_upper"] is None
 
 
 class TestRandomInstance:
@@ -192,8 +203,9 @@ class TestRun:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="nope")
-        with pytest.raises(ValueError):
-            ExperimentConfig(algorithm="alg3-randomized", m=2)
+        # The randomized allocator's own check refuses a second machine.
+        with pytest.raises(ValueError, match="single-machine"):
+            run(ExperimentConfig(algorithm="alg3-randomized", m=2))
         for count in (0, -2):
             with pytest.raises(ValueError, match="count"):
                 ExperimentConfig(algorithm="alg3", count=count)
@@ -201,7 +213,25 @@ class TestRun:
         ExperimentConfig(algorithm="alg3", count=0, instance_file="inst.jsonl")
 
 
+    def test_bound_curves_write_nan_where_a_bound_is_undefined(self, tmp_path):
+        # Above epsilon = 1 the non-preemptive lower bound is undefined.
+        path = tmp_path / "bounds_vs_m.txt"
+        write_bound_curves(str(path), 2.0, max_m=4)
+        table = np.loadtxt(path)
+        assert table.shape == (4, 5)
+        assert np.isnan(table[:, 4]).all()
+        assert np.isfinite(table[:, :4]).all()
+
+
 class TestCli:
+    @pytest.mark.parametrize("machines,code", [(1, 0), (3, 2)])
+    def test_randomized_file_run_takes_the_machine_count_from_the_file(self, tmp_path, machines, code):
+        path = tmp_path / "inst.jsonl"
+        gen = ["gen", "--n", "6", "--m", str(machines), "--epsilon", "0.5", "--seed", "1", "--file", str(path)]
+        assert main(gen) == 0
+        # --m is ignored on a file run: the allocator checks the file's machine count.
+        assert main(["run", "--alg", "alg3-randomized", "--m", "2", "--instance-file", str(path)]) == code
+
     def test_gen_and_verify_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "inst.jsonl"
         assert main(["gen", "--n", "6", "--m", "2", "--epsilon", "0.5", "--seed", "4", "--file", str(path)]) == 0

@@ -98,15 +98,21 @@ class TestFlowFeasible:
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_breakpoint_test_at_common_release(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(1, 8)
-        m = rng.choice([1, 2, 3])
-        jobs = []
-        for i in range(n):
-            p = rng.uniform(0.5, 4.0)
-            d = p * rng.uniform(1.0, 3.0)
-            jobs.append(Job(i, 0.0, p, d))
-        active = [ActiveJob(j.id, j.processing, j.deadline) for j in jobs]
-        assert flow_feasible(jobs, m) == horn_feasible(active, 0.0, m)
+
+        def sizes():
+            yield rng.randint(1, 8), rng.choice([1, 2, 3])
+            # Well past what the subset oracles enumerate; about half of
+            # these sets are infeasible.
+            yield 40, rng.randint(6, 18)
+
+        for n, m in sizes():
+            jobs = []
+            for i in range(n):
+                p = rng.uniform(0.5, 4.0)
+                d = p * rng.uniform(1.0, 3.0)
+                jobs.append(Job(i, 0.0, p, d))
+            active = [ActiveJob(j.id, j.processing, j.deadline) for j in jobs]
+            assert flow_feasible(jobs, m) == horn_feasible(active, 0.0, m)
 
 
 

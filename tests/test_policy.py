@@ -1,19 +1,25 @@
+import ast
 import io
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from commitsched.harness import random_instance, theoretical_bounds
+from commitsched import policy as policy_module
+from commitsched.adversary import replay_nonpreemptive, replay_preemptive
+from commitsched.cli import build_parser
+from commitsched.harness import bound_for_algorithm, random_instance, theoretical_bounds
 from commitsched.model import TOL, Instance, Job
 from commitsched.nonpreemptive import (
     GreedyAllocator,
+    NonpreemptiveResult,
     NonpreemptiveSimulator,
     PartitionedAllocator,
     RandomizedAllocator,
 )
-from commitsched.policy import ALGORITHMS, drive, make_policy
-from commitsched.preemptive import PreemptiveSimulator
+from commitsched.policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy
+from commitsched.preemptive import PreemptiveSimulator, SimulationResult
 from commitsched.vmin import f_threshold
 
 
@@ -120,3 +126,65 @@ def test_closed_forms_and_generator_share_the_argument_check(function):
     for m, eps in ((0, 0.5), (2.5, 0.5), (True, 0.5), (2, math.nan), (2, math.inf), (2, 0.0)):
         with pytest.raises(ValueError, match="machines|epsilon"):
             function(m, eps)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_row_finishes_with_its_family_result(algorithm):
+    family = SimulationResult if ALGORITHM_TABLE[algorithm].preemptive else NonpreemptiveResult
+    assert type(make_policy(algorithm, 1, 0.5).finish()) is family
+    assert type(_run(algorithm)[1]) is family
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_adversary_choices_are_the_rows_with_a_stress_game(algorithm):
+    argv = ["adversary", "--alg", algorithm]
+    if ALGORITHM_TABLE[algorithm].stress:
+        assert build_parser().parse_args(argv).alg == algorithm
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_each_stress_game_replays_exactly_the_rows_of_its_family(algorithm):
+    row = ALGORITHM_TABLE[algorithm]
+    for preemptive, replay in ((True, replay_preemptive), (False, replay_nonpreemptive)):
+        if row.stress and row.preemptive == preemptive:
+            assert replay(1, 0.5, 0.25, algorithm).alg_volume > 0
+        else:
+            with pytest.raises(ValueError, match="unsupported"):
+                replay(1, 0.5, 0.25, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize(
+    "m,eps", [(1, 0.5), (2, 1.0), (4, 1.0 / (math.e**2 - 1.0))], ids=["m1", "m2", "m4-partitioned"]
+)
+def test_every_guarantee_is_a_bound_table_key(algorithm, m, eps):
+    key = ALGORITHM_TABLE[algorithm].guarantee
+    bounds = theoretical_bounds(m, eps)
+    assert key is None or key in bounds
+    if key is None or bounds[key] is None:
+        assert bound_for_algorithm(algorithm, m, eps) == (None, "none")
+    else:
+        assert bound_for_algorithm(algorithm, m, eps) == (bounds[key], key)
+
+
+def test_no_module_but_policy_spells_an_algorithm_name():
+    # A parameter default or a CLI ``default=`` may name an algorithm; any
+    # other literal would copy a fact that belongs to the table in ``policy``.
+    found = []
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        if path.name == "policy.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defaults = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                defaults.update(map(id, node.defaults + [d for d in node.kw_defaults if d is not None]))
+            elif isinstance(node, ast.keyword) and node.arg == "default":
+                defaults.add(id(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in ALGORITHMS and id(node) not in defaults:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []

@@ -1,5 +1,6 @@
 """README.md says what the code does: its CLI examples run as written,
-and its tolerance table is the one in ``commitsched.model``."""
+its tolerance table is the one in ``commitsched.model``, and its lists of
+algorithms, bound entries and ``ratios.csv`` columns are the package's."""
 
 import math
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 from commitsched import model
 from commitsched.cli import main
+from commitsched.harness import CSV_COLUMNS, theoretical_bounds
+from commitsched.policy import ALGORITHMS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,20 @@ def test_readme_lists_exactly_the_tolerance_table():
     assert len(rows) == len(table)
     for name, value, k in rows:
         assert math.ulp(2.0 ** (int(k) - 1)) <= float(value) < math.ulp(2.0 ** int(k)), name
+
+
+def test_readme_lists_the_algorithm_table():
+    paragraph = README.read_text(encoding="utf-8").split("\nAlgorithms: ", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == ALGORITHMS
+
+
+def test_readme_lists_the_csv_columns():
+    text = README.read_text(encoding="utf-8")
+    columns = re.search(r"writes `ratios\.csv` with columns\s+`([^`]+)`", text).group(1)
+    assert [c.strip() for c in columns.split(",")] == CSV_COLUMNS
+
+
+def test_readme_lists_every_bound_entry():
+    paragraph = README.read_text(encoding="utf-8").split("\n`bounds` prints ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([a-z_]+)`", paragraph))
+    assert set(theoretical_bounds(1, 0.5)) <= named
