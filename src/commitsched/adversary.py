@@ -22,6 +22,7 @@ from .model import (
     Schedule,
     Segment,
     check_policy_args,
+    rho,
     validate_instance,
     verify_schedule,
     volume_ratio,
@@ -43,7 +44,7 @@ def solve_c_lower(m: int, epsilon: float) -> float:
     where x >> 1.  At fixed eps, c grows only logarithmically in m: at
     m=50, eps=0.1 the root is ~5.139, not 50 * 10^(1/50) ~ 52.4.
     """
-    check_policy_args(m)
+    check_policy_args(m, epsilon)
     if not (0 < epsilon <= 1):
         raise ValueError("epsilon must lie in (0, 1]")
     if m == 1:
@@ -57,7 +58,7 @@ def solve_c_lower(m: int, epsilon: float) -> float:
     if gap(hi) <= 0:
         hi *= 8.0
         if gap(hi) <= 0:
-            raise ArithmeticError(f"failed to bracket the lower-bound constant for m={m}, eps={epsilon}")
+            raise InvariantError(f"failed to bracket the lower-bound constant for m={m}, eps={epsilon}")
     while gap(lo) >= 0:
         lo = 1.0 + (lo - 1.0) / 2.0
     while hi - lo > DUST * hi:
@@ -76,16 +77,14 @@ def strengthened_preemptive_bound(m: int, epsilon: float) -> float:
     Reported alongside the plain bound; multiplied by (rho^(1/m) - 1) it
     gives the sharpened ratio.
     """
-    rho = (1.0 + epsilon) / epsilon
     return max(
         m * (1.0 + epsilon),
-        math.floor(m * (1.0 + epsilon)) + (epsilon / (1.0 + epsilon)) * rho ** (1.0 / m),
+        math.floor(m * (1.0 + epsilon)) + (epsilon / (1.0 + epsilon)) * rho(epsilon) ** (1.0 / m),
     )
 
 
 def preemptive_lower_bound(m: int, epsilon: float) -> float:
-    rho = (1.0 + epsilon) / epsilon
-    return math.floor(m * (1.0 + epsilon)) * (rho ** (1.0 / m) - 1.0)
+    return math.floor(m * (1.0 + epsilon)) * (rho(epsilon) ** (1.0 / m) - 1.0)
 
 
 def group_processing_times(m: int, epsilon: float) -> list[float]:
@@ -150,18 +149,18 @@ class PreemptiveAdversary:
     """
 
     def __init__(self, m: int, epsilon: float, delta: float = 1.0 / 64) -> None:
-        check_policy_args(m)
+        check_policy_args(m, epsilon)
         if not (0 < epsilon <= 1):
             raise ValueError("epsilon must lie in (0, 1]")
         if not (0 < delta < 1):
             raise ValueError("delta must lie in (0, 1)")
         self.m = m
         self.epsilon = epsilon
-        rho = (1.0 + epsilon) / epsilon
-        self.rho = rho
-        target_volume = epsilon * sum(rho ** (i / m) for i in range(m))
-        # Shrink delta so the block-1 target is an exact multiple of it.
-        self.target_count = math.ceil(target_volume / delta - DUST)
+        self.rho = rho(epsilon)
+        target_volume = epsilon * sum(self.rho ** (i / m) for i in range(m))
+        # Shrink delta so the block-1 target is an exact multiple of it; a target
+        # volume far below delta still takes one job.
+        self.target_count = max(1, math.ceil(target_volume / delta - DUST))
         self.delta = target_volume / self.target_count
         self.block1_max = math.floor(m * (1.0 + epsilon) / self.delta + DUST)
         self.block_cap = math.floor(m * (1.0 + epsilon) + DUST)
@@ -221,6 +220,7 @@ class NonpreemptiveAdversary:
     """
 
     def __init__(self, m: int, epsilon: float, delta: float = 1.0 / 64) -> None:
+        check_policy_args(m, epsilon)
         if not (0 < epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1) for this generator")
         if not (0 < delta < 1.0 / epsilon):

@@ -18,16 +18,17 @@ from .harness import (
     stress_run,
     theoretical_bounds,
     write_bound_curves,
+    write_outputs,
 )
-from .model import InvariantError, read_instance, verify_schedule, write_instance
-from .nonpreemptive import committed_schedule
-from .policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy, stress_algorithms
+from .model import InvariantError, write_instance
+from .policy import ALGORITHMS, stress_algorithms
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: bool = True) -> None:
     parser.add_argument("--m", type=int, default=1, help="machine count")
     parser.add_argument("--epsilon", type=float, default=1.0, help="slack factor")
-    parser.add_argument("--out", default=None, help="output directory")
+    if out:
+        parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--max-m", type=int, default=16, help="curve length for --out")
 
     p_gen = sub.add_parser("gen", help="write a random instance file")
-    _add_common(p_gen)
+    _add_common(p_gen, out=False)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--n", type=int, default=8)
     p_gen.add_argument("--release-span", type=float, default=10.0)
@@ -90,9 +91,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         instance_file=args.instance_file,
         oracle=args.oracle,
         assert_level=args.assert_level,
-        out_dir=args.out,
     )
     rows, ok = run(config)
+    if args.out:
+        # On a file run the rows carry the file's slack, not --epsilon.
+        write_outputs(rows, args.out, rows[0].epsilon)
     finite = [r.ratio for r in rows if r.ratio is not None and math.isfinite(r.ratio)]
     print(f"instances: {len(rows)}")
     unsolved = sum(r.opt_volume is None for r in rows)
@@ -148,15 +151,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        algorithm=args.alg,
-        m=args.m,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        assert_level=args.assert_level,
-        out_dir=args.out,
-    )
-    rows, ok, outcome = stress_run(config)
+    rows, ok, outcome = stress_run(args.alg, args.m, args.epsilon, args.delta, args.assert_level)
+    if args.out:
+        write_outputs(rows, args.out, args.epsilon)
     row = rows[0]
     print(f"accepted volume: {row.alg_volume:.6f}")
     print(f"certificate optimum: {row.opt_volume:.6f}")
@@ -171,20 +168,14 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    instance = read_instance(args.instance_file)
-    policy = make_policy(args.alg, instance.machines, instance.epsilon, args.assert_level, args.seed)
-    result = drive(policy, instance)
-    if ALGORITHM_TABLE[args.alg].preemptive:
-        schedule = result.schedule
-    else:
-        schedule = committed_schedule(result, instance)
-    accepted = {j.id: j for j in instance.jobs if result.decisions[j.id].accepted}
-    violations = verify_schedule(schedule, accepted)
-    for v in violations:
-        print(f"violation: {v}", file=sys.stderr)
-    print(f"accepted volume: {result.accepted_volume:.6f}")
-    print("ok" if not violations else f"{len(violations)} violations")
-    return 0 if not violations else 1
+    # A file run; ``run`` raises InvariantError when the schedule fails verification.
+    config = ExperimentConfig(
+        args.alg, instance_file=args.instance_file, assert_level=args.assert_level, seed=args.seed
+    )
+    rows, _ = run(config)
+    print(f"accepted volume: {rows[0].alg_volume:.6f}")
+    print("ok")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

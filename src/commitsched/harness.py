@@ -31,10 +31,12 @@ from .model import (
     Job,
     check_policy_args,
     read_instance,
+    rho,
     validate_instance,
+    verify_schedule,
     volume_ratio,
 )
-from .nonpreemptive import partition_group_size, randomized_virtual_machines
+from .nonpreemptive import committed_schedule, partition_group_size, randomized_virtual_machines
 from .oracle import (
     MAX_NONPREEMPTIVE_JOBS,
     MAX_PREEMPTIVE_JOBS,
@@ -53,9 +55,9 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
     needs epsilon <= 1).
     """
     check_policy_args(m, epsilon)
-    rho = (1.0 + epsilon) / epsilon
-    root = rho ** (1.0 / m)
-    log_rho = math.log(rho)
+    r = rho(epsilon)
+    root = r ** (1.0 / m)
+    log_rho = math.log(r)
     g = partition_group_size(epsilon)
     bounds: dict[str, float | None] = {
         "preemptive_upper": m * (1.0 + epsilon) * (root - 1.0),
@@ -73,8 +75,8 @@ def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
         bounds["partitioned_upper"] = math.e * log_rho + 1.0
     if m == 1:
         k = randomized_virtual_machines(epsilon)
-        bounds["randomized_single_upper"] = k * k * rho ** (1.0 / k) + k
-        bounds["greedy_p_single_upper"] = rho
+        bounds["randomized_single_upper"] = k * k * r ** (1.0 / k) + k
+        bounds["greedy_p_single_upper"] = r
         bounds["greedy_np_single_upper"] = 2.0 + 1.0 / epsilon
     return bounds
 
@@ -129,10 +131,8 @@ class ExperimentConfig:
     release_span: float = 10.0
     slack_mix: float = 0.5
     instance_file: str | None = None  # set: run on this file instead of random instances
-    delta: float = 1.0 / 64
     oracle: bool = False
     assert_level: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -184,12 +184,16 @@ def _oracle_volume(algorithm: str, instance: Instance) -> float | None:
     return (opt_preemptive if ALGORITHM_TABLE[algorithm].preemptive else opt_nonpreemptive)(instance)
 
 
-def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance]]:
+def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance, int]]:
+    """Each instance with its id and its policy's seed: ``config.seed`` for a
+    file, and for sweep instance i, which ``Random(seed + i)`` draws, a seed
+    from a stream apart from every instance's generator."""
     if config.instance_file:
-        yield 0, read_instance(config.instance_file)
+        yield 0, read_instance(config.instance_file), config.seed
         return
+    policy_seeds = random.Random(f"policy seeds {config.seed}")
     for i in range(config.count):
-        yield i, random_instance(
+        instance = random_instance(
             config.n,
             config.m,
             config.epsilon,
@@ -197,20 +201,31 @@ def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance]]:
             release_span=config.release_span,
             slack_mix=config.slack_mix,
         )
+        yield i, instance, policy_seeds.getrandbits(64)
 
 
 def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
-    """Execute the configured experiment.
+    """Run the configured policy over each instance and verify its schedule.
 
     Returns the rows and a flag that is False when any applicable bound
-    was exceeded by more than ``BOUND_SLACK``.  A failed invariant raises
-    ``InvariantError`` to the caller.
+    was exceeded by more than ``BOUND_SLACK``.  A failed invariant, or a
+    schedule that ``verify_schedule`` rejects, raises ``InvariantError``.
     """
+    preemptive = ALGORITHM_TABLE[config.algorithm].preemptive
     rows: list[RatioRow] = []
     ok = True
-    for instance_id, instance in _instances(config):
-        policy = make_policy(config.algorithm, instance.machines, instance.epsilon, config.assert_level, config.seed)
-        alg_volume = drive(policy, instance).accepted_volume
+    for instance_id, instance, policy_seed in _instances(config):
+        policy = make_policy(config.algorithm, instance.machines, instance.epsilon, config.assert_level, policy_seed)
+        result = drive(policy, instance)
+        schedule = result.schedule if preemptive else committed_schedule(result, instance)
+        accepted = {j.id: j for j in instance.jobs if result.decisions[j.id].accepted}
+        violations = verify_schedule(schedule, accepted)
+        if violations:
+            where = config.instance_file or f"instance {instance_id}"
+            raise InvariantError(
+                f"{where}: the {config.algorithm} schedule fails verification: " + "; ".join(map(str, violations))
+            )
+        alg_volume = result.accepted_volume
         opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
         ratio = None if opt_volume is None else volume_ratio(opt_volume, alg_volume)
         bound, bound_name = bound_for_algorithm(config.algorithm, instance.machines, instance.epsilon)
@@ -233,32 +248,32 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
                 margin=margin,
             )
         )
-    if config.out_dir:
-        write_outputs(rows, config)
     return rows, ok
 
 
-def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOutcome]:
-    """Replay the stress generator of the configured algorithm's family.
+def stress_run(
+    algorithm: str, m: int, epsilon: float, delta: float = 1.0 / 64, assert_level: int = 0
+) -> tuple[list[RatioRow], bool, StressOutcome]:
+    """Replay the stress generator of ``algorithm``'s family.
 
     Returns the ratio row, a flag that is False when the measured ratio
     falls short of the lower bound by more than the delta slack, and the
     replay itself.
     """
-    if ALGORITHM_TABLE[config.algorithm].preemptive:
-        outcome = replay_preemptive(config.m, config.epsilon, config.delta, config.algorithm, config.assert_level)
+    if ALGORITHM_TABLE[algorithm].preemptive:
+        outcome = replay_preemptive(m, epsilon, delta, algorithm, assert_level)
         lb_slack = 10.0 * outcome.delta
     else:
-        outcome = replay_nonpreemptive(config.m, config.epsilon, config.delta, config.algorithm)
-        lb_slack = 5.0 * outcome.delta * config.m
+        outcome = replay_nonpreemptive(m, epsilon, delta, algorithm)
+        lb_slack = 5.0 * outcome.delta * m
     ratio = outcome.ratio
     bound = outcome.lower_bound
     rows = [
         RatioRow(
             instance_id=0,
-            algorithm=config.algorithm,
-            m=config.m,
-            epsilon=config.epsilon,
+            algorithm=algorithm,
+            m=m,
+            epsilon=epsilon,
             alg_volume=outcome.alg_volume,
             opt_volume=outcome.opt_volume,
             ratio=ratio,
@@ -268,22 +283,19 @@ def stress_run(config: ExperimentConfig) -> tuple[list[RatioRow], bool, StressOu
         )
     ]
     ok = math.isinf(ratio) or ratio >= bound - lb_slack
-    if config.out_dir:
-        write_outputs(rows, config)
     return rows, ok, outcome
 
 
-def write_outputs(rows: Sequence[RatioRow], config: ExperimentConfig) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "ratios.csv"), "w", newline="", encoding="utf-8") as fh:
+def write_outputs(rows: Sequence[RatioRow], out_dir: str, epsilon: float) -> None:
+    """Write ``ratios.csv``, ``ratio_hist.txt`` and the bound curves at ``epsilon`` into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "ratios.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in sorted(rows, key=lambda r: r.instance_id):
             writer.writerow(row.as_record())
-    # An instance file carries its own slack; the config's is then only a default.
-    epsilon = rows[0].epsilon if rows else config.epsilon
-    write_bound_curves(os.path.join(config.out_dir, "bounds_vs_m.txt"), epsilon)
-    write_ratio_histogram(os.path.join(config.out_dir, "ratio_hist.txt"), rows)
+    write_bound_curves(os.path.join(out_dir, "bounds_vs_m.txt"), epsilon)
+    write_ratio_histogram(os.path.join(out_dir, "ratio_hist.txt"), rows)
 
 
 def write_bound_curves(path: str, epsilon: float, max_m: int = 16) -> None:

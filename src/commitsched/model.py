@@ -42,12 +42,30 @@ class InvariantError(RuntimeError):
     """An internal guarantee of a policy was observed to fail."""
 
 
+def rho(epsilon: float) -> float:
+    """The paper's ratio (1 + epsilon) / epsilon, which every bound and threshold is built from."""
+    return (1.0 + epsilon) / epsilon
+
+
 def check_policy_args(machines: int, epsilon: float | None = None) -> None:
-    """Raise ValueError unless machines is an int >= 1 and epsilon, if given, is finite and > 0."""
+    """Raise ValueError unless machines is an int >= 1 and epsilon, if given, is finite and > 0
+    with rho(epsilon) finite and rho(epsilon)^(1/machines) > 1.
+
+    The last two fail in floats only: rho overflows below epsilon ~ 5.6e-309, and
+    rounds to 1 (or its m-th root does) for a large enough epsilon.
+    """
     if type(machines) is not int or machines < 1:  # a bool is not a machine count
         raise ValueError(f"machines={machines!r} must be an integer >= 1")
-    if epsilon is not None and not 0.0 < epsilon < inf:
+    if epsilon is None:
+        return
+    if not 0.0 < epsilon < inf:
         raise ValueError(f"epsilon={epsilon} must be finite and > 0")
+    ratio = rho(epsilon)
+    if not (ratio < inf and ratio ** (1.0 / machines) > 1.0):
+        raise ValueError(
+            f"epsilon={epsilon} is out of float range for m={machines}: "
+            f"(1+eps)/eps = {ratio} must be finite with an m-th root > 1"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,8 +332,8 @@ def write_instance(instance: Instance, path: str) -> None:
 def read_instance(path: str) -> Instance:
     """Read a JSON-lines instance file, rejecting malformed or invalid data.
 
-    Slack factors above 1 are accepted with a warning; the closed-form
-    ratio guarantees reported elsewhere assume epsilon <= 1.
+    Slack factors above 1 are accepted with a warning: the paper proves its
+    bounds for epsilon <= 1, and ``nonpreemptive_lower`` is undefined above it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -338,7 +356,10 @@ def read_instance(path: str) -> Instance:
     if [j.id for j in jobs] != list(range(len(jobs))):
         raise ValueError(f"{path}: job ids must be 0..n-1 in sequence order")
     if epsilon > 1.0:
-        warnings.warn(f"{path}: epsilon={epsilon} > 1; ratio bounds are only reported for epsilon <= 1")
+        warnings.warn(
+            f"{path}: epsilon={epsilon} > 1; the paper proves its bounds for epsilon <= 1, "
+            "and nonpreemptive_lower is undefined here"
+        )
     instance = Instance(epsilon=epsilon, machines=machines, jobs=tuple(jobs))
     problems = validate_instance(instance)
     if problems:

@@ -28,6 +28,7 @@ from .model import (
     Schedule,
     Segment,
     check_policy_args,
+    rho,
 )
 
 
@@ -57,13 +58,13 @@ def d_lim(loads: Iterable[float], t: float, m: int, epsilon: float) -> float:
     Ranks are 1-based over loads sorted in nonincreasing order; zero loads
     contribute exactly t.
     """
-    rho = (1.0 + epsilon) / epsilon
+    r = rho(epsilon)
     ranked = sorted(loads, reverse=True)
     if len(ranked) != m:
         raise ValueError(f"expected {m} loads, got {len(ranked)}")
     best = t
     for i, load in enumerate(ranked, start=1):
-        best = max(best, load * rho ** (i / m) + t)
+        best = max(best, load * r ** (i / m) + t)
     return best
 
 
@@ -108,11 +109,11 @@ class NonpreemptiveSimulator(_Commitments):
         self.epsilon = epsilon
         self.clock = 0.0
         self.free = [0.0] * machines  # absolute time each machine frees up, by stable id
-        rho = (1.0 + epsilon) / epsilon
+        r = rho(epsilon)
         # Weight of ascending position j, which is load rank m - j: the floats d_lim uses.
-        self._weights = [rho ** ((machines - j) / machines) for j in range(machines)]
-        self._rho_down = rho ** (-1.0 / machines)
-        self._rho_up = rho ** (1.0 / machines)
+        self._weights = [r ** ((machines - j) / machines) for j in range(machines)]
+        self._rho_down = r ** (-1.0 / machines)
+        self._rho_up = r ** (1.0 / machines)
         self._rank()
 
     def _rank(self) -> None:
@@ -153,7 +154,7 @@ class NonpreemptiveSimulator(_Commitments):
         threshold it was compared against and its placement, or None on
         rejection."""
         if abs(job.release - self.clock) > TOL:
-            raise RuntimeError(
+            raise ValueError(
                 f"arrival handled at clock {self.clock} != release {job.release}; advance first"
             )
         limit = self.limit
@@ -234,7 +235,7 @@ def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
 
 def partition_group_size(epsilon: float) -> int:
     """Group size for the partitioned variant: round(ln((1+eps)/eps)), >= 1."""
-    return max(1, round(math.log((1.0 + epsilon) / epsilon)))
+    return max(1, round(math.log(rho(epsilon))))
 
 
 class PartitionedAllocator(_Commitments):
@@ -275,10 +276,10 @@ def simulate_partitioned(instance: Instance) -> NonpreemptiveResult:
 def randomized_virtual_machines(epsilon: float) -> int:
     """Virtual machine count minimising m^2 * rho^(1/m) + m over the two
     integers bracketing ln(rho)."""
-    rho = (1.0 + epsilon) / epsilon
-    log = math.log(rho)
+    r = rho(epsilon)
+    log = math.log(r)
     candidates = sorted({max(1, math.floor(log)), max(1, math.ceil(log))})
-    return min(candidates, key=lambda m: (m * m * rho ** (1.0 / m) + m, m))
+    return min(candidates, key=lambda m: (m * m * r ** (1.0 / m) + m, m))
 
 
 class RandomizedAllocator(_Commitments):

@@ -335,7 +335,7 @@ class PreemptiveSimulator:
 
     def on_arrival(self, job: Job) -> bool:
         if abs(job.release - self.clock) > TOL:
-            raise RuntimeError(
+            raise ValueError(
                 f"arrival handled at clock {self.clock} != release {job.release}; advance first"
             )
         r = job.release

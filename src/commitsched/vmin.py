@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .model import TOL, check_policy_args
+from .model import TOL, check_policy_args, rho
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,7 @@ def f_threshold(m: int, epsilon: float) -> float:
     used as an independent cross-check in the tests.
     """
     check_policy_args(m, epsilon)
-    rho = (1.0 + epsilon) / epsilon
-    return 1.0 / ((1.0 + epsilon) * (rho ** (1.0 / m) - 1.0))
+    return 1.0 / ((1.0 + epsilon) * (rho(epsilon) ** (1.0 / m) - 1.0))
 
 
 def v_shape_curve(m: int, epsilon: float) -> PiecewiseLinear:
@@ -170,5 +169,5 @@ def v_shape(x: float, m: int, epsilon: float) -> float:
 
 def v_shape_corners(m: int, epsilon: float) -> list[float]:
     """The x positions where the envelope's slope changes, in (0, 1]."""
-    lo = 1.0 / ((1.0 + epsilon) / epsilon)
+    lo = 1.0 / rho(epsilon)
     return [lo ** ((m - h) / m) for h in range(m + 1)]

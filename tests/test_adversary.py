@@ -100,6 +100,11 @@ class TestPreemptiveAdversary:
         assert adv.block_deadline(2) == pytest.approx(2.0)
         assert adv.block_processing(3) == pytest.approx(2.0 * (1 - 1.0 / 32))
 
+    def test_a_target_below_delta_takes_one_job(self):
+        # target volume eps = 1e-30 rounds to zero jobs of size 0.25
+        adv = PreemptiveAdversary(1, 1e-30, delta=0.25)
+        assert (adv.target_count, adv.delta) == (1, 1e-30)
+
     def test_delta_adjusted_downward_to_divide_target(self):
         adv = PreemptiveAdversary(2, 1.0, delta=1.0 / 64)
         target_volume = 1.0 + math.sqrt(2.0)

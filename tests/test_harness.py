@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,17 +12,31 @@ from commitsched.harness import (
     stress_run,
     theoretical_bounds,
     write_bound_curves,
+    write_outputs,
 )
-from commitsched import cli, harness
+from commitsched import harness
 from commitsched.adversary import (
     NonpreemptiveAdversary,
     PreemptiveAdversary,
     preemptive_lower_bound,
     solve_c_lower,
 )
-from commitsched.model import InvariantError, read_instance, validate_instance, write_instance
-from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator
+from commitsched.model import InvariantError, Segment, read_instance, validate_instance, write_instance
+from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator, RandomizedAllocator
 from commitsched.policy import ALGORITHMS
+from commitsched.preemptive import PreemptiveSimulator
+
+
+def _stretch_first_segment(result):
+    seg = result.schedule.segments[0]
+    result.schedule.segments[0] = Segment(seg.machine, seg.job, seg.start, seg.end + 1.0)
+    return result
+
+
+def _shift_first_start(result):
+    first = result.starts[0]
+    result.starts[0] = CommittedStart(first.job, first.machine, first.start - 0.5)
+    return result
 
 
 class TestTheoreticalBounds:
@@ -117,11 +132,11 @@ class TestRun:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
             config = ExperimentConfig(
-                algorithm="alg3", m=2, epsilon=0.5, n=6, count=5, seed=3,
-                oracle=True, out_dir=str(out),
+                algorithm="alg3", m=2, epsilon=0.5, n=6, count=5, seed=3, oracle=True
             )
             rows, ok = run(config)
             assert ok
+            write_outputs(rows, str(out), 0.5)
         assert (out1 / "ratios.csv").read_bytes() == (out2 / "ratios.csv").read_bytes()
 
     def test_ratio_times_alg_equals_opt(self):
@@ -150,8 +165,7 @@ class TestRun:
             assert ok, f"{alg} exceeded its bound"
 
     def test_adversary_source(self):
-        config = ExperimentConfig(algorithm="alg1+2", m=1, epsilon=1.0, delta=1.0 / 64)
-        rows, ok, outcome = stress_run(config)
+        rows, ok, outcome = stress_run("alg1+2", 1, 1.0, delta=1.0 / 64)
         assert ok
         assert rows[0].ratio >= 2.0 - 10.0 / 64
         assert rows[0].bound == outcome.lower_bound
@@ -167,26 +181,25 @@ class TestRun:
     )
     def test_stress_generator_follows_from_the_algorithm(self, alg, lower_bound):
         # At m=2, eps=0.5 the two generators target different lower bounds.
-        rows, _, _ = stress_run(ExperimentConfig(algorithm=alg, m=2, epsilon=0.5, delta=1.0 / 8))
+        rows, _, _ = stress_run(alg, 2, 0.5, delta=1.0 / 8)
         assert rows[0].bound == lower_bound(2, 0.5)
 
     @pytest.mark.parametrize("alg", ["alg3-partitioned", "alg3-randomized"])
     def test_stress_run_rejects_an_algorithm_without_a_generator(self, alg):
         with pytest.raises(ValueError, match="unsupported non-preemptive algorithm"):
-            stress_run(ExperimentConfig(algorithm=alg, m=1, epsilon=0.5))
+            stress_run(alg, 1, 0.5)
 
     def test_file_run_takes_the_bound_from_the_instance(self, tmp_path):
         path = tmp_path / "inst.jsonl"
         write_instance(random_instance(10, 4, 0.5, seed=3), str(path))
         # m and epsilon are left at their defaults (1 and 1.0): the file has m=4, eps=0.5.
-        config = ExperimentConfig(
-            algorithm="alg1+2", instance_file=str(path), oracle=True, out_dir=str(tmp_path / "out")
-        )
-        rows, ok = run(config)
+        rows, ok = run(ExperimentConfig(algorithm="alg1+2", instance_file=str(path), oracle=True))
         assert ok
         assert (rows[0].m, rows[0].epsilon) == (4, 0.5)
         expected = theoretical_bounds(4, 0.5)["preemptive_upper"]
         assert rows[0].bound == expected
+        # `run --out` writes the curves at the file's slack.
+        assert main(["run", "--alg", "alg1+2", "--instance-file", str(path), "--out", str(tmp_path / "out")]) == 0
         curves = (tmp_path / "out" / "bounds_vs_m.txt").read_text().splitlines()
         assert curves[4].split()[:2] == ["4", f"{expected:.9g}"]
 
@@ -199,6 +212,38 @@ class TestRun:
         ratios = [r.ratio for r in rows if r.ratio is not None and math.isfinite(r.ratio)]
         assert len(ratios) == 500
         assert max(ratios) <= 1.65686
+
+    def test_config_holds_only_what_run_reads(self):
+        # The stress game's delta is an argument of stress_run, and the CLI writes the files.
+        assert {"delta", "out_dir"}.isdisjoint(f.name for f in fields(ExperimentConfig))
+
+    @pytest.fixture
+    def randomized_draws(self, monkeypatch):
+        """(seed, picked virtual machine) of every randomized policy made."""
+        draws = []
+        init = RandomizedAllocator.__init__
+
+        def spy(self, machines, epsilon, seed):
+            init(self, machines, epsilon, seed)
+            draws.append((seed, self.pick))
+
+        monkeypatch.setattr(RandomizedAllocator, "__init__", spy)
+        return draws
+
+    def test_each_sweep_instance_draws_its_own_virtual_machine(self, randomized_draws):
+        # eps=0.1 gives 2 virtual machines; with one seed for all 8 instances every pick was 0.
+        run(ExperimentConfig(algorithm="alg3-randomized", m=1, epsilon=0.1, n=20, count=8, seed=3))
+        seeds, picks = zip(*randomized_draws)
+        assert len(picks) == 8 and len(set(picks)) > 1
+        # Random(3 + i) draws instance i; no policy seed is one of those.
+        assert set(seeds).isdisjoint(range(3, 11))
+
+    def test_file_run_gives_the_policy_the_configured_seed(self, randomized_draws, tmp_path):
+        path = tmp_path / "inst.jsonl"
+        write_instance(random_instance(6, 1, 0.1, seed=2), str(path))
+        run(ExperimentConfig(algorithm="alg3-randomized", instance_file=str(path), seed=5))
+        assert main(["verify", "--instance-file", str(path), "--alg", "alg3-randomized", "--seed", "7"]) == 0
+        assert [seed for seed, _ in randomized_draws] == [5, 7]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -299,16 +344,31 @@ class TestCli:
         path = tmp_path / "inst.jsonl"
         assert main(["gen", "--n", "12", "--m", "1", "--epsilon", "0.5", "--seed", "6", "--file", str(path)]) == 0
         checked = []
-        real = cli.verify_schedule
+        real = harness.verify_schedule
 
         def spy(schedule, accepted):
             checked.append(len(accepted))
             return real(schedule, accepted)
 
-        monkeypatch.setattr(cli, "verify_schedule", spy)
+        monkeypatch.setattr(harness, "verify_schedule", spy)
         assert main(["verify", "--instance-file", str(path), "--alg", alg]) == 0
         assert len(checked) == 1
         assert capsys.readouterr().out.endswith("ok\n")
+
+    @pytest.mark.parametrize(
+        "alg, simulator, corrupt",
+        [
+            ("alg1+2", PreemptiveSimulator, _stretch_first_segment),
+            ("alg3", NonpreemptiveSimulator, _shift_first_start),
+        ],
+    )
+    def test_run_verifies_every_schedule(self, alg, simulator, corrupt, monkeypatch, capsys):
+        finish = simulator.finish
+        monkeypatch.setattr(simulator, "finish", lambda sim: corrupt(finish(sim)))
+        assert main(["run", "--alg", alg, "--n", "6", "--count", "3", "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invariant violation: instance 0: the {alg} schedule fails verification: ")
+        assert err.count("\n") == 1
 
     def test_verify_reports_a_corrupted_start(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "inst.jsonl"
@@ -381,6 +441,34 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_gen_takes_no_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "3", "--file", "g.jsonl", "--out", "zzz"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out zzz" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m", ["1", "3"])
+    @pytest.mark.parametrize("epsilon", ["1e-320", "1e-30", "0.5", "2", "1e300"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "bounds",
+            "gen --n 6 --file inst.jsonl",
+            "run --alg alg1+2 --n 6",
+            "run --alg alg3 --n 6",
+            "adversary --alg alg1+2 --delta 0.25",
+            "adversary --alg alg3 --delta 0.25",
+        ],
+    )
+    def test_extreme_slack_factors_leave_main_with_an_exit_code(self, command, epsilon, m, tmp_path, monkeypatch):
+        # (1+eps)/eps overflows at 1e-320 and rounds to 1 at 1e300: input errors.
+        # At 1e-30 the float regime of the simulators may still report a violation.
+        monkeypatch.chdir(tmp_path)
+        code = main([*command.split(), "--m", m, "--epsilon", epsilon])
+        assert code == 2 if epsilon in ("1e-320", "1e300") else code in (0, 1, 2)
+
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["run", "--alg", "alg3-randomized", "--m", "2"]) == 2
 
@@ -418,6 +506,13 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "max ratio" in out
+
+    def test_wide_slack_file_warns_of_the_one_undefined_bound(self, tmp_path, capsys):
+        path = tmp_path / "wide.jsonl"
+        assert main(["gen", "--n", "6", "--epsilon", "2.0", "--seed", "1", "--file", str(path)]) == 0
+        with pytest.warns(UserWarning, match="proves its bounds for epsilon <= 1, and nonpreemptive_lower"):
+            assert main(["run", "--alg", "alg1+2", "--instance-file", str(path), "--oracle"]) == 0
+        assert "bound [preemptive_upper]: 1.500000" in capsys.readouterr().out
 
     def test_run_on_instance_file_prints_the_instance_bound(self, tmp_path, capsys):
         path = tmp_path / "inst.jsonl"

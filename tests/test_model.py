@@ -17,6 +17,7 @@ from commitsched.model import (
     Job,
     Schedule,
     Segment,
+    check_policy_args,
     read_instance,
     utilization,
     validate_instance,
@@ -171,6 +172,18 @@ def test_utilization_invariant_under_segment_permutation(perm):
     sched = Schedule(machines=1, segments=shuffled)
     assert verify_schedule(sched, jobs) == []
     assert sched.work_in(0.0, 3.0) == pytest.approx(3.0)
+
+
+class TestPolicyArgs:
+    @pytest.mark.parametrize("machines, epsilon", [(1, 1e-320), (3, 5e-309), (1, 1e300), (10**6, 1e14)])
+    def test_rejects_a_slack_factor_out_of_float_range(self, machines, epsilon):
+        # (1+eps)/eps overflows below ~5.6e-309; above, it or its m-th root rounds to 1.
+        with pytest.raises(ValueError, match="out of float range"):
+            check_policy_args(machines, epsilon)
+
+    @pytest.mark.parametrize("machines, epsilon", [(1, 1e-300), (3, 6e-309), (1, 1e14), (10**6, 1e3)])
+    def test_accepts_a_slack_factor_in_float_range(self, machines, epsilon):
+        check_policy_args(machines, epsilon)
 
 
 class TestInstanceIO:

@@ -144,7 +144,7 @@ class TestArrival:
 
     def test_arrival_requires_advanced_clock(self):
         sim = PreemptiveSimulator(1, 1.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="advance first"):
             sim.on_arrival(Job(0, 5.0, 1.0, 12.0))
 
 
