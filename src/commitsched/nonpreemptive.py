@@ -93,13 +93,118 @@ class _Commitments:
         return NonpreemptiveResult(self.decisions, self.starts, self._volume)
 
 
+def _weights(machines: int, r: float) -> list[float]:
+    """Weight of ascending load position j, which is load rank machines - j:
+    the floats ``d_lim`` uses."""
+    return [r ** ((machines - j) / machines) for j in range(machines)]
+
+
+def _peak_top_two(
+    ascending: list[float], weights: list[float], lo: int, hi: int, t: float
+) -> tuple[float, float]:
+    """One pass over the ascending free times ``ascending[lo:hi]`` at clock ``t``.
+
+    A load max(f - t, 0) ascends with its free time f, so position j holds
+    the same load as the sorted loads do, and ``weights[j]`` is its weight.
+    Returns the weighted peak max(load * weight) and the two largest loads
+    summed (for one machine the second reads as zero).  The threshold is
+    peak + t, which equals d_lim's max(t, load * weight + t) bit for bit:
+    the terms are >= 0 and adding t rounds monotonically.
+    """
+    peak = 0.0
+    for j in range(lo, hi):
+        f = ascending[j]
+        if f > t:  # an idle machine's term is zero
+            term = (f - t) * weights[j]
+            if term > peak:
+                peak = term
+    f = ascending[hi - 1]
+    top_two = f - t if f > t else 0.0
+    if hi - lo > 1:
+        f = ascending[hi - 2]
+        top_two += f - t if f > t else 0.0
+    return peak, top_two
+
+
+def _check_load_sum(peak: float, top_two: float, rho_down: float, t: float) -> None:
+    # The two largest loads always cover the weighted peak scaled back by rho^(-1/m).
+    need = peak * rho_down
+    if top_two < need - CHECK_SLACK:
+        raise InvariantError(f"load-sum invariant violated at t={t}: {top_two} < {need}")
+
+
+def _check_usable_interval(job: Job, top_two: float, rho_up: float) -> None:
+    bound = top_two * rho_up
+    if job.deadline - job.release > bound + CHECK_SLACK:
+        raise InvariantError(
+            f"rejected job {job.id} has window {job.deadline - job.release} beyond "
+            f"the usable bound {bound}"
+        )
+
+
+def _best_trial(asc: list[float], w: list[float], t: float, p: float) -> int:
+    """Ascending position of the machine whose trial placement of ``p``
+    minimises (d_lim after it, pre-load, machine id), given the ascending
+    loads ``asc`` at clock ``t`` and their weights ``w``.
+
+    Adding p at position j moves that load up to position k >= j; only
+    positions j+1..k shift down by one, and each of them takes the
+    weight one rank lower.  So a trial's threshold is the max of the
+    unchanged terms below j and above k, the moved load's term at k,
+    and the shifted terms, plus t: the same floats as d_lim of the
+    trial loads.  Equal loads give equal trials, so only the first of
+    them is scored.
+    """
+    terms = [load * weight for load, weight in zip(asc, w)]
+    # below[j]: max of terms[:j]; above[k]: max of terms[k:]; shifted[i - 1]:
+    # the term of asc[i] one rank lower.
+    below = list(accumulate(terms, max, initial=0.0))
+    above = list(accumulate(reversed(terms), max, initial=0.0))[::-1]
+    shifted = [load * weight for load, weight in zip(asc[1:], w)]
+    best = (math.inf, math.inf)
+    position = 0
+    for j, load in enumerate(asc):
+        if below[j] + t > best[0]:
+            break  # below[] only grows and bounds every later trial from below
+        if j and load == asc[j - 1]:
+            continue
+        moved = load + p
+        k = bisect_left(asc, moved, j + 1) - 1
+        score = max(below[j], moved * w[k], above[k + 1], max(shifted[j:k], default=0.0))
+        key = (score + t, load)
+        if key < best:
+            best, position = key, j
+    return position
+
+
+def _commit(free: list[float], weights: list[float], lo: int, hi: int, t: float, job: Job) -> CommittedStart:
+    """The full ranking, built only for an accepted ``job``: place it at
+    clock ``t`` on the machine of ``lo..hi-1`` whose trial placement scores
+    best, and move that machine's free time.  ``weights[lo:hi]`` are the
+    group's ascending-position weights."""
+    loads = [f - t if f > t else 0.0 for f in free[lo:hi]]
+    position = _best_trial(sorted(loads), weights[lo:hi], t, job.processing)
+    # Ids sorted stably by load line up with the ranked positions, and the
+    # first of equal loads is the lowest id.
+    machine = lo + sorted(range(hi - lo), key=loads.__getitem__)[position]
+    start = max(t, free[machine])
+    if start + job.processing > job.deadline + TOL:
+        raise CommitmentError(
+            f"job {job.id} placed at {start} would finish {start + job.processing} "
+            f"past deadline {job.deadline}"
+        )
+    free[machine] = start + job.processing
+    return CommittedStart(job.id, machine, start)
+
+
 class NonpreemptiveSimulator(_Commitments):
     """Threshold-based online allocation on ``machines`` identical machines.
 
-    Each state, after a clock advance and after an acceptance, derives the
-    loads from the machine free times ``free`` and ranks them once.  That
-    vector gives ``limit`` (``d_lim`` of the loads and clock), the two largest
-    loads the checks read, and the threshold of each of the m trial placements.
+    Each state, after a clock advance and after an acceptance, makes one
+    pass over the sorted machine free times ``free`` (``_peak_top_two``):
+    it gives ``limit`` (``d_lim`` of the loads and clock) and the two
+    largest loads the checks read.  Only an acceptance builds the full
+    ranking, which scores all m trial placements (``_commit``).
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
@@ -110,29 +215,23 @@ class NonpreemptiveSimulator(_Commitments):
         self.clock = 0.0
         self.free = [0.0] * machines  # absolute time each machine frees up, by stable id
         r = rho(epsilon)
-        # Weight of ascending position j, which is load rank m - j: the floats d_lim uses.
-        self._weights = [r ** ((machines - j) / machines) for j in range(machines)]
+        self._weights = _weights(machines, r)
         self._rho_down = r ** (-1.0 / machines)
         self._rho_up = r ** (1.0 / machines)
         self._rank()
 
-    def _rank(self) -> None:
-        """Derive the loads at the clock, sort them and refresh ``limit`` and the top-two sum.
-
-        ``limit`` is max(load * weight) + t, which equals d_lim's
-        max(t, load * weight + t) bit for bit: the terms are >= 0 and
-        adding t rounds monotonically.
-        """
+    @property
+    def loads(self) -> list[float]:
+        """Each machine's remaining work at the clock, by id."""
         t = self.clock
-        self.loads = [f - t if f > t else 0.0 for f in self.free]
-        asc = self._ascending = sorted(self.loads)
-        terms = self._terms = [load * w for load, w in zip(asc, self._weights)]
-        # The weighted peak, limit - t before the clock's rounding; the check reads it.
-        self._peak = max(terms)
-        self.limit = self._peak + t
-        # The two largest loads summed; for m=1 the second reads as zero.
-        self._top_two = asc[-1] + (asc[-2] if self.machines > 1 else 0.0)
-        self._check_load_sum()
+        return [f - t if f > t else 0.0 for f in self.free]
+
+    def _rank(self) -> None:
+        """Refresh ``limit`` and the top-two sum at the clock and check the load sum."""
+        t = self.clock
+        peak, self._top_two = _peak_top_two(sorted(self.free), self._weights, 0, self.machines, t)
+        self.limit = peak + t
+        _check_load_sum(peak, self._top_two, self._rho_down, t)
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to ``t`` and rank the loads there."""
@@ -159,73 +258,11 @@ class NonpreemptiveSimulator(_Commitments):
             )
         limit = self.limit
         if job.deadline < limit - TOL:
-            self._check_usable_interval(job)
+            _check_usable_interval(job, self._top_two, self._rho_up)
             return limit, None
-        position = self._best_trial(job.processing)
-        # Ids sorted stably by load line up with the ranked positions, and the
-        # first of equal loads is the lowest id.
-        machine = sorted(range(self.machines), key=self.loads.__getitem__)[position]
-        start = max(self.clock, self.free[machine])
-        if start + job.processing > job.deadline + TOL:
-            raise CommitmentError(
-                f"job {job.id} placed at {start} would finish {start + job.processing} "
-                f"past deadline {job.deadline}"
-            )
-        self.free[machine] = start + job.processing
+        placed = _commit(self.free, self._weights, 0, self.machines, self.clock, job)
         self._rank()
-        return limit, CommittedStart(job.id, machine, start)
-
-    def _best_trial(self, p: float) -> int:
-        """Ascending position of the machine whose trial placement of ``p``
-        minimises (d_lim after it, pre-load, machine id).
-
-        Adding p at position j moves that load up to position k >= j; only
-        positions j+1..k shift down by one, and each of them takes the
-        weight one rank lower.  So a trial's threshold is the max of the
-        unchanged terms below j and above k, the moved load's term at k,
-        and the shifted terms, plus t: the same floats as d_lim of the
-        trial loads.  Equal loads give equal trials, so only the first of
-        them is scored.
-        """
-        asc, terms, w, t = self._ascending, self._terms, self._weights, self.clock
-        # below[j]: max of terms[:j]; above[k]: max of terms[k:]; shifted[i - 1]:
-        # the term of asc[i] one rank lower.
-        below = list(accumulate(terms, max, initial=0.0))
-        above = list(accumulate(reversed(terms), max, initial=0.0))[::-1]
-        shifted = [load * weight for load, weight in zip(asc[1:], w)]
-        best = (math.inf, math.inf)
-        position = 0
-        for j, load in enumerate(asc):
-            if below[j] + t > best[0]:
-                break  # below[] only grows and bounds every later trial from below
-            if j and load == asc[j - 1]:
-                continue
-            moved = load + p
-            k = bisect_left(asc, moved, j + 1) - 1
-            score = max(below[j], moved * w[k], above[k + 1], max(shifted[j:k], default=0.0))
-            key = (score + t, load)
-            if key < best:
-                best, position = key, j
-        return position
-
-    # -- invariants -------------------------------------------------------
-
-    def _check_load_sum(self) -> None:
-        # The two largest loads always cover the weighted peak scaled back by rho^(-1/m).
-        top_two = self._top_two
-        need = self._peak * self._rho_down
-        if top_two < need - CHECK_SLACK:
-            raise InvariantError(
-                f"load-sum invariant violated at t={self.clock}: {top_two} < {need}"
-            )
-
-    def _check_usable_interval(self, job: Job) -> None:
-        bound = self._top_two * self._rho_up
-        if job.deadline - job.release > bound + CHECK_SLACK:
-            raise InvariantError(
-                f"rejected job {job.id} has window {job.deadline - job.release} beyond "
-                f"the usable bound {bound}"
-            )
+        return limit, placed
 
 
 def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
@@ -241,9 +278,14 @@ def partition_group_size(epsilon: float) -> int:
 class PartitionedAllocator(_Commitments):
     """Partition the machines into near-log-sized groups and cascade offers.
 
-    Every job is offered to the first group's allocator; a rejection there
-    passes the job to the next group, and so on.  Remainder machines (when
-    the group size does not divide m) form a final smaller group.
+    Every job is offered to the first group; a rejection there passes the
+    job to the next group, and so on.  Remainder machines (when the group
+    size does not divide m) form a final smaller group.  Each group runs
+    ``NonpreemptiveSimulator``'s threshold rule on its slice ``base:base +
+    size`` of one flat free-time vector, at its own clock: the latest
+    release offered to it.  An offer is one pass over the group's
+    ascending free times; only the group that accepts builds the full
+    ranking and re-sorts its ascending slice.
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
@@ -252,20 +294,42 @@ class PartitionedAllocator(_Commitments):
         g = partition_group_size(epsilon)
         if machines < g:
             raise ValueError(f"need at least {g} machines for the partitioned variant, got {machines}")
-        sizes = [g] * (machines // g)
-        if machines % g:
-            sizes.append(machines % g)
-        self.groups = [(g * i, NonpreemptiveSimulator(size, epsilon)) for i, size in enumerate(sizes)]
+        r = rho(epsilon)
+        self.free = [0.0] * machines  # absolute time each machine frees up, by machine id
+        self._ascending = [0.0] * machines  # each group's free times, ascending within its slice
+        self._weights: list[float] = []  # each slice's ascending-position weights
+        # (base, end, rho^(-1/size), rho^(1/size)): the group's slice and its checks' factors.
+        self.groups: list[tuple[int, int, float, float]] = []
+        for base in range(0, machines, g):
+            size = min(g, machines - base)
+            self.groups.append((base, base + size, r ** (-1.0 / size), r ** (1.0 / size)))
+            self._weights += _weights(size, r)
+        self._clocks = [0.0] * len(self.groups)
 
     def submit(self, job: Job) -> CommittedStart | None:
-        for base, group in self.groups:
-            group.advance_to(job.release)
-            limit, placed = group.place(job)
-            if placed is not None:
-                placed = CommittedStart(job.id, base + placed.machine, placed.start)
+        release = job.release
+        clocks = self._clocks
+        # The first group is offered every job, so its clock is the latest release.
+        if release < clocks[0] - TOL:
+            raise ValueError(f"time moves backwards: {clocks[0]} -> {release}")
+        asc, weights = self._ascending, self._weights
+        placed = None
+        for k, (base, end, rho_down, rho_up) in enumerate(self.groups):
+            t = clocks[k]
+            if release > t:
+                clocks[k] = t = release
+            peak, top_two = _peak_top_two(asc, weights, base, end, t)
+            _check_load_sum(peak, top_two, rho_down, t)
+            limit = peak + t
+            if job.deadline >= limit - TOL:
+                placed = _commit(self.free, weights, base, end, t, job)
+                asc[base:end] = sorted(self.free[base:end])
+                peak, top_two = _peak_top_two(asc, weights, base, end, t)
+                _check_load_sum(peak, top_two, rho_down, t)
                 break
+            _check_usable_interval(job, top_two, rho_up)
         # The threshold of the group that accepted, or of the last one offered.
-        return self._record(job, job.release, limit, placed)
+        return self._record(job, release, limit, placed)
 
 
 def simulate_partitioned(instance: Instance) -> NonpreemptiveResult:

@@ -19,8 +19,9 @@ from commitsched.adversary import (
     solve_c_lower,
 )
 from commitsched.harness import random_instance, theoretical_bounds
-from commitsched.model import Instance, Job, validate_instance, verify_schedule, volume_ratio
+from commitsched.model import BOUND_SLACK, Instance, Job, validate_instance, verify_schedule, volume_ratio
 from commitsched.nonpreemptive import (
+    RandomizedAllocator,
     committed_schedule,
     greedy_nonpreemptive,
     partition_group_size,
@@ -35,6 +36,7 @@ from commitsched.oracle import (
     opt_nonpreemptive,
     opt_preemptive,
 )
+from commitsched.policy import drive
 from commitsched.preemptive import greedy_preemptive, simulate_preemptive
 from commitsched.vmin import ActiveJob, horn_feasible
 
@@ -312,8 +314,14 @@ def test_criterion_9_lower_bound_solver():
 
 
 def test_criterion_10_randomized_expectation():
+    # The virtual allocator places every job whatever the pick, so with the
+    # pick uniform over its k machines E[ALG] is exactly the mean volume of
+    # the k runs forced to each virtual machine, and equals the virtual
+    # volume over k.  OPT/E[ALG] must stay within the paper's bound.
     t0 = time.monotonic()
     eps = 1.0 / (math.e**2 - 1.0)
+    bound = theoretical_bounds(1, eps)["randomized_single_upper"]
+    worst = 0.0
     for seed in range(100):
         inst = random_instance(8, 1, eps, seed=20_000 + seed, release_span=6.0)
         mv, parts = randomized_single_parts(inst)
@@ -323,7 +331,20 @@ def test_criterion_10_randomized_expectation():
         virtual_total = sum(per_machine)
         expectation = sum(per_machine) / mv
         assert expectation == pytest.approx(virtual_total / 2.0, abs=1e-12)
-    print(f"\nPASS criterion 10: randomized expectation equals half the virtual utilization [{time.monotonic() - t0:.1f}s]")
+        forced = []
+        for pick in range(mv):
+            policy = RandomizedAllocator(1, eps, seed=0)
+            policy.pick = pick
+            forced.append(drive(policy, inst).accepted_volume)
+        mean = sum(forced) / mv
+        assert mean == pytest.approx(virtual_total / mv, rel=1e-12, abs=1e-12)
+        assert mean > 0
+        worst = max(worst, opt_nonpreemptive(inst) / mean)
+    assert worst <= bound + BOUND_SLACK, (worst, bound)
+    print(
+        f"\nPASS criterion 10: E[ALG] is the virtual volume over k; worst OPT/E[ALG] {worst:.3f} "
+        f"<= {bound:.3f} [{time.monotonic() - t0:.1f}s]"
+    )
 
 
 def test_criterion_11a_lazy_greedy_two_job_trace():

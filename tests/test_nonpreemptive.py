@@ -6,9 +6,19 @@ import pytest
 
 from commitsched import nonpreemptive
 from commitsched.harness import random_instance
-from commitsched.model import TOL, Instance, InvariantError, Job, verify_schedule
+from commitsched.model import (
+    TOL,
+    DecisionLog,
+    DecisionRecord,
+    Instance,
+    InvariantError,
+    Job,
+    validate_instance,
+    verify_schedule,
+)
 from commitsched.nonpreemptive import (
     CommitmentError,
+    CommittedStart,
     NonpreemptiveSimulator,
     PartitionedAllocator,
     RandomizedAllocator,
@@ -298,13 +308,20 @@ class TestPartitioned:
         assert placed.machine >= 2  # landed in the second group
 
     def test_groups_keep_no_records(self):
+        # The groups are slices of the allocator's one free-time vector: they
+        # tile the machines, keep no decision log of their own, and each
+        # machine's free time is the end of the last job committed to it.
         eps = 1.0 / (math.e**2 - 1.0)
         inst = random_instance_local(random.Random(29), 40, 4, eps, 10.0)
         policy = PartitionedAllocator(inst.machines, inst.epsilon)
         res = drive(policy, inst)
         assert len(res.decisions) == len(inst) and res.starts
-        for _, group in policy.groups:
-            assert len(group.decisions) == 0 and group.starts == []
+        assert [(base, end) for base, end, _, _ in policy.groups] == [(0, 2), (2, 4)]
+        assert [v for v in vars(policy).values() if isinstance(v, DecisionLog)] == [policy.decisions]
+        ends = [0.0] * inst.machines
+        for cs in res.starts:
+            ends[cs.machine] = cs.start + inst.jobs[cs.job].processing
+        assert policy.free == ends
 
     def test_requires_enough_machines(self):
         eps = 0.01  # group size round(ln(101)) = 5
@@ -325,6 +342,132 @@ class TestPartitioned:
         opt = opt_nonpreemptive(inst)
         if res.accepted_volume > 0:
             assert opt / res.accepted_volume <= 2 * math.e + 1 + 1e-6
+
+
+def cascade_reference(inst):
+    """The partitioned policy as a cascade of one ``NonpreemptiveSimulator``
+    per group, each advanced and ranked whenever it is offered a job: the
+    design the flat allocator replaced, kept as its reference.  Every
+    offered group's threshold must be ``d_lim`` of its loads."""
+    m, eps = inst.machines, inst.epsilon
+    g = partition_group_size(eps)
+    groups = [(base, NonpreemptiveSimulator(min(g, m - base), eps)) for base in range(0, m, g)]
+    records, starts = [], []
+    for job in inst.jobs:
+        for base, group in groups:
+            group.advance_to(job.release)
+            assert group.limit == d_lim(group.loads, group.clock, group.machines, eps)
+            limit, placed = group.place(job)
+            if placed is not None:
+                placed = CommittedStart(job.id, base + placed.machine, placed.start)
+                starts.append(placed)
+                break
+        records.append(DecisionRecord(job.id, placed is not None, job.release, limit))
+    return records, starts
+
+
+def flat_offer_grid():
+    """(epsilon, m) pairs with at least one group: group sizes 1 to 4, and
+    remainder groups (eps = 0.05 has size 3, so m = 4, 8, 16 end short)."""
+    return [
+        (eps, m)
+        for eps in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+        for m in (3, 4, 5, 8, 16)
+        if m >= partition_group_size(eps)
+    ]
+
+
+class TestFlatOffers:
+    """``PartitionedAllocator`` offers a job to a group with one pass over
+    the group's ascending free times; only the accepting group builds the
+    full ranking.  Decisions and starts equal the cascade of group
+    simulators by ``repr``."""
+
+    @pytest.mark.parametrize("eps, m", flat_offer_grid())
+    def test_matches_the_cascade_of_group_simulators(self, eps, m, monkeypatch):
+        # An all-idle start, batches of equal jobs (equal loads), and in each
+        # batch a release TOL/2 before the previous one, which a group not
+        # offered that previous job sees at its own, earlier clock.
+        ties = [
+            (r - (TOL / 2 if i == 1 else 0.0), p, r + 3 * (1 + eps) * p)
+            for r in range(1, 13)
+            for i, p in enumerate((1.0, 1.0, 2.0, 1.0))
+        ]
+        instances = [make_instance(eps, m, ties)] + [
+            random_instance(150, m, eps, seed=seed, release_span=span * 150 / m)
+            for seed in range(2)
+            for span in (0.5, 2.0)
+        ]
+        passes = []
+        real = nonpreemptive._peak_top_two
+
+        def spy(ascending, weights, lo, hi, t):
+            peak, top_two = real(ascending, weights, lo, hi, t)
+            passes.append((ascending[lo:hi], t, peak, top_two))
+            return peak, top_two
+
+        monkeypatch.setattr(nonpreemptive, "_peak_top_two", spy)
+        rejected = 0
+        for inst in instances:
+            assert not validate_instance(inst)
+            passes.clear()
+            got = simulate_partitioned(inst)
+            records, starts = cascade_reference(inst)
+            assert repr(list(got.decisions)) == repr(records)
+            assert repr(got.starts) == repr(starts)
+            assert got.starts
+            rejected += len(inst) - len(got.starts)
+            for ascending, t, peak, top_two in passes:
+                loads = [f - t if f > t else 0.0 for f in ascending]
+                assert ascending == sorted(ascending)
+                assert peak + t == d_lim(loads, t, len(loads), eps)
+                assert top_two == sum(sorted(loads)[-2:])
+        assert rejected > 0
+
+    def test_earlier_release_rejected_before_any_state_changes(self):
+        policy = PartitionedAllocator(4, 1.0 / (math.e**2 - 1.0))
+        policy.submit(Job(0, 5.0, 2.0, 20.0))
+        state = repr(vars(policy))
+        with pytest.raises(ValueError, match="backwards"):
+            policy.submit(Job(1, 4.0, 1.0, 20.0))
+        assert repr(vars(policy)) == state
+
+    def test_only_the_accepting_group_builds_a_ranking(self, monkeypatch):
+        counts = {"rankings": 0, "passes": 0}
+        best_trial, peak_top_two = nonpreemptive._best_trial, nonpreemptive._peak_top_two
+
+        def counted_best_trial(*args):
+            counts["rankings"] += 1
+            return best_trial(*args)
+
+        def counted_pass(*args):
+            counts["passes"] += 1
+            return peak_top_two(*args)
+
+        def no_advance(self, t):
+            raise AssertionError("a group simulator was advanced")
+
+        monkeypatch.setattr(nonpreemptive, "_best_trial", counted_best_trial)
+        monkeypatch.setattr(nonpreemptive, "_peak_top_two", counted_pass)
+        monkeypatch.setattr(NonpreemptiveSimulator, "advance_to", no_advance)
+        inst = random_instance(2000, 16, 0.5, seed=0, release_span=2000 * 2.0 / 16)
+        policy = PartitionedAllocator(16, 0.5)
+        assert len(policy.groups) == 16  # group size round(ln 3) = 1
+        res = drive(policy, inst)
+        accepted = len(res.decisions.accepted_ids())
+        assert 0 < accepted < len(inst)
+        assert counts["rankings"] == accepted
+        # One pass per offer, and one more after each acceptance for its check.
+        assert counts["passes"] > 3 * len(inst)
+
+        # Every machine busy until 10: a tight short job is offered to all
+        # 16 groups, each rejects it, and none builds a ranking.
+        policy = PartitionedAllocator(16, 0.5)
+        for i in range(16):
+            assert policy.submit(Job(i, 0.0, 10.0, 15.0)).machine == i
+        counts.update(rankings=0, passes=0)
+        assert policy.submit(Job(16, 0.0, 1.0, 1.5)) is None
+        assert counts == {"rankings": 0, "passes": 16}
 
 
 class TestRandomizedSingle:
