@@ -12,7 +12,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: Times and volumes: ties, the slack condition, feasibility, plans, LRPT groups, forced work.
 #: Scaled by max(1, total work) in ``flow_feasible``.  Float spacing exceeds it from 2^23.
@@ -104,9 +104,12 @@ class Instance:
         return len(self.jobs)
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Execution of one job on one machine over [start, end)."""
+class Segment(NamedTuple):
+    """Execution of one job on one machine over [start, end).
+
+    A named tuple: it equals the plain tuple (machine, job, start, end),
+    and segments order as those tuples do.
+    """
 
     machine: int
     job: int

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import policy as driver  # a module import: policy imports this module
@@ -42,6 +41,11 @@ from .vmin import (
     v_min_curve,
     v_shape_curve,
 )
+
+
+#: Builds a record from the tuple of its fields without the class call, which
+#: parses its arguments in Python: ``_record(Segment, (machine, job, start, end))``.
+_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def wrap_fill(
                 offset = (lane + 1) * span
                 continue
             take = min(left, room)
-            segments.append(Segment(lanes[lane], item, start + pos, start + pos + take))
+            segments.append(_record(Segment, (lanes[lane], item, start + pos, start + pos + take)))
             offset += take
             left -= take
     return segments
@@ -185,7 +189,7 @@ def lrpt_assign(
             chunk = rate * span
             if q == len(g):
                 for j in g:
-                    segments.append(Segment(machines[machine_idx], j, cur, nxt))
+                    segments.append(_record(Segment, (machines[machine_idx], j, cur, nxt)))
                     machine_idx += 1
             else:
                 lanes = machines[machine_idx : machine_idx + q]
@@ -212,7 +216,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     longest-remaining rule on the next deadline class, and the window
     shrinks to the first idle instant of that sub-schedule.
     """
-    jobs = sorted(active, key=lambda j: j.id)
+    jobs = sorted(active)  # by id: records compare by their fields, id first
     if not jobs:
         return PlanWindow(t, float("inf"), ())
     deadlines = sorted({j.deadline for j in jobs})
@@ -221,7 +225,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
             raise InvariantError(f"plan requested for an infeasible active set at t={t}")
     # (id, latest start, remaining, deadline); a job contributes to class d
     # when contribution(remaining, deadline, d) > TOL.
-    rows = [(j.id, j.deadline - j.remaining, j.remaining, j.deadline) for j in jobs]
+    rows = [(job_id, deadline - remaining, remaining, deadline) for job_id, remaining, deadline in jobs]
 
     def contributors(d: float) -> list[tuple[int, float, float, float]]:
         return [row for row in rows if row[1] < d and (row[2] if d >= row[3] else d - row[1]) > TOL]
@@ -242,7 +246,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
         end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre)
     else:
         end = deadlines[0]
-    segments = [Segment(machine, job_id, t, end) for machine, (job_id, _, _, _) in enumerate(pre)]
+    segments = [_record(Segment, (machine, job_id, t, end)) for machine, (job_id, _, _, _) in enumerate(pre)]
     if chosen_k < len(deadlines) - 1 and len(pre) < m:
         d_next = deadlines[chosen_k + 1]
         pre_ids = {row[0] for row in pre}
@@ -258,7 +262,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
 
     end = max(end, t + DUST)
     clipped = tuple(
-        s if s.end <= end else Segment(s.machine, s.job, s.start, end)
+        s if s.end <= end else _record(Segment, (s.machine, s.job, s.start, end))
         for s in segments
         if s.start < end - DUST
     )
@@ -274,6 +278,12 @@ class PreemptiveSimulator:
     re-checks the threshold envelope and feasibility after every event;
     level >= 2 additionally checks the volume-decay inequality between
     consecutive events.
+
+    The live jobs are one table: ``live`` holds an (id, processing,
+    deadline) row per unfinished job in id order, and ``committed_work``
+    the work committed to each.  An acceptance inserts a row, a plan
+    regeneration drops the rows of finished jobs, and ``active_jobs``
+    reads the remainders ``processing - committed`` off the table.
     """
 
     def __init__(
@@ -295,6 +305,7 @@ class PreemptiveSimulator:
         self.d_min = 0.0
         self.v_delta = 0.0
         self.jobs: dict[int, Job] = {}  # every accepted job
+        self.live: list[tuple[int, float, float]] = []  # unfinished jobs only
         self.committed_work: dict[int, float] = {}  # unfinished jobs only
         self.schedule = Schedule(machines=machines)
         # machine -> index in schedule.segments of its last committed segment
@@ -313,13 +324,12 @@ class PreemptiveSimulator:
     # -- state views ----------------------------------------------------
 
     def active_jobs(self) -> list[ActiveJob]:
-        out = []
-        for job_id in sorted(self.committed_work):
-            job = self.jobs[job_id]
-            rem = job.processing - self.committed_work[job_id]
-            if rem > TOL:
-                out.append(ActiveJob(job_id, rem, job.deadline))
-        return out
+        work = self.committed_work
+        return [
+            _record(ActiveJob, (job_id, rem, deadline))
+            for job_id, processing, deadline in self.live
+            if (rem := processing - work[job_id]) > TOL
+        ]
 
     def accepted_volume(self) -> float:
         return sum(job.processing for job in self.jobs.values())
@@ -352,16 +362,18 @@ class PreemptiveSimulator:
         else:
             # Live jobs first, then the new one: horn_feasible's sums run in
             # this order.
-            candidate = active + [ActiveJob(job.id, job.processing, job.deadline)]
+            candidate = active + [_record(ActiveJob, (job.id, job.processing, job.deadline))]
             threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
         curve = None  # the mandatory-volume curve of the live set at r, once built
         if accept:
+            row = (job.id, job.processing, job.deadline)
             self.jobs[job.id] = job
             self.committed_work[job.id] = 0.0
+            insort(self.live, row)  # rows and records order by id first
             if job.processing > TOL:  # the filter active_jobs applies
-                insort(active, ActiveJob(job.id, job.processing, job.deadline), key=attrgetter("id"))
+                insort(active, _record(ActiveJob, row))
             if self.policy == "lazy":
                 curve = v_min_curve(active, r)
                 new_dmin = solve_dmin(curve, self.f, self.v_delta, r)
@@ -415,10 +427,14 @@ class PreemptiveSimulator:
     # -- internals ------------------------------------------------------
 
     def _regenerate_plan(self, active: list[ActiveJob]) -> None:
-        # Finished jobs leave the live state here, where the old plan is
+        # Finished jobs leave the live table here, where the old plan is
         # dropped, not when a segment commits: a plan window can still hold
         # a dust segment for a job whose remaining work is already down to TOL.
-        self.committed_work = {job.id: self.committed_work[job.id] for job in active}
+        # ``active`` is the table's rows minus the finished jobs.
+        if len(active) < len(self.live):
+            work = self.committed_work
+            self.committed_work = {job.id: work[job.id] for job in active}
+            self.live = [row for row in self.live if row[0] in self.committed_work]
         self.plan = generate_plan(active, self.clock, self.machines)
 
     def _commit_window(self, t0: float, t1: float) -> None:
@@ -429,20 +445,17 @@ class PreemptiveSimulator:
             return
         segments, last, work = self.schedule.segments, self._last_piece, self.committed_work
         for seg in self.plan.segments:
-            s, e = seg.start, seg.end
-            if s < t0:
-                s = t0
-            if e > t1:
-                e = t1
+            machine, job, start, end = seg
+            s = t0 if start < t0 else start
+            e = t1 if end > t1 else end
             if e <= s + DUST:
                 continue
-            machine, job = seg.machine, seg.job
             i = last.get(machine)
             if i is not None and segments[i].job == job and segments[i].end == s:
-                segments[i] = Segment(machine, job, segments[i].start, e)
+                segments[i] = _record(Segment, (machine, job, segments[i].start, e))
             else:
                 last[machine] = len(segments)
-                segments.append(seg if s == seg.start and e == seg.end else Segment(machine, job, s, e))
+                segments.append(seg if s == start and e == end else _record(Segment, (machine, job, s, e)))
             work[job] += e - s
 
     def _window_checkpoint(self, active: list[ActiveJob]) -> None:

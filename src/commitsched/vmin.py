@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import TOL, check_policy_args, rho
 
 
-@dataclass(frozen=True)
-class ActiveJob:
-    """An accepted, uncompleted job: what is left of it and when it is due."""
+class ActiveJob(NamedTuple):
+    """An accepted, uncompleted job: what is left of it and when it is due.
+
+    A named tuple, so jobs with distinct ids sort by id.
+    """
 
     id: int
     remaining: float

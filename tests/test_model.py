@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from commitsched import model
+from commitsched import model, preemptive
 from commitsched.model import (
     TOL,
     DecisionLog,
@@ -24,6 +24,7 @@ from commitsched.model import (
     verify_schedule,
     write_instance,
 )
+from commitsched.vmin import ActiveJob
 
 
 def make_instance(eps, m, triples):
@@ -294,6 +295,53 @@ class TestDecisionLog:
         assert log[1].threshold == 2.0
         assert log.accepted_ids() == [0]
         assert [r.job for r in log] == [0, 1]
+
+
+RECORDS = [
+    (Segment, ("machine", "job", "start", "end"), (2, 7, 0.5, 1.75)),
+    (ActiveJob, ("id", "remaining", "deadline"), (7, 1.25, 9.0)),
+]
+
+
+class TestRecords:
+    """``Segment`` and ``ActiveJob``: immutable named tuples whose field
+    order, ``repr``, equality and hash are those of their field tuples."""
+
+    @pytest.mark.parametrize("cls, names, values", RECORDS)
+    def test_fields_repr_equality_and_hash(self, cls, names, values):
+        record = cls(*values)
+        assert record == cls(**dict(zip(names, values)))
+        assert tuple(getattr(record, name) for name in names) == values
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        assert hash(record) == hash(values)
+        assert record != cls(*values[:-1], values[-1] + 1.0)
+        assert {record: 1}[cls(*values)] == 1
+
+    @pytest.mark.parametrize("cls, names, values", RECORDS)
+    def test_immutable(self, cls, names, values):
+        record = cls(*values)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("cls, names, values", RECORDS)
+    def test_simulator_constructor_builds_the_same_record(self, cls, names, values):
+        record = preemptive._record(cls, values)
+        assert type(record) is cls and record == cls(*values) and repr(record) == repr(cls(*values))
+
+    def test_segment_length_tuple_equality_and_order(self):
+        seg = Segment(1, 3, 2.0, 5.5)
+        assert seg.length == 3.5
+        # A segment equals the plain tuple of its fields, and segments
+        # order as those tuples do.
+        assert seg == (1, 3, 2.0, 5.5)
+        assert sorted([seg, Segment(0, 9, 4.0, 5.0), Segment(1, 3, 1.0, 2.0)]) == [
+            (0, 9, 4.0, 5.0),
+            (1, 3, 1.0, 2.0),
+            (1, 3, 2.0, 5.5),
+        ]
 
 
 def tolerance_table() -> dict[str, float]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitsched import preemptive, vmin
+from commitsched.adversary import replay_preemptive
 from commitsched.harness import random_instance
 from commitsched.model import CHECK_SLACK, DUST, TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
 from commitsched.policy import drive, make_policy
@@ -435,6 +437,73 @@ class TestSimulate:
         assert all(b >= a - 1e-9 for a, b in zip(thresholds, thresholds[1:]))
 
 
+#: sha256 of ``repr`` of (decision records, schedule segments, accepted
+#: volume, event times) per (m, epsilon, n, release_span, seed, policy),
+#: recorded with the frozen-dataclass records that preceded the named tuples.
+RECORDED_DIGESTS = {
+    (1, 0.5, 40, 20.0, 1, "lazy"): "17d07ce4abe50e7d5d17bbc3fab844d86bc9047490ca551459bde898fd0f1995",
+    (1, 0.5, 40, 20.0, 1, "greedy"): "8b4f3cc642344f9057957d031aa6c465f4299cb3c1dfaf8fa752dafff33fccb0",
+    (3, 0.1, 60, 15.0, 2, "lazy"): "259b4ee479b6aa69930dbc5e4bf47cda802ae39f5b6d4621849262b9839772a9",
+    (3, 0.1, 60, 15.0, 2, "greedy"): "ddf23b1c97644964fd63b2f876120f674ac28c82c19bfd432984663f95467748",
+    (8, 1.0, 80, 10.0, 3, "lazy"): "5da413018cf7fbf2d5fb9c2a4382cb7494a39ff69b13ae0edf66b54f91ec81a7",
+    (8, 1.0, 80, 10.0, 3, "greedy"): "9811dda6640598efcc8241f6bca07b50a47810520f8a4e403607801a897051d8",
+    (3, 0.5, 50, 2.0, 4, "lazy"): "6b637e60ba4969d595266507f2a974f0c29a4f9497695da6e5515a73e61a62ec",
+    (3, 0.5, 50, 2.0, 4, "greedy"): "0affea2dc31b52b03debfa0c1e5cc3893a190504c9a8b4f441068b314edc546b",
+}
+
+
+def test_outputs_match_the_recorded_digests():
+    """Every run at assert levels 0-2 repeats the recorded outputs bit for
+    bit: a moved segment, threshold or event time changes the digest, where
+    the benchmark fingerprints see only accept bits and a rounded volume."""
+    widest = Counter()
+    for (m, eps, n, span, seed, policy), digest in RECORDED_DIGESTS.items():
+        inst = random_instance(n, m, eps, seed=seed, release_span=span)
+        for level in (0, 1, 2):
+            sim = PreemptiveSimulator(m, eps, level, policy)
+            for job in inst.jobs:
+                sim.submit(job)
+                widest[m] = max(widest[m], len(sim.active_jobs()))
+            res = sim.finish()
+            text = repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, eps, n, span, seed, policy, level)
+    # Each machine count met a live set larger than itself.
+    assert all(widest[m] > m for m in (1, 3, 8))
+
+
+def reference_active_jobs(sim):
+    """``active_jobs`` as before the live table: the unfinished jobs rebuilt
+    from ``jobs`` and ``committed_work`` in id order.  Kept to compare against."""
+    out = []
+    for job_id in sorted(sim.committed_work):
+        job = sim.jobs[job_id]
+        rem = job.processing - sim.committed_work[job_id]
+        if rem > TOL:
+            out.append(ActiveJob(job_id, rem, job.deadline))
+    return out
+
+
+class LiveTableChecked(PreemptiveSimulator):
+    """A simulator that compares every read of its live set with the
+    reference rebuild, and its table with the plan's live set after every
+    plan regeneration."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def active_jobs(self):
+        got = super().active_jobs()
+        assert repr(got) == repr(reference_active_jobs(self)), self.clock
+        assert [row[0] for row in self.live] == sorted(self.committed_work), self.clock
+        self.reads += 1
+        return got
+
+    def _regenerate_plan(self, active):
+        super()._regenerate_plan(active)
+        assert [row[0] for row in self.live] == sorted(self.committed_work) == [job.id for job in active]
+
+
 class TestLiveState:
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_committed_work_holds_only_live_jobs(self, policy):
@@ -451,6 +520,30 @@ class TestLiveState:
         assert largest <= 32
         assert sim.committed_work == {}
         assert result.accepted_volume == sum(inst.jobs[j].processing for j in result.decisions.accepted_ids())
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_live_table_matches_the_rebuild_at_every_event(self, level):
+        reads = 0
+        for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
+            inst = random_instance(60, m, eps, seed=seed, release_span=span)
+            # The same jobs with permuted ids: acceptances then insert rows
+            # inside the table, not only at its end.
+            ids = random.Random(seed).sample(range(60), 60)
+            shuffled = Instance(eps, m, tuple(Job(ids[j.id], j.release, j.processing, j.deadline) for j in inst.jobs))
+            for instance, policy in itertools.product((inst, shuffled), ("lazy", "greedy")):
+                sim = LiveTableChecked(m, eps, level, policy)
+                drive(sim, instance)
+                assert sim.live == [] and sim.committed_work == {}
+                reads += sim.reads
+        assert reads > 16 * 60
+
+    @pytest.mark.parametrize("algorithm, policy", [("alg1+2", "lazy"), ("greedy-p", "greedy")])
+    def test_live_table_matches_the_rebuild_on_the_stress_replays(self, algorithm, policy):
+        for m, eps, delta in [(1, 0.5, 1 / 16), (3, 0.25, 1 / 16), (5, 1.0, 1 / 4), (8, 0.5, 1 / 16)]:
+            outcome = replay_preemptive(m, eps, delta=delta, algorithm=algorithm, assert_level=2)
+            result = drive(LiveTableChecked(m, eps, 2, policy), outcome.instance)
+            assert list(result.decisions) == list(outcome.decisions)
+            assert result.accepted_volume == outcome.alg_volume
 
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_continued_pieces_coalesce(self, policy):
