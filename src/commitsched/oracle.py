@@ -9,9 +9,16 @@ this coincides with the breakpoint capacity test in :mod:`commitsched.vmin`.
 The most work that fits before a cut is a max flow on the same network.
 
 Optima are found by enumerating job subsets in decreasing-volume order and
-returning the first feasible one.  A vectorised necessary condition (forced
-work per interval pair must fit aggregate capacity), tested on chunks of
-subsets, discards most infeasible subsets before any flow or search runs.
+returning the first feasible one.  The order is sorted lazily: a batch of
+the largest remaining volumes at a time (ties kept whole), starting at 1024
+masks and growing fourfold, since most scans stop within the first few
+hundred.  A vectorised necessary condition (forced work per interval pair
+must fit aggregate capacity) discards most infeasible subsets before any
+flow or search runs.  It tests chunks of 64 subsets with one matrix
+product; a subset with some pair within the product's rounding bound of
+capacity + TOL is re-summed one job row at a time, so every verdict is
+that of the row-by-row sum.  The condition ignores that a job runs on one
+machine at a time, so some infeasible sets pass it and reach the flow.
 Non-preemptive feasibility is a depth-first search over job orders, each
 job starting on the machine that is free first.  It prunes a state when
 some prefix of its remaining jobs in deadline order, with work W, largest
@@ -176,51 +183,94 @@ def _forced_work_table(jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:
     must place inside the q-th interval [x, y); ``cap_unit[q] = y - x``.
     Used only as a necessary condition to prune infeasible subsets.
     """
-    points = _event_points(jobs)
-    pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1 :]]
-    if not pairs:
-        return np.zeros((len(jobs), 0)), np.zeros(0)
-    xs = np.array([x for x, _ in pairs])
-    ys = np.array([y for _, y in pairs])
-    F = np.zeros((len(jobs), len(pairs)))
-    for ji, job in enumerate(jobs):
-        before = np.maximum(0.0, np.minimum(xs, job.deadline) - job.release)
-        after = np.maximum(0.0, job.deadline - np.maximum(ys, job.release))
-        F[ji] = np.maximum(0.0, job.processing - before - after)
-    return F, ys - xs
+    points = np.array(_event_points(jobs))
+    first, second = np.triu_indices(len(points), 1)
+    xs, ys = points[first], points[second]
+    # One row per job, broadcast against the pairs: the per-job formulas.
+    r = np.array([job.release for job in jobs])[:, None]
+    p = np.array([job.processing for job in jobs])[:, None]
+    d = np.array([job.deadline for job in jobs])[:, None]
+    before = np.maximum(0.0, np.minimum(xs, d) - r)
+    after = np.maximum(0.0, d - np.maximum(ys, r))
+    return np.asarray(np.maximum(0.0, p - before - after), dtype=float), ys - xs
 
 
-def _descending_subsets(processing: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _subset_volumes(processing: Sequence[float]) -> np.ndarray:
+    """Total processing of every job mask (bit j set: job j is in)."""
     n = len(processing)
     vols = np.zeros(1 << n)
     for j in range(n):
         bit = 1 << j
         vols[bit : bit << 1] = vols[: bit] + processing[j]
-    order = np.argsort(-vols, kind="stable")
-    return order, vols
+    return vols
 
 
-def _passing_masks(order: np.ndarray, F: np.ndarray, caps: np.ndarray) -> Iterator[int]:
-    """The masks of ``order``, in order, whose members' summed forced work
-    ``F[members].sum(axis=0)`` fits ``caps`` (up to TOL) in every interval
-    pair; ``F`` is non-negative.  Tested in chunks; each member row is added
-    in ascending job order, which gives exactly the floats of the row-by-row
-    sum."""
+def _descending_blocks(vols: np.ndarray) -> Iterator[np.ndarray]:
+    """All masks in decreasing-volume order, ties in ascending mask order
+    (``np.argsort(-vols, kind="stable")``), in chunks of _FILTER_CHUNK.
+
+    The order is sorted one batch at a time, when the scan reaches it.  A
+    batch is every remaining mask whose volume is at or above the size-th
+    largest remaining volume, ties included, so it is exactly the next
+    stretch of the full order.  The remaining masks stay in ascending
+    order, so the stable sort of the batch breaks its ties as the full sort
+    does.  Batches grow fourfold; most scans end inside the first one.
+    """
+    rest = np.arange(len(vols))
+    size = 16 * _FILTER_CHUNK
+    while len(rest):
+        left = vols[rest]
+        if size < len(rest):
+            take = left >= np.partition(left, len(rest) - size)[len(rest) - size]
+            batch, left, rest = rest[take], left[take], rest[~take]
+        else:
+            batch, rest = rest, rest[:0]
+        batch = batch[np.argsort(-left, kind="stable")]
+        for begin in range(0, len(batch), _FILTER_CHUNK):
+            yield batch[begin : begin + _FILTER_CHUNK]
+        size *= 4
+
+
+def _member_sums(bits: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Row i is the sum of the rows ``F[j]`` with ``bits[i, j]`` set, added
+    one at a time in ascending j: the floats of the row-by-row sum."""
+    demand = np.zeros((len(bits), F.shape[1]))
+    for ji, row in enumerate(F):
+        np.add(demand, row, out=demand, where=bits[:, ji : ji + 1])
+    return demand
+
+
+def _passing_masks(chunks: Iterable[np.ndarray], F: np.ndarray, caps: np.ndarray) -> Iterator[int]:
+    """The masks of ``chunks``, in order, whose members' summed forced work
+    ``F[members].sum(axis=0)``, added row by row in ascending job order,
+    fits ``caps`` (up to TOL) in every interval pair; ``F`` is non-negative.
+
+    Each chunk is first screened with one matrix product, ``bits @ F``.
+    Added in any order, n non-negative floats round to within about
+    (n - 1) 2^-53 times their exact sum, so the product and the row-by-row
+    sum of a subset differ by less than ``margin = 4 (n + 1) 2^-53 whole``,
+    where ``whole``, the sum of all rows, bounds every subset's sum.  A
+    pair further than ``margin`` from ``caps + TOL`` is decided by the
+    product alone.  A mask with no pair decided over and some pair within
+    ``margin`` is summed row by row, which gives its exact verdict.
+    """
     # With non-negative rows no subset outgrows the whole set, so a pair the
     # whole set fits can be dropped.
     whole = np.zeros(F.shape[1])
     for row in F:
         whole += row
     live = whole > caps + TOL
-    F, caps = F[:, live], caps[live]
+    F, limit = F[:, live], caps[live] + TOL
+    margin = 4 * (F.shape[0] + 1) * 2.0**-53 * whole[live]
+    low, high = limit - margin, limit + margin
     shifts = np.arange(F.shape[0])
-    for begin in range(0, len(order), _FILTER_CHUNK):
-        chunk = order[begin : begin + _FILTER_CHUNK]
+    for chunk in chunks:
         bits = (chunk[:, None] >> shifts) & 1 == 1
-        demand = np.zeros((len(chunk), F.shape[1]))
-        for ji, row in enumerate(F):
-            np.add(demand, row, out=demand, where=bits[:, ji : ji + 1])
-        fits = ~np.any(demand > caps + TOL, axis=1)
+        approx = bits @ F
+        fits = ~np.any(approx > high, axis=1)
+        unsure = fits & np.any(approx >= low, axis=1)
+        if unsure.any():
+            fits[unsure] = ~np.any(_member_sums(bits[unsure], F) > limit, axis=1)
         yield from chunk[fits].tolist()
 
 
@@ -235,9 +285,9 @@ def _best_subset(
     if not jobs:
         return 0.0
     m = instance.machines
-    order, vols = _descending_subsets([j.processing for j in jobs])
+    vols = _subset_volumes([j.processing for j in jobs])
     F, widths = _forced_work_table(jobs)
-    for mask in _passing_masks(order, F, m * widths):
+    for mask in _passing_masks(_descending_blocks(vols), F, m * widths):
         if feasible([job for ji, job in enumerate(jobs) if mask >> ji & 1], m):
             return float(vols[mask])
     return 0.0

@@ -12,11 +12,13 @@ from commitsched import oracle
 from commitsched.harness import random_instance
 from commitsched.model import TOL, Instance, Job
 from commitsched.oracle import (
-    _descending_subsets,
+    _FILTER_CHUNK,
+    _descending_blocks,
     _forced_work_table,
     _MaxFlow,
     _np_search,
     _passing_masks,
+    _subset_volumes,
     flow_feasible,
     max_prefix_work,
     opt_nonpreemptive,
@@ -175,6 +177,314 @@ def test_horn_and_flow_agree_outside_the_tol_band():
                 assert not flow and not horn, (seed, float(margin))
                 seen["infeasible"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def passes_filter(jobs, m):
+    """Whether the whole set passes the forced-work filter of the oracles."""
+    F, widths = _forced_work_table(jobs)
+    full = (1 << len(jobs)) - 1
+    return list(_passing_masks([np.array([full])], F, m * widths)) == [full]
+
+
+def blocks_and_spanning_job(rng):
+    """Blocks that m >= 2 machines must spend entirely on their own jobs,
+    with gaps between them, and one job whose window spans them all.
+
+    The spanning job can run only in the gaps, one machine at a time, so
+    the set is feasible iff its work is at most the gap time.  Its forced
+    work in each interval pair may still fit m machines, so the filter
+    passes many of the infeasible sets.  Returns the jobs, m, and the
+    spanning job's work minus the gap time."""
+    m = rng.randint(2, 4)
+    gaps = rng.randint(1, 6)
+    t = start = rng.uniform(0.0, 20.0)
+    jobs, free, shortest = [], 0.0, math.inf
+    for block in range(gaps + 1):
+        end = t + rng.uniform(0.5, 2.0)
+        shortest = min(shortest, end - t)
+        for _ in range(m):
+            if rng.random() < 0.3:
+                part = (end - t) * rng.uniform(0.2, 0.8)
+                jobs += [Job(len(jobs), t, part, end), Job(len(jobs) + 1, t, (end - t) - part, end)]
+            else:
+                jobs.append(Job(len(jobs), t, end - t, end))
+        if block < gaps:
+            t = end + rng.uniform(0.5, 3.0)
+            free += t - end
+    excess = rng.uniform(-0.5, 1.0) * shortest
+    jobs.append(Job(len(jobs), start, free + excess, end))
+    return jobs, m, excess
+
+
+def lp_feasible(jobs, m, optimize):
+    """Independent preemptive feasibility: an LP in y[j, i] >= 0, job j's
+    work in interval i, with y[j, i] <= len_i inside the job's window,
+    sum_i y[j, i] = p_j and sum_j y[j, i] <= m * len_i."""
+    points = sorted({j.release for j in jobs} | {j.deadline for j in jobs})
+    intervals = list(zip(points, points[1:]))
+    pairs = [
+        (ji, ii)
+        for ji, job in enumerate(jobs)
+        for ii, (a, b) in enumerate(intervals)
+        if job.release <= a and b <= job.deadline
+    ]
+    lp = optimize.linprog(
+        np.zeros(len(pairs)),
+        A_ub=[[1.0 if ii == i else 0.0 for _, ii in pairs] for i in range(len(intervals))],
+        b_ub=[m * (b - a) for a, b in intervals],
+        A_eq=[[1.0 if ji == j else 0.0 for ji, _ in pairs] for j in range(len(jobs))],
+        b_eq=[job.processing for job in jobs],
+        bounds=[(0.0, intervals[ii][1] - intervals[ii][0]) for _, ii in pairs],
+        method="highs",
+    )
+    assert lp.status in (0, 2), lp.message
+    return lp.status == 0
+
+
+class TestFlowOnFilterPassingSets:
+    """``flow_feasible`` on sets that the forced-work filter cannot reject:
+    the filter bounds each interval's forced work by m machines, but a job
+    runs on one machine at a time."""
+
+    def test_two_full_blocks_and_a_spanning_job(self):
+        jobs = [Job(i, float(r), float(p), float(d)) for i, (r, p, d) in enumerate(
+            [(0, 1, 1), (0, 1, 1), (2, 1, 3), (2, 1, 3), (0, 2, 3)]
+        )]
+        assert passes_filter(jobs, 2)
+        assert not flow_feasible(jobs, 2)
+        assert flow_feasible(jobs[:4] + [Job(4, 0.0, 1.0, 3.0)], 2)
+
+    def test_matches_an_interval_lp_on_a_seeded_family(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        # Sets within 1e-6 of the threshold, the gap time, are skipped.
+        seen = {True: 0, False: 0}
+        for seed in range(100):
+            jobs, m, excess = blocks_and_spanning_job(random.Random(seed))
+            if not passes_filter(jobs, m) or abs(excess) <= 1e-6:
+                continue
+            feasible = lp_feasible(jobs, m, optimize)
+            assert flow_feasible(jobs, m) == feasible, (seed, excess)
+            seen[feasible] += 1
+        assert seen[False] >= 20 and seen[True] >= 20, seen
+
+
+#: ``repr((opt_preemptive(inst), opt_nonpreemptive(inst)))`` of
+#: ``random_instance(n, m, eps, seed=seed, release_span=span, slack_mix=mix)``,
+#: keyed by (seed, n, m, eps, span, mix), recorded with the full subset sort
+#: and the row-by-row filter.
+RECORDED_OPTIMA = {
+    (0, 12, 1, 1.0, 0.0, 0.5): "(21.566306321465724, None)",
+    (1, 4, 2, 0.05, 10.0, 0.0): "(14.647332463693607, 14.647332463693607)",
+    (2, 1, 3, 0.05, 0.0, 0.5): "(7.177505152902337, 7.177505152902337)",
+    (3, 7, 4, 0.25, 10.0, 1.0): "(24.804273896687253, 24.804273896687253)",
+    (4, 7, 1, 0.5, 0.0, 1.0): "(8.657831833500875, 8.657831833500875)",
+    (5, 8, 2, 0.5, 0.0, 0.5): "(17.86662238115013, 17.86662238115013)",
+    (6, 2, 3, 1.0, 10.0, 0.0): "(6.709883120998985, 6.709883120998985)",
+    (7, 10, 4, 0.25, 30.0, 1.0): "(30.154662828073043, 30.154662828073043)",
+    (8, 7, 1, 0.5, 30.0, 0.0): "(22.646316979522698, 22.646316979522698)",
+    (9, 14, 2, 0.5, 10.0, 0.0): "(33.73056728085665, None)",
+    (10, 1, 3, 1.0, 30.0, 1.0): "(2.439638120567854, 2.439638120567854)",
+    (11, 14, 4, 1.0, 30.0, 1.0): "(49.25492778238118, None)",
+    (12, 15, 1, 0.5, 10.0, 0.0): "(26.06704187773756, None)",
+    (13, 8, 2, 0.5, 1.0, 1.0): "(17.50432722176314, 16.689346473763564)",
+    (14, 3, 3, 0.25, 10.0, 1.0): "(12.701149504126032, 12.701149504126032)",
+    (15, 6, 4, 0.05, 0.0, 0.0): "(28.34109401957827, 28.34109401957827)",
+    (16, 11, 1, 1.0, 30.0, 0.5): "(33.918123993077735, None)",
+    (17, 16, 2, 1.0, 10.0, 0.5): "(54.88602619761423, None)",
+    (18, 5, 3, 0.05, 30.0, 0.5): "(18.271790848498807, 18.271790848498807)",
+    (19, 1, 4, 0.05, 1.0, 0.5): "(5.114999391213772, 5.114999391213772)",
+    (20, 4, 1, 0.5, 0.0, 0.5): "(12.143598346533603, 12.143598346533603)",
+    (21, 5, 2, 1.0, 30.0, 1.0): "(13.052252481645144, 13.052252481645144)",
+    (22, 4, 3, 0.25, 0.0, 1.0): "(19.054045870111377, 19.054045870111377)",
+    (23, 9, 4, 0.05, 0.0, 1.0): "(14.221005567638656, 14.221005567638656)",
+    (24, 12, 1, 0.25, 1.0, 0.0): "(22.88603599889921, None)",
+    (25, 12, 2, 0.05, 1.0, 0.5): "(14.025366907975421, None)",
+    (26, 6, 3, 0.25, 30.0, 1.0): "(33.90349732400516, 33.90349732400516)",
+    (27, 15, 4, 0.5, 10.0, 0.0): "(41.052318175955385, None)",
+    (28, 3, 1, 0.25, 1.0, 0.0): "(9.593838310546177, 9.593838310546177)",
+    (29, 2, 2, 0.5, 10.0, 0.0): "(7.838041719631071, 7.838041719631071)",
+    (30, 9, 3, 0.05, 1.0, 0.5): "(25.50639439980528, 25.244479161847877)",
+    (31, 0, 4, 1.0, 0.0, 0.5): "(0.0, 0.0)",
+    (32, 2, 1, 0.25, 1.0, 0.5): "(4.47138481703854, 4.47138481703854)",
+    (33, 5, 2, 0.25, 10.0, 0.5): "(26.72612744872938, 26.72612744872938)",
+    (34, 16, 3, 0.5, 0.0, 0.0): "(53.17414091215144, None)",
+    (35, 10, 4, 0.25, 10.0, 0.0): "(31.899396948232884, 31.899396948232884)",
+    (36, 10, 1, 0.05, 0.0, 0.5): "(9.628530455007045, 9.628530455007045)",
+    (37, 2, 2, 0.05, 10.0, 0.5): "(6.53177887623689, 6.53177887623689)",
+    (38, 13, 3, 1.0, 0.0, 0.0): "(39.70141757219743, None)",
+    (39, 6, 4, 0.5, 30.0, 0.0): "(16.223254221676875, 16.223254221676875)",
+    (40, 14, 1, 0.05, 1.0, 0.5): "(11.950897895340571, None)",
+    (41, 12, 2, 0.5, 1.0, 0.0): "(42.48090061816168, None)",
+    (42, 3, 3, 0.05, 10.0, 0.0): "(9.047790982590847, 9.047790982590847)",
+    (43, 1, 4, 0.5, 1.0, 0.5): "(4.2535663780255355, 4.2535663780255355)",
+    (44, 13, 1, 0.05, 1.0, 0.5): "(10.24777869671818, None)",
+    (45, 8, 2, 1.0, 30.0, 0.5): "(26.61830337520659, 26.61830337520659)",
+    (46, 2, 3, 1.0, 0.0, 1.0): "(5.009158281832355, 5.009158281832355)",
+    (47, 11, 4, 0.05, 30.0, 1.0): "(39.55591759570683, None)",
+    (48, 10, 1, 0.25, 10.0, 1.0): "(14.889946910414395, 14.889946910414395)",
+    (49, 2, 2, 0.5, 30.0, 0.0): "(2.36715092339832, 2.36715092339832)",
+    (50, 15, 3, 0.5, 10.0, 1.0): "(45.02228791086753, None)",
+    (51, 7, 4, 0.25, 1.0, 0.0): "(23.542419153060095, 23.542419153060095)",
+    (52, 8, 1, 0.05, 30.0, 0.5): "(23.77240694941653, 23.77240694941653)",
+    (53, 6, 2, 1.0, 30.0, 1.0): "(23.50152688158331, 23.50152688158331)",
+    (54, 4, 3, 1.0, 10.0, 0.5): "(17.660951487561107, 17.660951487561107)",
+    (55, 2, 4, 0.25, 1.0, 1.0): "(7.116616617098507, 7.116616617098507)",
+    (56, 0, 1, 1.0, 10.0, 1.0): "(0.0, 0.0)",
+    (57, 1, 2, 0.5, 0.0, 0.0): "(3.40831659256194, 3.40831659256194)",
+    (58, 6, 3, 0.25, 1.0, 0.0): "(24.531184948515442, 24.531184948515442)",
+    (59, 7, 4, 0.05, 30.0, 0.0): "(24.77059297610327, 24.77059297610327)",
+    (60, 9, 1, 0.5, 1.0, 0.5): "(8.785249594360883, 8.785249594360883)",
+    (61, 15, 2, 0.25, 1.0, 0.5): "(24.156749633412563, None)",
+    (62, 5, 3, 0.05, 1.0, 0.5): "(20.954743538267795, 20.954743538267795)",
+    (63, 14, 4, 1.0, 10.0, 0.5): "(51.08705997321451, None)",
+    (64, 15, 1, 0.05, 30.0, 1.0): "(23.533122472729517, None)",
+    (65, 13, 2, 0.5, 10.0, 1.0): "(29.899545301556802, None)",
+    (66, 2, 3, 0.5, 30.0, 0.0): "(7.666634513079392, 7.666634513079392)",
+    (67, 2, 4, 0.05, 30.0, 0.5): "(14.682566470519763, 14.682566470519763)",
+    (68, 14, 1, 0.05, 1.0, 0.5): "(14.602015541106674, None)",
+    (69, 1, 2, 0.05, 1.0, 0.0): "(1.2205335271543667, 1.2205335271543667)",
+    (70, 3, 3, 0.5, 30.0, 0.5): "(7.737025749150073, 7.737025749150073)",
+    (71, 10, 4, 0.05, 10.0, 0.0): "(33.803231696772045, 33.803231696772045)",
+    (72, 2, 1, 0.25, 10.0, 1.0): "(7.826356809721949, 7.826356809721949)",
+    (73, 8, 2, 0.05, 30.0, 1.0): "(20.491168756134382, 20.491168756134382)",
+    (74, 16, 3, 0.05, 10.0, 0.0): "(60.460811776244455, None)",
+    (75, 14, 4, 1.0, 30.0, 0.0): "(38.374484957454236, None)",
+    (76, 11, 1, 1.0, 30.0, 0.0): "(40.8513460377597, None)",
+    (77, 8, 2, 0.5, 1.0, 0.0): "(22.911542466798547, 22.911542466798547)",
+    (78, 6, 3, 0.05, 10.0, 1.0): "(15.730530283138085, 15.730530283138085)",
+    (79, 4, 4, 1.0, 10.0, 1.0): "(15.781150391005253, 15.781150391005253)",
+    (80, 8, 1, 1.0, 30.0, 0.5): "(20.439457813190263, 18.74015993502172)",
+    (81, 16, 2, 1.0, 10.0, 1.0): "(33.72729511514439, None)",
+    (82, 4, 3, 1.0, 10.0, 0.0): "(15.91274276763947, 15.91274276763947)",
+    (83, 15, 4, 1.0, 0.0, 0.0): "(52.7917240962261, None)",
+    (84, 9, 1, 0.05, 30.0, 0.0): "(29.782892594486327, 29.782892594486327)",
+    (85, 6, 2, 0.05, 10.0, 0.0): "(19.1074481345753, 19.1074481345753)",
+    (86, 0, 3, 0.5, 0.0, 0.0): "(0.0, 0.0)",
+    (87, 4, 4, 0.25, 0.0, 0.5): "(11.394768840779891, 11.394768840779891)",
+    (88, 12, 1, 0.25, 10.0, 0.0): "(27.02641870541607, None)",
+    (89, 2, 2, 0.5, 1.0, 0.5): "(13.84653902993532, 13.84653902993532)",
+    (90, 6, 3, 0.05, 30.0, 1.0): "(24.297205306669166, 24.297205306669166)",
+    (91, 2, 4, 0.25, 1.0, 0.5): "(11.343334217331336, 11.343334217331336)",
+    (92, 13, 1, 0.5, 0.0, 1.0): "(10.768428848954857, None)",
+    (93, 15, 2, 0.5, 0.0, 0.0): "(44.256532288678876, None)",
+    (94, 5, 3, 0.05, 10.0, 0.5): "(22.12329507441156, 22.12329507441156)",
+    (95, 16, 4, 0.25, 30.0, 0.0): "(53.19712963399969, None)",
+    (96, 11, 1, 0.5, 30.0, 0.0): "(21.534503693679344, None)",
+    (97, 6, 2, 1.0, 10.0, 0.0): "(16.761200273338726, 16.761200273338726)",
+    (98, 11, 3, 0.05, 10.0, 0.5): "(40.693169303945986, None)",
+    (99, 12, 4, 1.0, 1.0, 1.0): "(49.032940343204814, None)",
+    (100, 4, 1, 1.0, 30.0, 0.0): "(10.723506364637087, 10.723506364637087)",
+    (101, 6, 2, 0.5, 30.0, 0.0): "(15.409371913193128, 15.409371913193128)",
+    (102, 4, 3, 0.5, 1.0, 1.0): "(11.872156849858317, 11.872156849858317)",
+    (103, 14, 4, 0.25, 0.0, 1.0): "(25.15356350871876, None)",
+    (104, 0, 1, 0.25, 1.0, 0.5): "(0.0, 0.0)",
+    (105, 11, 2, 0.05, 0.0, 0.5): "(38.82442981982602, None)",
+    (106, 15, 3, 0.05, 30.0, 0.0): "(43.42898169773585, None)",
+    (107, 7, 4, 1.0, 30.0, 0.5): "(22.85994466535338, 22.85994466535338)",
+    (108, 4, 1, 0.05, 30.0, 1.0): "(5.969201201250008, 5.969201201250008)",
+    (109, 8, 2, 0.25, 30.0, 0.5): "(29.803225963831167, 29.803225963831167)",
+    (110, 12, 3, 0.25, 30.0, 0.5): "(48.15623593892078, None)",
+    (111, 6, 4, 0.5, 30.0, 0.0): "(16.654771557722814, 16.654771557722814)",
+    (112, 15, 1, 0.5, 30.0, 0.5): "(27.879416868008345, None)",
+    (113, 0, 2, 0.5, 0.0, 0.5): "(0.0, 0.0)",
+    (114, 7, 3, 0.05, 10.0, 1.0): "(28.133055901813513, 28.133055901813513)",
+    (115, 9, 4, 0.25, 0.0, 1.0): "(23.73383162775815, 20.296109690930415)",
+    (116, 9, 1, 0.05, 0.0, 1.0): "(6.045719926332629, 6.045719926332629)",
+    (117, 7, 2, 0.25, 1.0, 0.0): "(19.213284184178523, 19.213284184178523)",
+    (118, 5, 3, 0.5, 0.0, 1.0): "(16.04958438114238, 13.120203772629035)",
+    (119, 9, 4, 0.25, 30.0, 0.0): "(30.92193957880225, 30.92193957880225)",
+    (120, 16, 1, 0.25, 1.0, 1.0): "(7.487919086112908, None)",
+    (121, 2, 2, 0.25, 30.0, 1.0): "(5.875335794549514, 5.875335794549514)",
+    (122, 16, 3, 0.25, 10.0, 0.0): "(63.68587643026842, None)",
+    (123, 1, 4, 0.5, 0.0, 0.5): "(1.1987742772182597, 1.1987742772182597)",
+    (124, 8, 1, 0.05, 1.0, 0.0): "(18.253921223193554, 18.253921223193554)",
+    (125, 7, 2, 0.25, 10.0, 1.0): "(15.025290533285666, 14.898452215405324)",
+    (126, 1, 3, 1.0, 1.0, 1.0): "(3.32693039823512, 3.32693039823512)",
+    (127, 1, 4, 0.05, 0.0, 0.0): "(3.6596575974063663, 3.6596575974063663)",
+    (128, 7, 1, 1.0, 10.0, 0.0): "(19.487241452586304, 19.487241452586304)",
+    (129, 16, 2, 0.5, 0.0, 1.0): "(20.449088984438472, None)",
+    (130, 16, 3, 1.0, 10.0, 1.0): "(50.09475128818572, None)",
+    (131, 10, 4, 0.5, 0.0, 0.5): "(21.852154576853422, 21.852154576853422)",
+    (132, 13, 1, 0.25, 30.0, 0.0): "(42.85375265426734, None)",
+    (133, 15, 2, 0.5, 30.0, 0.5): "(45.92889888966609, None)",
+    (134, 15, 3, 0.25, 1.0, 0.0): "(52.056273896570296, None)",
+    (135, 11, 4, 0.5, 30.0, 0.5): "(41.34292110899567, None)",
+    (136, 13, 1, 0.05, 30.0, 0.5): "(28.1391021737472, None)",
+    (137, 2, 2, 0.25, 30.0, 0.5): "(9.904786604378565, 9.904786604378565)",
+    (138, 6, 3, 1.0, 30.0, 1.0): "(22.68191301359374, 22.68191301359374)",
+    (139, 0, 4, 0.5, 0.0, 1.0): "(0.0, 0.0)",
+    (140, 3, 1, 0.05, 10.0, 0.0): "(9.771288608280578, 9.771288608280578)",
+    (141, 16, 2, 0.05, 30.0, 0.0): "(50.342806394004, None)",
+    (142, 15, 3, 0.25, 30.0, 0.5): "(40.29006877291417, None)",
+    (143, 5, 4, 0.05, 0.0, 0.0): "(21.96689636426043, 21.96689636426043)",
+    (144, 14, 1, 0.05, 30.0, 0.0): "(26.524011756991115, None)",
+    (145, 13, 2, 0.05, 30.0, 0.0): "(44.00732660986209, None)",
+    (146, 4, 3, 0.25, 10.0, 0.0): "(17.209163918512793, 17.209163918512793)",
+    (147, 4, 4, 1.0, 30.0, 1.0): "(18.772440495637838, 18.772440495637838)",
+    (148, 12, 1, 0.05, 30.0, 0.5): "(34.72362927231613, None)",
+    (149, 2, 2, 0.05, 10.0, 0.5): "(6.648064957723977, 6.648064957723977)",
+    (150, 10, 3, 1.0, 1.0, 0.0): "(34.03183956130104, 34.03183956130104)",
+    (151, 13, 4, 0.25, 10.0, 0.5): "(38.8414203622736, None)",
+    (152, 12, 1, 0.25, 30.0, 0.0): "(27.40077405632861, None)",
+    (153, 15, 2, 0.05, 0.0, 0.5): "(20.690380157672948, None)",
+    (154, 6, 3, 1.0, 30.0, 0.0): "(18.608197750717984, 18.608197750717984)",
+    (155, 16, 4, 0.5, 30.0, 1.0): "(49.45249779664377, None)",
+    (156, 15, 1, 1.0, 1.0, 0.5): "(20.274309297456984, None)",
+    (157, 15, 2, 0.25, 1.0, 0.0): "(44.81014940504566, None)",
+    (158, 7, 3, 0.05, 0.0, 0.5): "(11.370057793792732, 11.370057793792732)",
+    (159, 12, 4, 0.25, 30.0, 0.0): "(36.177927870822785, None)",
+    (160, 3, 1, 0.5, 30.0, 0.0): "(9.114897418591637, 9.114897418591637)",
+    (161, 16, 2, 0.25, 1.0, 0.0): "(43.322352843282076, None)",
+    (162, 1, 3, 0.25, 1.0, 0.5): "(6.53790832977733, 6.53790832977733)",
+    (163, 14, 4, 0.25, 30.0, 0.5): "(51.28608474410211, None)",
+    (164, 3, 1, 0.5, 10.0, 0.5): "(11.013879987259497, 11.013879987259497)",
+    (165, 0, 2, 0.05, 30.0, 0.0): "(0.0, 0.0)",
+    (166, 5, 3, 1.0, 30.0, 0.0): "(18.398454933034124, 18.398454933034124)",
+    (167, 7, 4, 0.05, 10.0, 0.5): "(18.932429046018147, 18.932429046018147)",
+    (168, 3, 1, 0.5, 30.0, 0.0): "(10.893722006967781, 10.893722006967781)",
+    (169, 8, 2, 0.25, 0.0, 1.0): "(9.307953763193156, 7.769961401536678)",
+    (170, 11, 3, 0.5, 10.0, 0.0): "(20.32017646266462, None)",
+    (171, 12, 4, 1.0, 0.0, 1.0): "(47.67494097471304, None)",
+    (172, 11, 1, 0.25, 1.0, 0.5): "(14.345117134644177, None)",
+    (173, 10, 2, 1.0, 10.0, 0.0): "(26.97270066404133, 26.97270066404133)",
+    (174, 0, 3, 1.0, 0.0, 0.5): "(0.0, 0.0)",
+    (175, 14, 4, 0.25, 0.0, 1.0): "(26.763477937001532, None)",
+    (176, 0, 1, 0.05, 1.0, 0.0): "(0.0, 0.0)",
+    (177, 6, 2, 1.0, 30.0, 1.0): "(21.836399654627613, 21.836399654627613)",
+    (178, 3, 3, 1.0, 1.0, 0.5): "(15.539331096824835, 15.539331096824835)",
+    (179, 6, 4, 0.05, 0.0, 0.0): "(18.41086446705182, 18.41086446705182)",
+    (180, 4, 1, 0.05, 0.0, 1.0): "(3.870777544958233, 3.870777544958233)",
+    (181, 3, 2, 0.05, 10.0, 0.5): "(6.48062743439899, 6.48062743439899)",
+    (182, 14, 3, 0.5, 1.0, 0.0): "(42.864592930414695, None)",
+    (183, 3, 4, 0.05, 0.0, 0.5): "(11.173175390063658, 11.173175390063658)",
+    (184, 8, 1, 0.05, 1.0, 1.0): "(5.798048785687895, 5.798048785687895)",
+    (185, 3, 2, 0.25, 1.0, 0.5): "(7.516588924627346, 7.516588924627346)",
+    (186, 10, 3, 1.0, 30.0, 0.0): "(35.22792943054341, 35.22792943054341)",
+    (187, 11, 4, 1.0, 1.0, 1.0): "(43.45847166134066, None)",
+    (188, 7, 1, 0.5, 0.0, 0.0): "(17.706350738733093, 17.706350738733093)",
+    (189, 15, 2, 0.5, 1.0, 1.0): "(18.584353772447177, None)",
+    (190, 2, 3, 0.25, 10.0, 0.5): "(9.080829574258061, 9.080829574258061)",
+    (191, 16, 4, 0.25, 30.0, 1.0): "(53.875608803384026, None)",
+    (192, 11, 1, 0.5, 0.0, 0.5): "(16.455540533564484, None)",
+    (193, 14, 2, 0.25, 10.0, 1.0): "(28.318012620799443, None)",
+    (194, 2, 3, 0.25, 10.0, 0.5): "(3.0609264721715066, 3.0609264721715066)",
+    (195, 12, 4, 0.05, 1.0, 1.0): "(24.252134163965817, None)",
+    (196, 16, 1, 0.05, 1.0, 0.5): "(14.484151746091895, None)",
+    (197, 0, 2, 0.25, 1.0, 0.0): "(0.0, 0.0)",
+    (198, 1, 3, 1.0, 0.0, 1.0): "(4.390588021270426, 4.390588021270426)",
+    (199, 11, 4, 1.0, 10.0, 1.0): "(38.03867288690302, None)",
+}
+
+
+def test_optima_match_the_recorded_values():
+    """Both optima repeat the recorded floats bit for bit on 200 seeded
+    instances, n 0-16 (the non-preemptive oracle stops at 10), m 1-4."""
+    for (seed, n, m, eps, span, mix), expected in RECORDED_OPTIMA.items():
+        inst = random_instance(n, m, eps, seed=seed, release_span=span, slack_mix=mix)
+        assert repr((opt_preemptive(inst), opt_nonpreemptive(inst))) == expected, (seed, n, m, eps, span, mix)
+    assert {key[2] for key in RECORDED_OPTIMA} == {1, 2, 3, 4}
+    assert max(key[1] for key in RECORDED_OPTIMA) == oracle.MAX_PREEMPTIVE_JOBS
+
 
 class TestOptPreemptive:
     def test_fully_feasible_set_takes_everything(self):
@@ -417,6 +727,47 @@ class TestNonpreemptiveAgainstBruteForce:
         assert decided > 50
 
 
+def descending_subsets(processing):
+    """Reference order: every mask, sorted at once by decreasing volume,
+    ties by ascending mask."""
+    n = len(processing)
+    vols = np.zeros(1 << n)
+    for j in range(n):
+        bit = 1 << j
+        vols[bit : bit << 1] = vols[:bit] + processing[j]
+    return np.argsort(-vols, kind="stable"), vols
+
+
+def chunked(order):
+    return [order[begin : begin + _FILTER_CHUNK] for begin in range(0, len(order), _FILTER_CHUNK)]
+
+
+class TestDescendingBlocks:
+    @pytest.mark.parametrize("n", range(17))
+    def test_matches_the_full_stable_sort(self, n):
+        rng = random.Random(n)
+        for processing in (
+            [rng.uniform(1.0, 8.0) for _ in range(n)],
+            [float(rng.randint(1, 4)) for _ in range(n)],
+            [2.5] * n,
+        ):
+            order, vols = descending_subsets(processing)
+            assert np.array_equal(_subset_volumes(processing), vols)
+            chunks = list(_descending_blocks(vols))
+            assert all(0 < len(chunk) <= _FILTER_CHUNK for chunk in chunks)
+            assert np.array_equal(np.concatenate(chunks), order)
+
+    def test_a_batch_takes_the_whole_tie_run_at_its_threshold(self):
+        # With equal times the volumes are popcounts.  The first batch asks
+        # for 1024 of the 4096 masks of n = 12; the run of volume 7 crosses
+        # that size, so the batch takes 1586 masks and its last chunk is
+        # ragged before the end of the stream.
+        chunks = list(_descending_blocks(_subset_volumes([1.0] * 12)))
+        lengths = [len(chunk) for chunk in chunks]
+        assert lengths.index(1586 % _FILTER_CHUNK) == 1586 // _FILTER_CHUNK < len(lengths) - 1
+        assert np.array_equal(np.concatenate(chunks), descending_subsets([1.0] * 12)[0])
+
+
 def per_mask_filter(order, F, caps):
     """The forced-work rule one mask at a time."""
     out = []
@@ -428,13 +779,27 @@ def per_mask_filter(order, F, caps):
     return out
 
 
+def integer_grid_jobs(rng, n, shifts=(0.0,)):
+    """Jobs on an integer grid, often with no slack, so that forced work
+    meets capacity exactly; each processing time is raised by TOL times one
+    of ``shifts``."""
+    jobs = []
+    for i in range(n):
+        r, p = rng.randint(0, 6), rng.randint(1, 4)
+        jobs.append(Job(i, float(r), p + TOL * rng.choice(shifts), float(r + p + rng.choice([0, 0, 1, 2, 4]))))
+    return jobs
+
+
 class TestPassingMasks:
     def check(self, jobs, m, order=None):
         F, widths = _forced_work_table(jobs)
         if order is None:
-            order, _ = _descending_subsets([j.processing for j in jobs])
+            chunks = list(_descending_blocks(_subset_volumes([j.processing for j in jobs])))
+            order = np.concatenate(chunks)
+        else:
+            chunks = chunked(order)
         expected = per_mask_filter(order, F, m * widths)
-        assert list(_passing_masks(order, F, m * widths)) == expected
+        assert list(_passing_masks(chunks, F, m * widths)) == expected
         return len(order) - len(expected)
 
     def test_no_jobs(self):
@@ -445,7 +810,8 @@ class TestPassingMasks:
 
     def test_ragged_last_chunk(self):
         jobs = list(random_instance(9, 1, 0.25, seed=4, release_span=3.0).jobs)
-        order, _ = _descending_subsets([j.processing for j in jobs])
+        order, _ = descending_subsets([j.processing for j in jobs])
+        assert [len(chunk) for chunk in chunked(order[:150])] == [64, 64, 22]
         assert self.check(jobs, 1, order[:150]) > 0
 
     def test_tolerance_at_capacity(self):
@@ -456,8 +822,8 @@ class TestPassingMasks:
 
     def test_no_interval_pairs(self):
         F = np.zeros((3, 0))
-        order, _ = _descending_subsets([1.0, 2.0, 3.0])
-        assert list(_passing_masks(order, F, np.zeros(0))) == list(order)
+        order, _ = descending_subsets([1.0, 2.0, 3.0])
+        assert list(_passing_masks(chunked(order), F, np.zeros(0))) == list(order)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_per_mask_rule(self, seed):
@@ -466,6 +832,38 @@ class TestPassingMasks:
         m = rng.choice([1, 2, 3])
         inst = random_instance(n, m, rng.choice([0.1, 0.5, 1.0]), seed=seed, release_span=rng.choice([2.0, 10.0]))
         self.check(list(inst.jobs), m)
+
+    def test_integer_grids_at_capacity(self):
+        # Forced work that meets capacity exactly is TOL below the limit,
+        # far outside the screen's margin, so the product decides it.
+        for seed in range(20):
+            rng = random.Random(seed)
+            m = rng.randint(1, 3)
+            self.check(integer_grid_jobs(rng, rng.randint(2, 9)), m)
+
+    def test_sums_within_the_margin_are_added_row_by_row(self, monkeypatch):
+        # Shifts of TOL and TOL +- 1e-15 put the forced work of some subsets
+        # on caps + TOL or an ulp or two either side of it, inside the
+        # screen's margin.  Those masks are summed row by row; both verdicts
+        # occur there, and every verdict matches the per-mask rule.
+        over = []
+
+        def spy(bits, F):
+            sums = member_sums(bits, F)
+            over.extend(np.any(sums > live_limit, axis=1))
+            return sums
+
+        member_sums = oracle._member_sums
+        monkeypatch.setattr(oracle, "_member_sums", spy)
+        for seed in range(60):
+            rng = random.Random(seed)
+            m = rng.randint(1, 3)
+            jobs = integer_grid_jobs(rng, rng.randint(2, 9), shifts=(0.0, 1.0, 1.0 + 1e-6, 1.0 - 1e-6))
+            F, widths = _forced_work_table(jobs)
+            limit = m * widths + TOL
+            live_limit = limit[F.sum(axis=0) > limit]
+            self.check(jobs, m)
+        assert any(over) and not all(over), sum(over)
 
 
 class DenseMaxFlow:
