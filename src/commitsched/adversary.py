@@ -128,10 +128,6 @@ class StressOutcome:
     def ratio(self) -> float:
         return volume_ratio(self.opt_volume, self.alg_volume)
 
-    @property
-    def unbounded(self) -> bool:
-        return self.alg_volume <= 0.0 < self.opt_volume
-
 
 class PreemptiveAdversary:
     """Block-structured generator for the preemptive game; all releases 0.

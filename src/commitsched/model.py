@@ -145,7 +145,9 @@ class Schedule:
 class DecisionRecord:
     """Outcome of one admission decision.
 
-    ``threshold`` is the deadline threshold the job was compared against
+    ``time`` is the job's release, for every policy: a release up to
+    ``TOL`` before the previous one is decided at the policy's later clock
+    but recorded at its own release.  ``threshold`` is the deadline threshold the job was compared against
     at decision time: the lazy threshold ``d_min`` for the preemptive
     policy, and the load threshold ``d_lim`` for the non-preemptive ones
     (of the group that accepted the job, or of the last group offered it,

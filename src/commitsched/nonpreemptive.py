@@ -3,8 +3,8 @@
 A job accepted at its release is bound immediately to one machine and
 starts as soon as that machine frees up, so only the machine free times
 matter.  Admission compares the job's deadline against the load threshold
-``d_lim``: the maximum over machines, ranked by decreasing load, of
-``load * ((1+eps)/eps)^(rank/m) + t``.
+``d_lim``: the maximum over the m machines of a group, ranked by
+decreasing load, of ``load * ((1+eps)/eps)^(rank/m) + t``.
 """
 
 from __future__ import annotations
@@ -200,11 +200,16 @@ def _commit(free: list[float], weights: list[float], lo: int, hi: int, t: float,
 class NonpreemptiveSimulator(_Commitments):
     """Threshold-based online allocation on ``machines`` identical machines.
 
-    Each state, after a clock advance and after an acceptance, makes one
-    pass over the sorted machine free times ``free`` (``_peak_top_two``):
-    it gives ``limit`` (``d_lim`` of the loads and clock) and the two
-    largest loads the checks read.  Only an acceptance builds the full
-    ranking, which scores all m trial placements (``_commit``).
+    The machines form groups, each a slice ``base:end`` of one flat
+    free-time vector ``free`` with its own ascending copy and clock (the
+    latest release offered to it).  Algorithm 3 is one group of all m
+    machines; ``PartitionedAllocator`` cuts smaller ones.  A job is offered
+    to the groups in order until one accepts it.  An offer is one pass over
+    the group's ascending free times (``_peak_top_two``): it gives the
+    threshold (``d_lim`` of the group's loads and clock) and the two
+    largest loads the checks read.  Only the group that accepts builds the
+    full ranking, which scores its trial placements (``_commit``), and
+    re-sorts its ascending slice.
     """
 
     def __init__(self, machines: int, epsilon: float) -> None:
@@ -212,88 +217,7 @@ class NonpreemptiveSimulator(_Commitments):
         super().__init__()
         self.machines = machines
         self.epsilon = epsilon
-        self.clock = 0.0
-        self.free = [0.0] * machines  # absolute time each machine frees up, by stable id
-        r = rho(epsilon)
-        self._weights = _weights(machines, r)
-        self._rho_down = r ** (-1.0 / machines)
-        self._rho_up = r ** (1.0 / machines)
-        self._rank()
-
-    @property
-    def loads(self) -> list[float]:
-        """Each machine's remaining work at the clock, by id."""
-        t = self.clock
-        return [f - t if f > t else 0.0 for f in self.free]
-
-    def _rank(self) -> None:
-        """Refresh ``limit`` and the top-two sum at the clock and check the load sum."""
-        t = self.clock
-        peak, self._top_two = _peak_top_two(sorted(self.free), self._weights, 0, self.machines, t)
-        self.limit = peak + t
-        _check_load_sum(peak, self._top_two, self._rho_down, t)
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock forward to ``t`` and rank the loads there."""
-        if t < self.clock - TOL:
-            raise ValueError(f"time moves backwards: {self.clock} -> {t}")
-        self.clock = max(self.clock, t)
-        self._rank()
-
-    def submit(self, job: Job) -> CommittedStart | None:
-        self.advance_to(job.release)
-        return self.on_arrival(job)
-
-    def on_arrival(self, job: Job) -> CommittedStart | None:
-        limit, placed = self.place(job)
-        return self._record(job, self.clock, limit, placed)
-
-    def place(self, job: Job) -> tuple[float, CommittedStart | None]:
-        """Decide ``job`` at the current clock without recording it: the
-        threshold it was compared against and its placement, or None on
-        rejection."""
-        if abs(job.release - self.clock) > TOL:
-            raise ValueError(
-                f"arrival handled at clock {self.clock} != release {job.release}; advance first"
-            )
-        limit = self.limit
-        if job.deadline < limit - TOL:
-            _check_usable_interval(job, self._top_two, self._rho_up)
-            return limit, None
-        placed = _commit(self.free, self._weights, 0, self.machines, self.clock, job)
-        self._rank()
-        return limit, placed
-
-
-def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
-    """Run the threshold policy over a full instance."""
-    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance)
-
-
-def partition_group_size(epsilon: float) -> int:
-    """Group size for the partitioned variant: round(ln((1+eps)/eps)), >= 1."""
-    return max(1, round(math.log(rho(epsilon))))
-
-
-class PartitionedAllocator(_Commitments):
-    """Partition the machines into near-log-sized groups and cascade offers.
-
-    Every job is offered to the first group; a rejection there passes the
-    job to the next group, and so on.  Remainder machines (when the group
-    size does not divide m) form a final smaller group.  Each group runs
-    ``NonpreemptiveSimulator``'s threshold rule on its slice ``base:base +
-    size`` of one flat free-time vector, at its own clock: the latest
-    release offered to it.  An offer is one pass over the group's
-    ascending free times; only the group that accepts builds the full
-    ranking and re-sorts its ascending slice.
-    """
-
-    def __init__(self, machines: int, epsilon: float) -> None:
-        check_policy_args(machines, epsilon)
-        super().__init__()
-        g = partition_group_size(epsilon)
-        if machines < g:
-            raise ValueError(f"need at least {g} machines for the partitioned variant, got {machines}")
+        g = self._group_size(machines, epsilon)
         r = rho(epsilon)
         self.free = [0.0] * machines  # absolute time each machine frees up, by machine id
         self._ascending = [0.0] * machines  # each group's free times, ascending within its slice
@@ -306,12 +230,46 @@ class PartitionedAllocator(_Commitments):
             self._weights += _weights(size, r)
         self._clocks = [0.0] * len(self.groups)
 
+    def _group_size(self, machines: int, epsilon: float) -> int:
+        """Machines per group: all of them, so Algorithm 3 has one group."""
+        return machines
+
+    @property
+    def clock(self) -> float:
+        """The first group's clock: every job is offered to it, so it is
+        the latest release."""
+        return self._clocks[0]
+
+    @property
+    def loads(self) -> list[float]:
+        """Each machine's remaining work at the clock, by id."""
+        t = self.clock
+        return [f - t if f > t else 0.0 for f in self.free]
+
+    def advance_to(self, t: float) -> None:
+        """Move the clock forward to ``t``."""
+        clock = self._clocks[0]
+        if t < clock - TOL:
+            raise ValueError(f"time moves backwards: {clock} -> {t}")
+        if t > clock:
+            self._clocks[0] = t
+
     def submit(self, job: Job) -> CommittedStart | None:
+        self.advance_to(job.release)
+        return self.on_arrival(job)
+
+    def on_arrival(self, job: Job) -> CommittedStart | None:
+        limit, placed = self.place(job)
+        return self._record(job, job.release, limit, placed)
+
+    def place(self, job: Job) -> tuple[float, CommittedStart | None]:
+        """Decide ``job`` at the current clock without recording it: the
+        threshold of the group that accepted it, or of the last group
+        offered it, and its placement, or None on rejection."""
         release = job.release
         clocks = self._clocks
-        # The first group is offered every job, so its clock is the latest release.
-        if release < clocks[0] - TOL:
-            raise ValueError(f"time moves backwards: {clocks[0]} -> {release}")
+        if abs(release - clocks[0]) > TOL:
+            raise ValueError(f"arrival handled at clock {clocks[0]} != release {release}; advance first")
         asc, weights = self._ascending, self._weights
         placed = None
         for k, (base, end, rho_down, rho_up) in enumerate(self.groups):
@@ -328,8 +286,29 @@ class PartitionedAllocator(_Commitments):
                 _check_load_sum(peak, top_two, rho_down, t)
                 break
             _check_usable_interval(job, top_two, rho_up)
-        # The threshold of the group that accepted, or of the last one offered.
-        return self._record(job, release, limit, placed)
+        return limit, placed
+
+
+def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
+    """Run the threshold policy over a full instance."""
+    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance)
+
+
+def partition_group_size(epsilon: float) -> int:
+    """Group size for the partitioned variant: round(ln((1+eps)/eps)), >= 1."""
+    return max(1, round(math.log(rho(epsilon))))
+
+
+class PartitionedAllocator(NonpreemptiveSimulator):
+    """The threshold allocator over near-log-sized groups: a job rejected
+    by one group cascades to the next.  Remainder machines (when the group
+    size does not divide m) form a final smaller group."""
+
+    def _group_size(self, machines: int, epsilon: float) -> int:
+        g = partition_group_size(epsilon)
+        if machines < g:
+            raise ValueError(f"need at least {g} machines for the partitioned variant, got {machines}")
+        return g
 
 
 def simulate_partitioned(instance: Instance) -> NonpreemptiveResult:

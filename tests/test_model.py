@@ -13,7 +13,6 @@ from commitsched.model import (
     TOL,
     DecisionLog,
     DecisionRecord,
-    Instance,
     Job,
     Schedule,
     Segment,
@@ -25,11 +24,7 @@ from commitsched.model import (
     write_instance,
 )
 from commitsched.vmin import ActiveJob
-
-
-def make_instance(eps, m, triples):
-    jobs = tuple(Job(i, r, p, d) for i, (r, p, d) in enumerate(triples))
-    return Instance(epsilon=eps, machines=m, jobs=jobs)
+from helpers import make_instance
 
 
 def log_for(instance, accepted_ids):

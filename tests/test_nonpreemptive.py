@@ -10,7 +10,6 @@ from commitsched.model import (
     TOL,
     DecisionLog,
     DecisionRecord,
-    Instance,
     InvariantError,
     Job,
     validate_instance,
@@ -33,21 +32,7 @@ from commitsched.nonpreemptive import (
     simulate_randomized_single,
 )
 from commitsched.policy import drive, make_policy
-
-
-def make_instance(eps, m, triples):
-    jobs = tuple(Job(i, r, p, d) for i, (r, p, d) in enumerate(triples))
-    return Instance(epsilon=eps, machines=m, jobs=jobs)
-
-
-def random_instance_local(rng, n, m, eps, span):
-    jobs = []
-    releases = sorted(rng.uniform(0, span) for _ in range(n))
-    for i, r in enumerate(releases):
-        p = rng.uniform(1, 8)
-        stretch = 1.0 if rng.random() < 0.5 else rng.uniform(1, 3)
-        jobs.append(Job(i, r, p, r + (1 + eps) * p * stretch))
-    return Instance(epsilon=eps, machines=m, jobs=tuple(jobs))
+from helpers import make_instance, random_instance_local, scaled, time_shifted
 
 
 class TestDLim:
@@ -117,15 +102,18 @@ class TestSimulate:
     def test_load_sum_breach_raises_invariant_error(self):
         # Three equal loads at eps=0.1: the threshold is 11 * load, and the
         # two largest loads cover only 2 of the 11^(2/3) ~ 4.95 required.
+        # The offer's pass catches it before the admission test.
         sim = NonpreemptiveSimulator(3, 0.1)
         sim.free = [1.0, 1.0, 1.0]
+        sim._ascending = [1.0, 1.0, 1.0]
         with pytest.raises(InvariantError, match="load-sum"):
-            sim.advance_to(0.0)
+            sim.submit(Job(0, 0.0, 0.1, 100.0))
         assert issubclass(CommitmentError, InvariantError)
 
     def test_load_sum_breach_after_acceptance_raises_invariant_error(self):
-        # The same breach, planted after the clock advance, is caught by
-        # the check that follows the acceptance.
+        # The same breach, planted in ``free`` only, passes the offer's pass
+        # over the ascending copy and is caught by the check that follows
+        # the acceptance.
         sim = NonpreemptiveSimulator(3, 0.1)
         sim.advance_to(0.0)
         sim.free = [1.0, 1.0, 1.0]
@@ -134,12 +122,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 16, 32])
-    def test_ranked_loads_match_d_lim(self, m, eps):
+    def test_ranked_loads_match_d_lim(self, m, eps, monkeypatch):
         # Differential test of the ranked load vector against the reference
-        # d_lim: the threshold after every clock advance and acceptance, the
-        # admission test, and every placement against the brute-force argmin
-        # of (d_lim of the trial loads, pre-load, machine id) over all m trials;
-        # the job starts when that machine frees up, or at once if it is idle.
+        # d_lim: the recorded threshold of every decision, every pass (the
+        # offer's and the one after each acceptance), the admission test,
+        # and every placement against the brute-force argmin of (d_lim of
+        # the trial loads, pre-load, machine id) over all m trials; the job
+        # starts when that machine frees up, or at once if it is idle.
         ties = [  # an all-zero start, then batches of equal jobs: equal loads
             (float(r), p, r + 3 * (1 + eps) * p)
             for r in range(12)
@@ -150,18 +139,28 @@ class TestSimulate:
             for seed in range(m, m + 4)
             for span in (5.0, 10.0, 60.0)
         ]
-        shifted = 0
+        passes = []
+        real = nonpreemptive._peak_top_two
+
+        def spy(ascending, weights, lo, hi, t):
+            peak, top_two = real(ascending, weights, lo, hi, t)
+            passes.append((ascending[lo:hi], t, peak))
+            return peak, top_two
+
+        monkeypatch.setattr(nonpreemptive, "_peak_top_two", spy)
+        shifted = accepted = 0
         for inst in instances:
             sim = NonpreemptiveSimulator(m, eps)
-            assert sim.limit == d_lim(sim.loads, sim.clock, m, eps)
             for job in inst.jobs:
                 sim.advance_to(job.release)
-                loads, free, t, limit = list(sim.loads), list(sim.free), sim.clock, sim.limit
-                assert limit == d_lim(loads, t, m, eps)
+                loads, free, t = list(sim.loads), list(sim.free), sim.clock
+                limit = d_lim(loads, t, m, eps)
                 placed = sim.on_arrival(job)
+                assert sim.decisions[job.id].threshold == limit
                 assert (placed is not None) == (job.deadline >= limit - TOL)
                 if placed is None:
                     continue
+                accepted += 1
                 trials = []
                 for i in range(m):
                     trial = list(loads)
@@ -169,9 +168,14 @@ class TestSimulate:
                     trials.append((d_lim(trial, t, m, eps), loads[i], i))
                 _, pre_load, machine = min(trials)
                 assert (placed.machine, placed.start) == (machine, max(t, free[machine]))
-                assert sim.limit == d_lim(sim.loads, t, m, eps)
                 others = loads[:machine] + loads[machine + 1 :]
                 shifted += any(pre_load <= load < pre_load + job.processing for load in others)
+        # One pass per decision and one more after each acceptance, each
+        # d_lim of its loads.
+        decided = sum(len(inst) for inst in instances)
+        assert len(passes) == decided + accepted
+        for ascending, t, peak in passes:
+            assert peak + t == d_lim([f - t if f > t else 0.0 for f in ascending], t, m, eps)
         # Some winning placements moved the loaded machine past others.
         assert shifted > 0 or m == 1
 
@@ -356,8 +360,9 @@ def cascade_reference(inst):
     for job in inst.jobs:
         for base, group in groups:
             group.advance_to(job.release)
-            assert group.limit == d_lim(group.loads, group.clock, group.machines, eps)
+            expected = d_lim(group.loads, group.clock, group.machines, eps)
             limit, placed = group.place(job)
+            assert limit == expected
             if placed is not None:
                 placed = CommittedStart(job.id, base + placed.machine, placed.start)
                 starts.append(placed)
@@ -433,8 +438,9 @@ class TestFlatOffers:
         assert repr(vars(policy)) == state
 
     def test_only_the_accepting_group_builds_a_ranking(self, monkeypatch):
-        counts = {"rankings": 0, "passes": 0}
+        counts = {"rankings": 0, "passes": 0, "advances": 0}
         best_trial, peak_top_two = nonpreemptive._best_trial, nonpreemptive._peak_top_two
+        advance_to = NonpreemptiveSimulator.advance_to
 
         def counted_best_trial(*args):
             counts["rankings"] += 1
@@ -444,12 +450,13 @@ class TestFlatOffers:
             counts["passes"] += 1
             return peak_top_two(*args)
 
-        def no_advance(self, t):
-            raise AssertionError("a group simulator was advanced")
+        def counted_advance(self, t):
+            counts["advances"] += 1
+            return advance_to(self, t)
 
         monkeypatch.setattr(nonpreemptive, "_best_trial", counted_best_trial)
         monkeypatch.setattr(nonpreemptive, "_peak_top_two", counted_pass)
-        monkeypatch.setattr(NonpreemptiveSimulator, "advance_to", no_advance)
+        monkeypatch.setattr(NonpreemptiveSimulator, "advance_to", counted_advance)
         inst = random_instance(2000, 16, 0.5, seed=0, release_span=2000 * 2.0 / 16)
         policy = PartitionedAllocator(16, 0.5)
         assert len(policy.groups) == 16  # group size round(ln 3) = 1
@@ -457,6 +464,7 @@ class TestFlatOffers:
         accepted = len(res.decisions.accepted_ids())
         assert 0 < accepted < len(inst)
         assert counts["rankings"] == accepted
+        assert counts["advances"] == len(inst)  # the allocator's one clock advance per job
         # One pass per offer, and one more after each acceptance for its
         # check.  With one machine per group, a job placed on machine i was
         # offered to groups 0..i, and a rejected one to all 16.
@@ -468,9 +476,9 @@ class TestFlatOffers:
         policy = PartitionedAllocator(16, 0.5)
         for i in range(16):
             assert policy.submit(Job(i, 0.0, 10.0, 15.0)).machine == i
-        counts.update(rankings=0, passes=0)
+        counts.update(rankings=0, passes=0, advances=0)
         assert policy.submit(Job(16, 0.0, 1.0, 1.5)) is None
-        assert counts == {"rankings": 0, "passes": 16}
+        assert counts == {"rankings": 0, "passes": 16, "advances": 1}
 
 
 class TestRandomizedSingle:
@@ -532,15 +540,6 @@ class TestRandomizedSingle:
             simulate_randomized_single(inst, seed=0)
 
 
-def scaled(inst, k):
-    """The instance with every release, processing time and deadline times 2^k."""
-    jobs = tuple(
-        Job(j.id, math.ldexp(j.release, k), math.ldexp(j.processing, k), math.ldexp(j.deadline, k))
-        for j in inst.jobs
-    )
-    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
-
-
 class TestTimeScaling:
     """Scaling every time by a power of two is exact in binary floating
     point, so the alg3 family must make the same decisions on the same
@@ -578,12 +577,6 @@ class TestTimeScaling:
                 assert [(cs.job, cs.machine, cs.start) for cs in got.starts] == [
                     (cs.job, cs.machine, math.ldexp(cs.start, k)) for cs in base.starts
                 ]
-
-
-def time_shifted(inst, offset):
-    """The instance with every release and deadline moved by ``offset``."""
-    jobs = tuple(Job(j.id, j.release + offset, j.processing, j.deadline + offset) for j in inst.jobs)
-    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
 
 
 class TestTimeShift:

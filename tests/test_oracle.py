@@ -26,11 +26,7 @@ from commitsched.oracle import (
 )
 from commitsched.preemptive import PreemptiveSimulator
 from commitsched.vmin import ActiveJob, contribution, horn_feasible
-
-
-def make_instance(eps, m, triples):
-    jobs = tuple(Job(i, r, p, d) for i, (r, p, d) in enumerate(triples))
-    return Instance(epsilon=eps, machines=m, jobs=jobs)
+from helpers import make_instance
 
 
 def slot_feasible(jobs, m, horizon):

@@ -63,6 +63,15 @@ def test_trace_has_one_line_per_decision(algorithm):
         assert (match.group(2) == "accept") == record.accepted
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_decision_is_timed_at_its_release(algorithm):
+    # Job 1 is released TOL/2 before job 0, which the clock tolerates; its
+    # record still carries its own release, not the later clock.
+    inst = Instance(1.0, 1, (Job(0, 1.0, 1.0, 3.0), Job(1, 1.0 - TOL / 2, 1.0, 4.0)))
+    result = drive(make_policy(algorithm, 1, 1.0, seed=0), inst)
+    assert [r.time for r in result.decisions] == [j.release for j in inst.jobs]
+
+
 def test_drive_validates_the_instance():
     inst = Instance(epsilon=1.0, machines=1, jobs=(Job(0, 0.0, 1.0, 1.5),))
     with pytest.raises(ValueError, match="invalid instance"):

@@ -34,6 +34,7 @@ from commitsched.vmin import (
     v_shape,
     v_shape_corners,
 )
+from helpers import make_instance, random_instance_local, scaled, time_shifted
 
 
 def scan_largest_crossing(active, f, v_delta, r, hi=200.0, steps=400000):
@@ -67,21 +68,6 @@ def scan_largest_crossing(active, f, v_delta, r, hi=200.0, steps=400000):
         if tau <= r:
             break
     return r
-
-
-def make_instance(eps, m, triples):
-    jobs = tuple(Job(i, r, p, d) for i, (r, p, d) in enumerate(triples))
-    return Instance(epsilon=eps, machines=m, jobs=jobs)
-
-
-def random_instance_local(rng, n, m, eps, span):
-    jobs = []
-    releases = sorted(rng.uniform(0, span) for _ in range(n))
-    for i, r in enumerate(releases):
-        p = rng.uniform(1, 8)
-        stretch = 1.0 if rng.random() < 0.5 else rng.uniform(1, 3)
-        jobs.append(Job(i, r, p, r + (1 + eps) * p * stretch))
-    return Instance(epsilon=eps, machines=m, jobs=tuple(jobs))
 
 
 class TestSolveDmin:
@@ -725,15 +711,6 @@ class TestCheckpoint:
         assert counts["curve"] == counts["check"] + (len(inst) if policy == "greedy" else 0)
 
 
-def scaled(inst, k):
-    """The instance with every release, processing time and deadline times 2^k."""
-    jobs = tuple(
-        Job(j.id, math.ldexp(j.release, k), math.ldexp(j.processing, k), math.ldexp(j.deadline, k))
-        for j in inst.jobs
-    )
-    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
-
-
 class TestTimeScaling:
     """Scaling every time by a power of two is exact in binary floating
     point, so both preemptive policies must make the same decisions, with
@@ -761,12 +738,6 @@ class TestTimeScaling:
                     for s in base.schedule.segments
                 ]
                 assert got.event_times == [math.ldexp(x, k) for x in base.event_times]
-
-
-def time_shifted(inst, offset):
-    """The instance with every release and deadline moved by ``offset``."""
-    jobs = tuple(Job(j.id, j.release + offset, j.processing, j.deadline + offset) for j in inst.jobs)
-    return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
 
 
 class TestTimeShift:
