@@ -7,14 +7,19 @@ small-instance oracles, and a competitive-ratio experiment harness.
 """
 
 from .model import (
+    CommittedStart,
     DecisionLog,
     DecisionRecord,
     Instance,
     InvariantError,
     Job,
+    NonpreemptiveResult,
+    Policy,
     Schedule,
     Segment,
+    SimulationResult,
     Violation,
+    drive,
     read_instance,
     utilization,
     validate_instance,
@@ -25,7 +30,6 @@ from .vmin import ActiveJob, PiecewiseLinear, f_threshold, horn_feasible, v_min,
 from .preemptive import (
     PlanWindow,
     PreemptiveSimulator,
-    SimulationResult,
     generate_plan,
     greedy_preemptive,
     lrpt_assign,
@@ -33,9 +37,7 @@ from .preemptive import (
     solve_dmin,
 )
 from .nonpreemptive import (
-    CommittedStart,
     GreedyAllocator,
-    NonpreemptiveResult,
     NonpreemptiveSimulator,
     PartitionedAllocator,
     RandomizedAllocator,
@@ -45,7 +47,7 @@ from .nonpreemptive import (
     simulate_partitioned,
     simulate_randomized_single,
 )
-from .policy import ALGORITHM_TABLE, ALGORITHMS, Policy, drive, make_policy
+from .policy import ALGORITHM_TABLE, ALGORITHMS, make_policy
 from .adversary import (
     StressOutcome,
     replay_nonpreemptive,

@@ -15,20 +15,21 @@ from dataclasses import dataclass
 
 from .model import (
     DUST,
+    CommittedStart,
     DecisionLog,
     Instance,
     InvariantError,
     Job,
+    Policy,
     Schedule,
     Segment,
+    check_instance,
     check_policy_args,
+    check_schedule,
     rho,
-    validate_instance,
-    verify_schedule,
     volume_ratio,
 )
-from .nonpreemptive import CommittedStart
-from .policy import Policy, make_policy, stress_algorithms
+from .policy import make_policy, stress_algorithms
 from .preemptive import wrap_fill
 
 
@@ -278,14 +279,6 @@ def _append(blocks: list[list[Job]], release: float, processing: float, deadline
     return job
 
 
-def _realized_instance(m: int, epsilon: float, jobs: list[Job]) -> Instance:
-    inst = Instance(epsilon=epsilon, machines=m, jobs=tuple(jobs))
-    problems = validate_instance(inst)
-    if problems:
-        raise InvariantError("generator emitted an invalid sequence: " + "; ".join(map(str, problems)))
-    return inst
-
-
 def _replay(
     adv: PreemptiveAdversary | NonpreemptiveAdversary, policy: Policy, lower_bound: float
 ) -> StressOutcome:
@@ -300,11 +293,10 @@ def _replay(
         pass
     result = policy.finish()
     opt_volume, opt_schedule, last, members = adv.certificate()
-    problems = verify_schedule(opt_schedule, {j.id: j for j in members})
-    if problems:
-        raise InvariantError("certificate schedule invalid: " + "; ".join(map(str, problems)))
+    check_schedule(opt_schedule, {j.id: j for j in members}, "certificate schedule invalid")
+    realized = Instance(epsilon=adv.epsilon, machines=adv.m, jobs=tuple(j for block in adv.blocks for j in block))
     return StressOutcome(
-        instance=_realized_instance(adv.m, adv.epsilon, [j for block in adv.blocks for j in block]),
+        instance=check_instance(realized, InvariantError, "generator emitted an invalid sequence"),
         decisions=result.decisions,
         alg_volume=result.accepted_volume,
         opt_volume=opt_volume,

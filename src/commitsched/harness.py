@@ -29,11 +29,12 @@ from .model import (
     Instance,
     InvariantError,
     Job,
+    check_instance,
     check_policy_args,
+    check_schedule,
+    drive,
     read_instance,
     rho,
-    validate_instance,
-    verify_schedule,
     volume_ratio,
 )
 from .nonpreemptive import committed_schedule, partition_group_size, randomized_virtual_machines
@@ -43,7 +44,7 @@ from .oracle import (
     opt_nonpreemptive,
     opt_preemptive,
 )
-from .policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy
+from .policy import ALGORITHM_TABLE, ALGORITHMS, make_policy
 
 
 def theoretical_bounds(m: int, epsilon: float) -> dict[str, float | None]:
@@ -114,10 +115,7 @@ def random_instance(
         stretch = 1.0 if rng.random() < slack_mix else rng.uniform(1.0, 3.0)
         jobs.append(Job(i, r, p, r + (1.0 + epsilon) * p * stretch))
     inst = Instance(epsilon=epsilon, machines=m, jobs=tuple(jobs))
-    problems = validate_instance(inst)
-    if problems:
-        raise InvariantError("generated an invalid instance: " + "; ".join(map(str, problems)))
-    return inst
+    return check_instance(inst, InvariantError, "generated an invalid instance")
 
 
 @dataclass
@@ -207,9 +205,9 @@ def _instances(config: ExperimentConfig) -> Iterable[tuple[int, Instance, int]]:
 def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
     """Run the configured policy over each instance and verify its schedule.
 
-    Returns the rows and a flag that is False when any applicable bound
-    was exceeded by more than ``BOUND_SLACK``.  A failed invariant, or a
-    schedule that ``verify_schedule`` rejects, raises ``InvariantError``.
+    Returns the rows and a flag that is False when a ratio, infinite ones
+    too, exceeded its bound by more than ``BOUND_SLACK``.  A failed invariant,
+    or a schedule that ``verify_schedule`` rejects, raises ``InvariantError``.
     """
     preemptive = ALGORITHM_TABLE[config.algorithm].preemptive
     rows: list[RatioRow] = []
@@ -219,18 +217,14 @@ def run(config: ExperimentConfig) -> tuple[list[RatioRow], bool]:
         result = drive(policy, instance)
         schedule = result.schedule if preemptive else committed_schedule(result, instance)
         accepted = {j.id: j for j in instance.jobs if result.decisions[j.id].accepted}
-        violations = verify_schedule(schedule, accepted)
-        if violations:
-            where = config.instance_file or f"instance {instance_id}"
-            raise InvariantError(
-                f"{where}: the {config.algorithm} schedule fails verification: " + "; ".join(map(str, violations))
-            )
+        where = config.instance_file or f"instance {instance_id}"
+        check_schedule(schedule, accepted, f"{where}: the {config.algorithm} schedule fails verification")
         alg_volume = result.accepted_volume
         opt_volume = _oracle_volume(config.algorithm, instance) if config.oracle else None
         ratio = None if opt_volume is None else volume_ratio(opt_volume, alg_volume)
         bound, bound_name = bound_for_algorithm(config.algorithm, instance.machines, instance.epsilon)
         margin = None
-        if ratio is not None and bound is not None and not math.isinf(ratio):
+        if ratio is not None and bound is not None:
             margin = bound - ratio
             if ratio > bound + BOUND_SLACK:
                 ok = False

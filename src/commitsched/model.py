@@ -1,4 +1,5 @@
-"""Domain types shared by every simulator: jobs, instances, schedules, decisions.
+"""Domain types shared by every module (jobs, instances, schedules, decisions, results), the
+policy contract with its driver loop, and the gates that raise on an invalid instance or schedule.
 
 Time is a plain float.  Every comparison slack of the package is one of the
 tolerances below, absolute unless its entry names a scale, and each names the
@@ -12,7 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
 #: Times and volumes: ties, the slack condition, feasibility, plans, LRPT groups, forced work.
 #: Scaled by max(1, total work) in ``flow_feasible``.  Float spacing exceeds it from 2^23.
@@ -189,6 +190,30 @@ class DecisionLog:
         return [r.job for r in self._by_job.values() if r.accepted]
 
 
+@dataclass(frozen=True, slots=True)
+class CommittedStart:
+    """The irrevocable placement a non-preemptive policy hands out at acceptance time."""
+
+    job: int
+    machine: int
+    start: float
+
+
+@dataclass
+class SimulationResult:
+    decisions: DecisionLog
+    schedule: Schedule
+    accepted_volume: float
+    event_times: list[float] = field(default_factory=list)
+
+
+@dataclass
+class NonpreemptiveResult:
+    decisions: DecisionLog
+    starts: list[CommittedStart]
+    accepted_volume: float
+
+
 @dataclass(frozen=True)
 class Violation:
     """A named constraint breach; violations are data, not exceptions."""
@@ -324,6 +349,51 @@ def verify_schedule(schedule: Schedule, accepted: Mapping[int, Job]) -> list[Vio
     return out
 
 
+def _raise_on(problems: list[Violation], error: type[Exception], what: str) -> None:
+    if problems:
+        raise error(f"{what}: " + "; ".join(map(str, problems)))
+
+
+def check_instance(instance: Instance, error: type[Exception], what: str) -> Instance:
+    """``instance``, unless ``validate_instance`` finds violations: then raise ``error("<what>: <violations>")``."""
+    _raise_on(validate_instance(instance), error, what)
+    return instance
+
+
+def check_schedule(schedule: Schedule, accepted: Mapping[int, Job], what: str) -> None:
+    """Raise ``InvariantError("<what>: <violations>")`` when ``verify_schedule`` finds any."""
+    _raise_on(verify_schedule(schedule, accepted), InvariantError, what)
+
+
+class Policy(Protocol):
+    """An online admission policy.  ``submit(job)`` decides the job at its
+    release, returning a truthy placement (True, or the committed start) on
+    acceptance and a falsy value on rejection; ``finish()`` returns the
+    run's result; ``decisions`` holds one record per submitted job."""
+
+    decisions: DecisionLog
+
+    def submit(self, job: Job) -> bool | CommittedStart | None: ...
+
+    def finish(self) -> SimulationResult | NonpreemptiveResult: ...
+
+
+def drive(
+    policy: Policy, instance: Instance, trace: IO[str] | None = None
+) -> SimulationResult | NonpreemptiveResult:
+    """Validate ``instance``, submit its jobs in order and return
+    ``policy.finish()``.  With ``trace``, write one line per decision:
+    time, job, outcome and threshold (``none`` for the greedy baselines)."""
+    check_instance(instance, ValueError, "invalid instance")
+    for job in instance.jobs:
+        policy.submit(job)
+        if trace is not None:
+            r = policy.decisions[job.id]
+            threshold = "none" if r.threshold is None else f"{r.threshold:.9g}"
+            trace.write(f"{r.time:.9g} job={r.job} {'accept' if r.accepted else 'reject'} threshold={threshold}\n")
+    return policy.finish()
+
+
 def write_instance(instance: Instance, path: str) -> None:
     """Write an instance as JSON lines: a header line, then one line per job."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -366,10 +436,7 @@ def read_instance(path: str) -> Instance:
             "and nonpreemptive_lower is undefined here"
         )
     instance = Instance(epsilon=epsilon, machines=machines, jobs=tuple(jobs))
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError(f"{path}: invalid instance: " + "; ".join(str(v) for v in problems))
-    return instance
+    return check_instance(instance, ValueError, f"{path}: invalid instance")
 
 
 def _json_int(value: object, what: str) -> int:

@@ -12,44 +12,29 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from . import policy as driver  # a module import: policy imports this module
 from .model import (
     CHECK_SLACK,
     TOL,
+    CommittedStart,
     DecisionLog,
     DecisionRecord,
     Instance,
     InvariantError,
     Job,
+    NonpreemptiveResult,
     Schedule,
     Segment,
     check_policy_args,
+    drive,
     rho,
 )
 
 
 class CommitmentError(InvariantError):
     """A committed start would miss its deadline; the policy forbids this."""
-
-
-@dataclass(frozen=True, slots=True)
-class CommittedStart:
-    """The irrevocable placement handed out at acceptance time."""
-
-    job: int
-    machine: int
-    start: float
-
-
-@dataclass
-class NonpreemptiveResult:
-    decisions: DecisionLog
-    starts: list[CommittedStart]
-    accepted_volume: float
 
 
 def d_lim(loads: Iterable[float], t: float, m: int, epsilon: float) -> float:
@@ -291,7 +276,7 @@ class NonpreemptiveSimulator(_Commitments):
 
 def simulate_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
     """Run the threshold policy over a full instance."""
-    return driver.drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance)
+    return drive(NonpreemptiveSimulator(instance.machines, instance.epsilon), instance)
 
 
 def partition_group_size(epsilon: float) -> int:
@@ -313,7 +298,7 @@ class PartitionedAllocator(NonpreemptiveSimulator):
 
 def simulate_partitioned(instance: Instance) -> NonpreemptiveResult:
     """Run the partitioned threshold policy over a full instance."""
-    return driver.drive(PartitionedAllocator(instance.machines, instance.epsilon), instance)
+    return drive(PartitionedAllocator(instance.machines, instance.epsilon), instance)
 
 
 def randomized_virtual_machines(epsilon: float) -> int:
@@ -353,19 +338,16 @@ def randomized_single_parts(instance: Instance) -> tuple[int, list[list[Committe
     the committed starts by virtual machine; the randomized policy keeps
     exactly one of these parts.
     """
-    if instance.machines != 1:
-        raise ValueError("randomized wrapper is defined for single-machine instances")
-    mv = randomized_virtual_machines(instance.epsilon)
-    result = driver.drive(NonpreemptiveSimulator(mv, instance.epsilon), instance)
-    parts: list[list[CommittedStart]] = [[] for _ in range(mv)]
-    for cs in result.starts:
+    virtual = RandomizedAllocator(instance.machines, instance.epsilon, 0).virtual
+    parts: list[list[CommittedStart]] = [[] for _ in range(virtual.machines)]
+    for cs in drive(virtual, instance).starts:
         parts[cs.machine].append(cs)
-    return mv, parts
+    return virtual.machines, parts
 
 
 def simulate_randomized_single(instance: Instance, seed: int) -> NonpreemptiveResult:
     """Run the randomized single-machine policy over a full instance."""
-    return driver.drive(RandomizedAllocator(instance.machines, instance.epsilon, seed), instance)
+    return drive(RandomizedAllocator(instance.machines, instance.epsilon, seed), instance)
 
 
 class GreedyAllocator(_Commitments):
@@ -393,7 +375,7 @@ class GreedyAllocator(_Commitments):
 
 def greedy_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
     """Run the greedy baseline over a full instance."""
-    return driver.drive(GreedyAllocator(instance.machines), instance)
+    return drive(GreedyAllocator(instance.machines), instance)
 
 
 def committed_schedule(result: NonpreemptiveResult, instance: Instance) -> Schedule:

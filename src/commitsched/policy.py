@@ -1,29 +1,14 @@
-"""One interface, one algorithm table and one driver loop for every policy.
-
-Each policy is an online object: ``submit(job)`` decides the job at its
-release, returning a truthy placement (True, or the committed start) on
-acceptance and a falsy value on rejection, and ``finish()`` returns the
-run's result.  ``drive`` feeds a whole instance through such an object.
+"""The algorithm table: each name's factory, family, guarantee and stress-game
+support, and ``make_policy``, which builds a fresh ``model.Policy`` for a name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Callable, Protocol
+from typing import Callable
 
 from . import nonpreemptive, preemptive
-from .model import DecisionLog, Instance, Job, check_policy_args, validate_instance
-
-
-class Policy(Protocol):
-    """An online admission policy; ``decisions`` holds one record per
-    submitted job."""
-
-    decisions: DecisionLog
-
-    def submit(self, job: Job) -> bool | nonpreemptive.CommittedStart | None: ...
-
-    def finish(self) -> preemptive.SimulationResult | nonpreemptive.NonpreemptiveResult: ...
+from .model import Policy, check_policy_args
 
 
 @dataclass(frozen=True)
@@ -81,20 +66,3 @@ def make_policy(algorithm: str, machines: int, epsilon: float, assert_level: int
     check_policy_args(machines, epsilon)
     return ALGORITHM_TABLE[algorithm].factory(machines, epsilon, assert_level, seed)
 
-
-def drive(
-    policy: Policy, instance: Instance, trace: IO[str] | None = None
-) -> preemptive.SimulationResult | nonpreemptive.NonpreemptiveResult:
-    """Validate ``instance``, submit its jobs in order and return
-    ``policy.finish()``.  With ``trace``, write one line per decision:
-    time, job, outcome and threshold (``none`` for the greedy baselines)."""
-    problems = validate_instance(instance)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(str(v) for v in problems))
-    for job in instance.jobs:
-        policy.submit(job)
-        if trace is not None:
-            r = policy.decisions[job.id]
-            threshold = "none" if r.threshold is None else f"{r.threshold:.9g}"
-            trace.write(f"{r.time:.9g} job={r.job} {'accept' if r.accepted else 'reject'} threshold={threshold}\n")
-    return policy.finish()

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import policy as driver  # a module import: policy imports this module
 from .model import (
     CHECK_SLACK,
     DUST,
@@ -31,6 +30,8 @@ from .model import (
     Job,
     Schedule,
     Segment,
+    SimulationResult,
+    drive,
 )
 from .vmin import (
     ActiveJob,
@@ -55,14 +56,6 @@ class PlanWindow:
     start: float
     end: float
     segments: tuple[Segment, ...]
-
-
-@dataclass
-class SimulationResult:
-    decisions: DecisionLog
-    schedule: Schedule
-    accepted_volume: float
-    event_times: list[float] = field(default_factory=list)
 
 
 def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> float:
@@ -523,10 +516,10 @@ def _pointwise(a: PiecewiseLinear, b: PiecewiseLinear, lo: float, hi: float) -> 
 def simulate_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:
     """Run the lazy-threshold policy over a full instance."""
     sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "lazy")
-    return driver.drive(sim, instance)
+    return drive(sim, instance)
 
 
 def greedy_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:
     """Baseline: accept whenever the active set plus the job stays feasible."""
     sim = PreemptiveSimulator(instance.machines, instance.epsilon, assert_level, "greedy")
-    return driver.drive(sim, instance)
+    return drive(sim, instance)

@@ -19,7 +19,7 @@ from commitsched.adversary import (
     solve_c_lower,
 )
 from commitsched.harness import random_instance, theoretical_bounds
-from commitsched.model import BOUND_SLACK, Instance, Job, validate_instance, verify_schedule, volume_ratio
+from commitsched.model import BOUND_SLACK, Instance, Job, drive, validate_instance, verify_schedule, volume_ratio
 from commitsched.nonpreemptive import (
     RandomizedAllocator,
     committed_schedule,
@@ -36,7 +36,6 @@ from commitsched.oracle import (
     opt_nonpreemptive,
     opt_preemptive,
 )
-from commitsched.policy import drive
 from commitsched.preemptive import greedy_preemptive, simulate_preemptive
 from commitsched.vmin import ActiveJob, horn_feasible
 

@@ -14,7 +14,7 @@ from commitsched.harness import (
     write_bound_curves,
     write_outputs,
 )
-from commitsched import harness
+from commitsched import model
 from commitsched.adversary import (
     NonpreemptiveAdversary,
     PreemptiveAdversary,
@@ -22,7 +22,7 @@ from commitsched.adversary import (
     solve_c_lower,
 )
 from commitsched.model import InvariantError, Segment, read_instance, validate_instance, write_instance
-from commitsched.nonpreemptive import CommittedStart, NonpreemptiveSimulator, RandomizedAllocator
+from commitsched.nonpreemptive import CommittedStart, GreedyAllocator, NonpreemptiveSimulator, RandomizedAllocator
 from commitsched.policy import ALGORITHMS
 from commitsched.preemptive import PreemptiveSimulator
 
@@ -109,7 +109,7 @@ class TestRandomInstance:
 
     def test_invalid_draw_raises_under_optimisation(self, monkeypatch):
         # An explicit check, not an assert that ``python -O`` strips.
-        monkeypatch.setattr(harness, "validate_instance", lambda inst: ["slack"])
+        monkeypatch.setattr(model, "validate_instance", lambda inst: ["slack"])
         with pytest.raises(InvariantError, match="invalid instance: slack"):
             random_instance(3, 1, 0.5, seed=0)
 
@@ -344,13 +344,13 @@ class TestCli:
         path = tmp_path / "inst.jsonl"
         assert main(["gen", "--n", "12", "--m", "1", "--epsilon", "0.5", "--seed", "6", "--file", str(path)]) == 0
         checked = []
-        real = harness.verify_schedule
+        real = model.verify_schedule
 
         def spy(schedule, accepted):
             checked.append(len(accepted))
             return real(schedule, accepted)
 
-        monkeypatch.setattr(harness, "verify_schedule", spy)
+        monkeypatch.setattr(model, "verify_schedule", spy)
         assert main(["verify", "--instance-file", str(path), "--alg", alg]) == 0
         assert len(checked) == 1
         assert capsys.readouterr().out.endswith("ok\n")
@@ -369,6 +369,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"invariant violation: instance 0: the {alg} schedule fails verification: ")
         assert err.count("\n") == 1
+
+    def test_a_policy_that_accepts_nothing_violates_its_bound(self, monkeypatch, capsys):
+        # OPT > 0 and nothing accepted: the ratio is infinite, which no finite bound admits.
+        monkeypatch.setattr(GreedyAllocator, "submit", lambda sim, job: sim._record(job, job.release, None, None))
+        argv = ["run", "--alg", "greedy-np", "--m", "1", "--epsilon", "0.5", "--n", "6", "--count", "3", "--oracle"]
+        assert main(argv) == 1
+        assert "BOUND VIOLATION" in capsys.readouterr().out
 
     def test_verify_reports_a_corrupted_start(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "inst.jsonl"

@@ -12,6 +12,7 @@ from commitsched.model import (
     DecisionRecord,
     InvariantError,
     Job,
+    drive,
     validate_instance,
     verify_schedule,
 )
@@ -31,7 +32,7 @@ from commitsched.nonpreemptive import (
     simulate_partitioned,
     simulate_randomized_single,
 )
-from commitsched.policy import drive, make_policy
+from commitsched.policy import make_policy
 from helpers import make_instance, random_instance_local, scaled, time_shifted
 
 
@@ -503,6 +504,11 @@ class TestRandomizedSingle:
         pick = random.Random(seed).randrange(mv)
         res = simulate_randomized_single(inst, seed=seed)
         assert [(cs.job, cs.start) for cs in res.starts] == [(cs.job, cs.start) for cs in parts[pick]]
+
+    def test_parts_refuse_a_second_machine(self):
+        inst = random_instance_local(random.Random(23), 6, 2, 0.5, 8.0)
+        with pytest.raises(ValueError, match="single-machine"):
+            randomized_single_parts(inst)
 
     def test_virtual_allocator_keeps_no_records(self):
         inst = random_instance_local(random.Random(31), 40, 1, 0.05, 10.0)

@@ -10,7 +10,7 @@ from commitsched import policy as policy_module
 from commitsched.adversary import replay_nonpreemptive, replay_preemptive
 from commitsched.cli import build_parser
 from commitsched.harness import bound_for_algorithm, random_instance, theoretical_bounds
-from commitsched.model import TOL, Instance, Job
+from commitsched.model import TOL, Instance, Job, drive
 from commitsched.nonpreemptive import (
     GreedyAllocator,
     NonpreemptiveResult,
@@ -18,7 +18,7 @@ from commitsched.nonpreemptive import (
     PartitionedAllocator,
     RandomizedAllocator,
 )
-from commitsched.policy import ALGORITHM_TABLE, ALGORITHMS, drive, make_policy
+from commitsched.policy import ALGORITHM_TABLE, ALGORITHMS, make_policy
 from commitsched.preemptive import PreemptiveSimulator, SimulationResult
 from commitsched.vmin import f_threshold
 
@@ -197,3 +197,41 @@ def test_no_module_but_policy_spells_an_algorithm_name():
             if isinstance(node, ast.Constant) and node.value in ALGORITHMS and id(node) not in defaults:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package, ``__init__`` aside, with the package
+    modules it imports anywhere: inside functions and under ``TYPE_CHECKING`` too."""
+    graph = {}
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # Absolute names: ``from . import policy`` imports commitsched.policy.
+                base = ("commitsched" + (f".{node.module}" if node.module else "")) if node.level else node.module
+                names = [f"{base}.{alias.name}" for alias in node.names] if base == "commitsched" else [base]
+            else:
+                continue
+            targets.update(name.split(".")[1] for name in names if name.startswith("commitsched."))
+        graph[path.stem] = targets
+    return graph
+
+
+def test_package_imports_form_layers():
+    graph = _package_imports()
+    assert set(graph) >= {"model", "vmin", "preemptive", "nonpreemptive", "oracle", "policy", "cli"}
+    # The simulation layers import nothing of the table, the stress games or the front ends.
+    upper = {"policy", "adversary", "harness", "cli"}
+    for module in ("model", "vmin", "preemptive", "nonpreemptive", "oracle"):
+        assert graph[module].isdisjoint(upper), (module, graph[module] & upper)
+    # No cycle: repeatedly drop the modules that import no remaining module.
+    remaining = dict(graph)
+    while remaining:
+        leaves = [name for name, targets in remaining.items() if not targets & remaining.keys()]
+        assert leaves, f"import cycle among {sorted(remaining)}"
+        for name in leaves:
+            del remaining[name]

@@ -11,8 +11,19 @@ from hypothesis import given, settings, strategies as st
 from commitsched import preemptive, vmin
 from commitsched.adversary import replay_preemptive
 from commitsched.harness import random_instance
-from commitsched.model import CHECK_SLACK, DUST, TOL, Instance, InvariantError, Job, Schedule, Segment, verify_schedule
-from commitsched.policy import drive, make_policy
+from commitsched.model import (
+    CHECK_SLACK,
+    DUST,
+    TOL,
+    Instance,
+    InvariantError,
+    Job,
+    Schedule,
+    Segment,
+    drive,
+    verify_schedule,
+)
+from commitsched.policy import make_policy
 from commitsched.preemptive import (
     PlanWindow,
     PreemptiveSimulator,
