@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from math import inf, isfinite
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Protocol
 
@@ -69,7 +69,23 @@ def check_policy_args(machines: int, epsilon: float | None = None) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen_record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``, whose every attribute assignment or deletion raises
+    ``FrozenInstanceError``.  On Python 3.11 the generated methods name the class from before ``slots``
+    rebuilt it, so an undeclared attribute would reach ``super()`` and raise TypeError."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def __setattr__(self: object, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self: object, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen_record
 class Job:
     """One deadline-constrained task."""
 
@@ -142,7 +158,7 @@ class Schedule:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_record
 class DecisionRecord:
     """Outcome of one admission decision.
 
@@ -190,7 +206,7 @@ class DecisionLog:
         return [r.job for r in self._by_job.values() if r.accepted]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_record
 class CommittedStart:
     """The irrevocable placement a non-preemptive policy hands out at acceptance time."""
 

@@ -8,7 +8,9 @@ curve (plus the compensation term ``v_delta`` that accounts for work with
 far deadlines executed early).  Between arrivals it runs the plan produced
 by ``generate_plan``: urgent deadline classes are pre-allocated one job per
 machine, and remaining machines run the longest-remaining-contribution rule
-with wrap-around splitting of tied groups.
+with wrap-around splitting of tied groups.  No decision reads the plan, so
+it is built only when the clock next moves: arrivals at one instant build
+one plan, not one each.
 """
 
 from __future__ import annotations
@@ -274,9 +276,11 @@ class PreemptiveSimulator:
 
     The live jobs are one table: ``live`` holds an (id, processing,
     deadline) row per unfinished job in id order, and ``committed_work``
-    the work committed to each.  An acceptance inserts a row, a plan
-    regeneration drops the rows of finished jobs, and ``active_jobs``
-    reads the remainders ``processing - committed`` off the table.
+    the work committed to each.  An acceptance inserts a row, an
+    acceptance or a window end drops the rows of finished jobs, and
+    ``active_jobs`` reads the remainders ``processing - committed`` off the
+    table.  Those two events leave the live list as the pending plan input;
+    ``plan`` and ``advance_to`` build the plan from it.
     """
 
     def __init__(
@@ -304,7 +308,10 @@ class PreemptiveSimulator:
         # machine -> index in schedule.segments of its last committed segment
         self._last_piece: dict[int, int] = {}
         self.decisions = DecisionLog()
-        self.plan = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
+        self._plan = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
+        # The live set the plan is to be built from at the clock, or None
+        # when ``_plan`` is built for the current state.
+        self._plan_input: list[ActiveJob] | None = None
         self.event_times: list[float] = [0.0]
         # Reference state for the volume-decay check: the last plan-aligned
         # instant (acceptance or window end).  Between such instants
@@ -326,6 +333,17 @@ class PreemptiveSimulator:
 
     def accepted_volume(self) -> float:
         return sum(job.processing for job in self.jobs.values())
+
+    @property
+    def plan(self) -> PlanWindow:
+        """The plan for the current state, built first if one is pending."""
+        if self._plan_input is not None:
+            self._build_plan()
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: PlanWindow) -> None:
+        self._plan, self._plan_input = plan, None
 
     # -- event loop -----------------------------------------------------
 
@@ -383,10 +401,14 @@ class PreemptiveSimulator:
         return accept
 
     def advance_to(self, target: float) -> None:
-        """Run the current plan forward to ``target``, regenerating at expiry.
-        With no job left the clock jumps to ``target`` if it is finite."""
+        """Run the plan forward to ``target``, building it first if an event
+        left it pending, and again after each window that expires.  With no
+        job left the clock jumps to ``target`` if it is finite."""
         while self.clock < target - TOL:
-            if not self.plan.segments:
+            if self._plan_input is not None:
+                self._build_plan()
+            plan = self._plan
+            if not plan.segments:
                 # The plan was built for the current state, so an empty one
                 # means either no job is left or a broken plan.
                 if self.active_jobs():
@@ -396,12 +418,12 @@ class PreemptiveSimulator:
                 if target < math.inf:
                     self.clock = target
                 break
-            step_end = min(target, self.plan.end)
+            step_end = min(target, plan.end)
             if step_end <= self.clock:
                 raise InvariantError(f"plan window ends at the clock t={self.clock} (float spacing)")
             self._commit_window(self.clock, step_end)
             self.clock = step_end
-            if step_end >= self.plan.end - TOL:
+            if step_end >= plan.end - TOL:
                 self.event_times.append(self.clock)
                 active = self.active_jobs()
                 self._regenerate_plan(active)
@@ -423,12 +445,18 @@ class PreemptiveSimulator:
         # Finished jobs leave the live table here, where the old plan is
         # dropped, not when a segment commits: a plan window can still hold
         # a dust segment for a job whose remaining work is already down to TOL.
-        # ``active`` is the table's rows minus the finished jobs.
+        # ``active`` is the table's rows minus the finished jobs.  The new
+        # plan is built from it only when the clock is about to move: a
+        # later arrival at this instant replaces it first.
         if len(active) < len(self.live):
             work = self.committed_work
             self.committed_work = {job.id: work[job.id] for job in active}
             self.live = [row for row in self.live if row[0] in self.committed_work]
-        self.plan = generate_plan(active, self.clock, self.machines)
+        self._plan_input = active
+
+    def _build_plan(self) -> None:
+        self._plan = generate_plan(self._plan_input, self.clock, self.machines)
+        self._plan_input = None
 
     def _commit_window(self, t0: float, t1: float) -> None:
         """Commit the plan's work inside [t0, t1).  A piece that continues
@@ -437,7 +465,7 @@ class PreemptiveSimulator:
         if t1 <= t0 + DUST:
             return
         segments, last, work = self.schedule.segments, self._last_piece, self.committed_work
-        for seg in self.plan.segments:
+        for seg in self._plan.segments:
             machine, job, start, end = seg
             s = t0 if start < t0 else start
             e = t1 if end > t1 else end

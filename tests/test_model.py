@@ -1,6 +1,8 @@
 import ast
+import copy
 import inspect
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 from commitsched import model, preemptive
 from commitsched.model import (
     TOL,
+    CommittedStart,
     DecisionLog,
     DecisionRecord,
     Job,
@@ -297,10 +300,19 @@ RECORDS = [
     (ActiveJob, ("id", "remaining", "deadline"), (7, 1.25, 9.0)),
 ]
 
+#: The slotted frozen dataclasses: a record of each, by its fields.
+FROZEN_RECORDS = [
+    (Job, ("id", "release", "processing", "deadline"), (3, 0.5, 1.0, 2.5)),
+    (DecisionRecord, ("job", "accepted", "time", "threshold"), (3, True, 0.5, None)),
+    (CommittedStart, ("job", "machine", "start"), (3, 1, 0.75)),
+]
+
 
 class TestRecords:
     """``Segment`` and ``ActiveJob``: immutable named tuples whose field
-    order, ``repr``, equality and hash are those of their field tuples."""
+    order, ``repr``, equality and hash are those of their field tuples.
+    ``Job``, ``DecisionRecord`` and ``CommittedStart``: immutable slotted
+    dataclasses."""
 
     @pytest.mark.parametrize("cls, names, values", RECORDS)
     def test_fields_repr_equality_and_hash(self, cls, names, values):
@@ -312,14 +324,30 @@ class TestRecords:
         assert record != cls(*values[:-1], values[-1] + 1.0)
         assert {record: 1}[cls(*values)] == 1
 
-    @pytest.mark.parametrize("cls, names, values", RECORDS)
+    @pytest.mark.parametrize("cls, names, values", RECORDS + FROZEN_RECORDS)
     def test_immutable(self, cls, names, values):
         record = cls(*values)
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(record, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         with pytest.raises(AttributeError):
             record.extra = 1
+        with pytest.raises(AttributeError):
+            del record.extra
+        assert tuple(getattr(record, name) for name in names) == values
+
+    @pytest.mark.parametrize("cls, names, values", FROZEN_RECORDS)
+    def test_frozen_records_keep_slots_repr_hash_and_copies(self, cls, names, values):
+        record = cls(*values)
+        # No per-instance dict: a stream run holds tens of thousands of jobs.
+        assert not hasattr(record, "__dict__") and cls.__slots__ == names
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+        assert record == cls(**dict(zip(names, values))) and record != values
+        assert hash(record) == hash(values)
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is cls and copied == record and repr(copied) == repr(record)
 
     @pytest.mark.parametrize("cls, names, values", RECORDS)
     def test_simulator_constructor_builds_the_same_record(self, cls, names, values):

@@ -23,7 +23,7 @@ from commitsched.model import (
     drive,
     verify_schedule,
 )
-from commitsched.policy import make_policy
+from commitsched.policy import make_policy, stress_algorithms
 from commitsched.preemptive import (
     PlanWindow,
     PreemptiveSimulator,
@@ -583,6 +583,117 @@ class TestLiveState:
         sim.d_min *= scale
         with pytest.raises(InvariantError, match=check):
             sim.check_invariants()
+
+
+class EagerPlanner(PreemptiveSimulator):
+    """The simulator as it was before plans were deferred: every acceptance
+    and every window end builds its plan at once.  Kept to compare against."""
+
+    def _regenerate_plan(self, active):
+        super()._regenerate_plan(active)
+        self._build_plan()
+
+
+def run_trail(sim, jobs):
+    """``repr`` of what a run shows: the decision, ``d_min`` and ``v_delta``
+    after each submit, then the decisions with their thresholds, the
+    committed segments, the accepted volume and the event times."""
+    states = [(sim.submit(job), sim.d_min, sim.v_delta) for job in jobs]
+    res = sim.finish()
+    return repr((states, list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+
+
+def counted_plans(monkeypatch):
+    """A counter of the ``generate_plan`` calls the simulator makes from now on."""
+    counts = Counter()
+    plan = preemptive.generate_plan
+
+    def generate_plan(*args):
+        counts["plans"] += 1
+        return plan(*args)
+
+    monkeypatch.setattr(preemptive, "generate_plan", generate_plan)
+    return counts
+
+
+class TestDeferredPlan:
+    """A plan is built when the clock is about to move, from the live set of
+    the last event; arrivals at one instant build one plan, not one each."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_outputs_equal_the_eager_planner(self, level):
+        instances = []
+        for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
+            inst = random_instance(60, m, eps, seed=seed, release_span=span)
+            # The shuffled-id instances of the live-table test.
+            ids = random.Random(seed).sample(range(60), 60)
+            shuffled = [Job(ids[j.id], j.release, j.processing, j.deadline) for j in inst.jobs]
+            instances += [(m, eps, inst.jobs), (m, eps, shuffled)]
+        # Releases floored to integers: many arrivals share an instant, and
+        # the slack only grows.
+        inst = random_instance(120, 4, 0.5, seed=7, release_span=30.0)
+        floored = [Job(j.id, float(math.floor(j.release)), j.processing, j.deadline) for j in inst.jobs]
+        assert len({j.release for j in floored}) <= 31
+        instances.append((4, 0.5, floored))
+        for (m, eps, jobs), policy in itertools.product(instances, ("lazy", "greedy")):
+            got = run_trail(PreemptiveSimulator(m, eps, level, policy), jobs)
+            assert got == run_trail(EagerPlanner(m, eps, level, policy), jobs), (m, eps, policy)
+
+    @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_stress_replays_equal_the_eager_planner(self, algorithm, m):
+        outcome = replay_preemptive(m, 0.5, delta=1 / 64, algorithm=algorithm, assert_level=2)
+        sim = make_policy(algorithm, m, 0.5, 2)
+        eager = EagerPlanner(m, 0.5, 2, sim.policy)
+        got = run_trail(sim, outcome.instance.jobs)
+        assert got == run_trail(eager, outcome.instance.jobs)
+        assert list(sim.decisions) == list(outcome.decisions)
+        assert sim.accepted_volume() == outcome.alg_volume
+
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_arrivals_at_one_instant_build_one_plan(self, monkeypatch, policy):
+        counts = counted_plans(monkeypatch)
+        sim, eager = PreemptiveSimulator(2, 0.5, 0, policy), EagerPlanner(2, 0.5, 0, policy)
+        jobs = [Job(i, 3.0, 1.0 + 0.25 * i, 6.0 + 2.0 * i) for i in range(6)]
+        for job in jobs:
+            sim.submit(job)
+        assert counts["plans"] == 0 and sim.clock == 3.0
+        for job in jobs:
+            eager.submit(job)
+        assert counts["plans"] == sum(eager.decisions[j.id].accepted for j in jobs) >= 3
+        counts.clear()
+        # Into the first window and no further: one plan, the eager planner's.
+        sim.advance_to(3.0 + 0.5 * (eager.plan.end - 3.0))
+        assert counts["plans"] == 1
+        assert sim.plan == eager.plan and counts["plans"] == 1
+
+    @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
+    def test_stress_replay_builds_one_plan_per_window(self, monkeypatch, algorithm):
+        counts = counted_plans(monkeypatch)
+        checkpoint = PreemptiveSimulator._window_checkpoint
+
+        def window_end(self, active):
+            counts["window ends"] += 1
+            checkpoint(self, active)
+
+        monkeypatch.setattr(PreemptiveSimulator, "_window_checkpoint", window_end)
+        outcome = replay_preemptive(8, 0.5, 1 / 64, algorithm, 2)
+        # Every job is released at t = 0: one plan there, then one per window.
+        assert len(outcome.instance) > 400
+        assert 0 < counts["plans"] <= 1 + counts["window ends"] < 20
+
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_the_planner_check_fires_when_the_clock_moves(self, policy):
+        sim = PreemptiveSimulator(1, 0.5, 0, policy)
+        assert sim.submit(Job(0, 0.0, 1.0, 2.0))
+        # By hand: a live job with 3 units of work left and deadline 1.
+        sim.live.append((5, 3.0, 1.0))
+        sim.committed_work[5] = 0.0
+        # The window ends at 1, where that job is due: its plan waits.
+        sim.advance_to(1.0)
+        assert sim.clock == 1.0 and [job.id for job in sim.active_jobs()] == [5]
+        with pytest.raises(InvariantError, match="plan requested for an infeasible active set at t=1.0"):
+            sim.finish()
 
 
 def reference_check_invariants(sim, active):
