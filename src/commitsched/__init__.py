@@ -21,7 +21,6 @@ from .model import (
     Violation,
     drive,
     read_instance,
-    utilization,
     validate_instance,
     verify_schedule,
     write_instance,

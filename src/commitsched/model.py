@@ -151,12 +151,6 @@ class Schedule:
             totals[seg.job] = totals.get(seg.job, 0.0) + seg.length
         return totals
 
-    def work_in(self, t0: float, t1: float) -> float:
-        """Total executed volume inside the window [t0, t1)."""
-        return sum(
-            max(0.0, min(seg.end, t1) - max(seg.start, t0)) for seg in self.segments
-        )
-
 
 @_frozen_record
 class DecisionRecord:
@@ -293,19 +287,6 @@ def volume_ratio(opt_volume: float, alg_volume: float) -> float:
     if alg_volume <= 0.0:
         return inf if opt_volume > 0.0 else 1.0
     return opt_volume / alg_volume
-
-
-def utilization(source: "DecisionLog | Schedule", instance: Instance) -> float:
-    """Total processing time of accepted jobs (the objective value).
-
-    Accepts either a decision log or a schedule; in the latter case the
-    jobs appearing in the schedule are the accepted ones (committed jobs
-    always run to completion).
-    """
-    by_id = {job.id: job for job in instance.jobs}
-    if isinstance(source, Schedule):
-        return sum(by_id[j].processing for j in source.per_job_total())
-    return sum(by_id[j].processing for j in source.accepted_ids())
 
 
 def verify_schedule(schedule: Schedule, accepted: Mapping[int, Job]) -> list[Violation]:

@@ -7,6 +7,11 @@ interval -> sink (capacity = machines * length).  The job set is feasible
 iff the max flow equals the total processing time; with a common release
 this coincides with the breakpoint capacity test in :mod:`commitsched.vmin`.
 The most work that fits before a cut is a max flow on the same network.
+Event points ascend, so the intervals inside a job's window are one run,
+found by bisection.  The flow is Dinic's algorithm: every source-to-sink
+path of Horn's network has three arcs, so its level graphs are shallow and
+few (on a random 100-job network, 5 level graphs where Edmonds-Karp runs
+861 breadth-first searches, one per augmenting path).
 
 Optima are found by enumerating job subsets in decreasing-volume order and
 returning the first feasible one.  The order is sorted lazily: a batch of
@@ -30,7 +35,7 @@ with free_i the time machine i becomes free.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,12 +51,18 @@ _FILTER_CHUNK = 64
 
 
 class _MaxFlow:
-    """Plain breadth-first augmenting max-flow on a sparse residual graph.
+    """Dinic's blocking-flow max-flow (Dinic 1970) on a sparse residual graph.
 
     ``cap[u]`` maps each neighbour of u, in either arc direction, to the
-    residual capacity of u -> v.  The search scans neighbours in ascending
-    order, so it visits nodes in the same order as a scan of a dense
-    adjacency row would.
+    residual capacity of u -> v; an arc with residual at most ``DUST``
+    counts as saturated.  Each round builds the level graph by breadth-first
+    search, then saturates it with depth-first augmenting paths that keep a
+    current-arc pointer per node, so no arc is rescanned within a round, and
+    drop a node from the round once no path to the sink leaves it.
+    Both searches scan neighbours in ascending node order, and the flow is
+    the sum of the path bottlenecks in the order they are found.
+    ``max_flow`` may be called again after more ``add`` calls; it continues
+    from the flow already in the residual graph.
     """
 
     def __init__(self, n: int) -> None:
@@ -62,35 +73,76 @@ class _MaxFlow:
         self.cap[u][v] = self.cap[u].get(v, 0.0) + capacity
         self.cap[v].setdefault(u, 0.0)
 
+    def _levels(self, s: int, t: int, neighbours: list[list[int]]) -> list[int]:
+        """Breadth-first distance from s over unsaturated arcs, or -1.
+
+        The search stops at t's distance.  Nodes at that distance other than
+        t get -1 too: they lie on no shortest path to t."""
+        level = [-1] * self.n
+        level[s] = 0
+        frontier = [s]
+        while frontier and level[t] == -1:
+            reached = []
+            for u in frontier:
+                row, next_level = self.cap[u], level[u] + 1
+                for v in neighbours[u]:
+                    if level[v] == -1 and row[v] > DUST:
+                        level[v] = next_level
+                        reached.append(v)
+            frontier = reached
+        for v in frontier:
+            if v != t:
+                level[v] = -1
+        return level
+
     def max_flow(self, s: int, t: int) -> float:
-        neighbours = [sorted(row) for row in self.cap]
+        cap = self.cap
+        neighbours = [sorted(row) for row in cap]
         total = 0.0
         while True:
-            parent = [-1] * self.n
-            parent[s] = s
-            queue = deque([s])
-            while queue and parent[t] == -1:
-                u = queue.popleft()
-                row = self.cap[u]
-                for v in neighbours[u]:
-                    if parent[v] == -1 and row[v] > DUST:
-                        parent[v] = u
-                        queue.append(v)
-            if parent[t] == -1:
+            level = self._levels(s, t, neighbours)
+            if level[t] == -1:
                 return total
-            bottleneck = math.inf
-            v = t
-            while v != s:
-                u = parent[v]
-                bottleneck = min(bottleneck, self.cap[u][v])
-                v = u
-            v = t
-            while v != s:
-                u = parent[v]
-                self.cap[u][v] -= bottleneck
-                self.cap[v][u] += bottleneck
-                v = u
-            total += bottleneck
+            arc = [0] * self.n
+            path = [s]
+            u = s
+            while True:
+                if u == t:
+                    # Augment, then retreat to the tail of the first arc the
+                    # path saturated: the loop runs backwards, so ``keep``
+                    # ends at the smallest saturated k.
+                    bottleneck = min(cap[a][b] for a, b in zip(path, path[1:]))
+                    keep = 0
+                    for k in range(len(path) - 1, 0, -1):
+                        a, b = path[k - 1], path[k]
+                        cap[a][b] -= bottleneck
+                        cap[b][a] += bottleneck
+                        if cap[a][b] <= DUST:
+                            keep = k
+                    total += bottleneck
+                    del path[keep:]
+                    u = path[-1]
+                    continue
+                row, adj, want = cap[u], neighbours[u], level[u] + 1
+                i, end = arc[u], len(adj)
+                while i < end:
+                    v = adj[i]
+                    if level[v] == want and row[v] > DUST:
+                        break
+                    i += 1
+                arc[u] = i
+                if i < end:
+                    path.append(v)
+                    u = v
+                else:
+                    # A dead end: no path to t through u in this level graph,
+                    # so no parent descends into u again.
+                    level[u] = -1
+                    path.pop()
+                    if not path:
+                        break
+                    u = path[-1]
+                    arc[u] += 1
 
 
 def _event_points(jobs: Sequence[Job], extra: Iterable[float] = ()) -> list[float]:
@@ -110,15 +162,19 @@ def _network(
     """
     points = _event_points(jobs, extra)
     intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
+    starts = [a for a, _ in intervals]
+    ends = [b for _, b in intervals]
     n = len(jobs)
     net = _MaxFlow(2 + n + len(intervals))
     total = 0.0
     for ji, job in enumerate(jobs):
         net.add(0, 1 + ji, job.processing)
         total += job.processing
-        for ii, (a, b) in enumerate(intervals):
-            if a >= job.release - TOL and b <= job.deadline + TOL:
-                net.add(1 + ji, 1 + n + ii, b - a)
+        # Starts and ends both ascend, so the intervals inside the window
+        # (a >= release - TOL and b <= deadline + TOL) are one run.
+        first = bisect_left(starts, job.release - TOL)
+        for ii in range(first, bisect_right(ends, job.deadline + TOL)):
+            net.add(1 + ji, 1 + n + ii, ends[ii] - starts[ii])
     return net, intervals, total
 
 
@@ -156,9 +212,11 @@ def max_prefix_work(jobs: Sequence[Job], m: int, cut: float) -> float:
     is the answer.  The second adds the remaining sink arcs and continues
     augmenting, to check that all the work fits.  The answer is exact:
 
-    - an augmenting path ends at the sink and never leaves it, so it never
-      lowers the flow on a sink arc, and the saturating flow that the second
-      phase reaches keeps all of the first phase's pre-cut work;
+    - an augmenting path, of any augmenting-path method that stops at the
+      sink (Dinic's blocking flows included), ends at the sink and never
+      leaves it, so it never lowers the flow on a sink arc, and the
+      saturating flow that the second phase reaches keeps all of the first
+      phase's pre-cut work;
     - the pre-cut part of any feasible flow is itself a flow of the
       first-phase network, so no schedule places more work before the cut.
     """
@@ -333,7 +391,8 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
         rmin = math.inf
         for bit, r, p, end in items:
             if mask & bit:
-                if max(r, min_free) + p > end:
+                # max(r, min_free), written out like the sum below.
+                if (r if r > min_free else min_free) + p > end:
                     failed.add(k)
                     return False
                 work += p
@@ -350,12 +409,13 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
                     failed.add(k)
                     return False
         seen_jobs: set[tuple[float, float, float]] = set()
+        rest = free[1:]
         for bit, r, p, end in items:
             if not mask & bit or (r, p, end) in seen_jobs:
                 continue
             seen_jobs.add((r, p, end))
-            start = max(r, min_free)
-            if rec(mask & ~bit, tuple(sorted((start + p,) + free[1:]))):
+            start = r if r > min_free else min_free
+            if rec(mask & ~bit, tuple(sorted((start + p,) + rest))):
                 return True
         failed.add(k)
         return False

@@ -21,20 +21,12 @@ from commitsched.model import (
     Segment,
     check_policy_args,
     read_instance,
-    utilization,
     validate_instance,
     verify_schedule,
     write_instance,
 )
 from commitsched.vmin import ActiveJob
 from helpers import make_instance
-
-
-def log_for(instance, accepted_ids):
-    log = DecisionLog()
-    for job in instance.jobs:
-        log.add(DecisionRecord(job.id, job.id in accepted_ids, job.release, 0.0))
-    return log
 
 
 class TestValidateInstance:
@@ -77,28 +69,6 @@ class TestValidateInstance:
     def test_non_finite_epsilon_rejected(self, eps):
         inst = make_instance(eps, 1, [(0.0, 1.0, 10.0)])
         assert ("finite", None) in {(v.kind, v.job) for v in validate_instance(inst)}
-
-
-class TestUtilization:
-    def test_all_rejected(self):
-        inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), (0.0, 2.5, 5.0)])
-        assert utilization(log_for(inst, set()), inst) == 0.0
-
-    def test_sum_of_accepted(self):
-        inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), (0.0, 2.5, 5.0)])
-        assert utilization(log_for(inst, {0, 1}), inst) == pytest.approx(3.5)
-
-    def test_machine_count_irrelevant(self):
-        inst = make_instance(1.0, 4, [(0.0, 1.0, 2.0)])
-        assert utilization(log_for(inst, {0}), inst) == pytest.approx(1.0)
-
-    def test_from_schedule(self):
-        inst = make_instance(1.0, 1, [(0.0, 1.0, 2.0), (0.0, 2.5, 7.0)])
-        sched = Schedule(
-            machines=1,
-            segments=[Segment(0, 1, 0.0, 1.5), Segment(0, 1, 1.5, 2.5)],
-        )
-        assert utilization(sched, inst) == pytest.approx(2.5)
 
 
 class TestVerifySchedule:
@@ -170,7 +140,7 @@ def test_utilization_invariant_under_segment_permutation(perm):
     shuffled = [segments[i] for i in perm]
     sched = Schedule(machines=1, segments=shuffled)
     assert verify_schedule(sched, jobs) == []
-    assert sched.work_in(0.0, 3.0) == pytest.approx(3.0)
+    assert sum(seg.length for seg in sched.segments) == pytest.approx(3.0)
 
 
 class TestPolicyArgs:

@@ -10,7 +10,7 @@ import pytest
 
 from commitsched import oracle
 from commitsched.harness import random_instance
-from commitsched.model import TOL, Instance, Job
+from commitsched.model import DUST, TOL, Instance, Job
 from commitsched.oracle import (
     _FILTER_CHUNK,
     _descending_blocks,
@@ -24,7 +24,7 @@ from commitsched.oracle import (
     opt_nonpreemptive,
     opt_preemptive,
 )
-from commitsched.preemptive import PreemptiveSimulator
+from commitsched.preemptive import PreemptiveSimulator, greedy_preemptive
 from commitsched.vmin import ActiveJob, contribution, horn_feasible
 from helpers import make_instance
 
@@ -930,6 +930,201 @@ class TestSparseMaxFlow:
         sparse = answers()
         monkeypatch.setattr(oracle, "_MaxFlow", DenseMaxFlow)
         assert answers() == sparse
+
+
+class SparseEdmondsKarp(_MaxFlow):
+    """Reference: the breadth-first augmenting loop ``_MaxFlow`` ran before
+    it used blocking flows, on the same residual dicts; ``searches`` counts
+    its breadth-first passes."""
+
+    searches = 0
+
+    def max_flow(self, s, t):
+        neighbours = [sorted(row) for row in self.cap]
+        total = 0.0
+        while True:
+            self.searches += 1
+            parent = [-1] * self.n
+            parent[s] = s
+            queue = deque([s])
+            while queue and parent[t] == -1:
+                u = queue.popleft()
+                row = self.cap[u]
+                for v in neighbours[u]:
+                    if parent[v] == -1 and row[v] > DUST:
+                        parent[v] = u
+                        queue.append(v)
+            if parent[t] == -1:
+                return total
+            bottleneck = math.inf
+            v = t
+            while v != s:
+                u = parent[v]
+                bottleneck = min(bottleneck, self.cap[u][v])
+                v = u
+            v = t
+            while v != s:
+                u = parent[v]
+                self.cap[u][v] -= bottleneck
+                self.cap[v][u] += bottleneck
+                v = u
+            total += bottleneck
+
+
+class ArcRecorder(_MaxFlow):
+    """``_MaxFlow`` that keeps every ``add`` call as a (u, v, capacity) arc."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.arcs = []
+
+    def add(self, u, v, capacity):
+        self.arcs.append((u, v, capacity))
+        super().add(u, v, capacity)
+
+
+def horn_jobs(n, seed):
+    return list(random_instance(n, 4, 0.5, seed=seed, release_span=n / 2).jobs)
+
+
+def horn_network(jobs, m, extra=()):
+    """Horn's network with all its sink arcs, built by ``_network``."""
+    net, intervals, _ = oracle._network(jobs, extra)
+    oracle._add_sink_arcs(net, intervals, m)
+    return net
+
+
+def assert_min_cut(net, arcs, s, t, flow):
+    """The nodes reachable from s over residual arcs above DUST form a cut
+    whose capacity is the flow: a certificate that the flow is maximum."""
+    side, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for v, residual in net.cap[u].items():
+            if residual > DUST and v not in side:
+                side.add(v)
+                stack.append(v)
+    assert t not in side
+    cut = sum(c for u, v, c in arcs if u in side and v not in side)
+    assert abs(cut - flow) <= DUST * len(arcs), (cut, flow)
+
+
+class TestDinic:
+    @pytest.mark.parametrize("n", [60, 100])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_edmonds_karp_on_horn_networks(self, n, seed, monkeypatch):
+        # Every flow of flow_feasible on the whole (infeasible) set, and of
+        # both phases of max_prefix_work on the feasible set greedy-p accepts.
+        jobs = horn_jobs(n, seed)
+        accepted = set(greedy_preemptive(Instance(0.5, 4, tuple(jobs))).decisions.accepted_ids())
+        feasible = [job for job in jobs if job.id in accepted]
+        cuts = [n / 8, n / 4, n / 2]
+
+        def flows(solver):
+            out = []
+
+            class Recording(solver):
+                def max_flow(self, s, t):
+                    out.append(super().max_flow(s, t))
+                    return out[-1]
+
+            monkeypatch.setattr(oracle, "_MaxFlow", Recording)
+            assert not flow_feasible(jobs, 4)
+            assert all(max_prefix_work(feasible, 4, cut) > 0.0 for cut in cuts)
+            return out
+
+        dinic = flows(_MaxFlow)
+        assert len(dinic) == 1 + 2 * len(cuts)
+        assert repr(flows(SparseEdmondsKarp)) == repr(dinic)
+
+    def test_needs_few_level_graphs(self, monkeypatch):
+        net = horn_network(horn_jobs(100, 1), 4)
+        reference = SparseEdmondsKarp(net.n)
+        reference.cap = [dict(row) for row in net.cap]
+        levels = []
+        build = _MaxFlow._levels
+
+        def counted(self, s, t, neighbours):
+            levels.append(t)
+            return build(self, s, t, neighbours)
+
+        monkeypatch.setattr(_MaxFlow, "_levels", counted)
+        assert repr(net.max_flow(0, net.n - 1)) == repr(reference.max_flow(0, net.n - 1))
+        assert 1 <= len(levels) <= 20 < reference.searches
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_min_cut_certificate_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        net = ArcRecorder(n)
+        flow = 0.0
+        for phase in range(2):
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.sample(range(n), 2)
+                net.add(u, v, rng.choice([rng.uniform(0.0, 5.0), float(rng.randint(1, 3))]))
+            # A second call returns only the flow it adds.
+            flow += net.max_flow(0, n - 1)
+            assert_min_cut(net, net.arcs, 0, n - 1, flow)
+
+    @pytest.mark.parametrize("n, seed", [(14, 0), (14, 1), (60, 0), (100, 1), (200, 2)])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_min_cut_certificate_on_horn_networks(self, n, seed, m, monkeypatch):
+        monkeypatch.setattr(oracle, "_MaxFlow", ArcRecorder)
+        net = horn_network(horn_jobs(n, seed), m)
+        assert_min_cut(net, net.arcs, 0, net.n - 1, net.max_flow(0, net.n - 1))
+
+
+def per_interval_network(jobs, extra=()):
+    """Reference: Horn's arcs found by testing every (job, interval) pair,
+    with the intervals and total processing time."""
+    points = sorted({j.release for j in jobs} | {j.deadline for j in jobs} | set(extra))
+    intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
+    n = len(jobs)
+    arcs = []
+    total = 0.0
+    for ji, job in enumerate(jobs):
+        arcs.append((0, 1 + ji, job.processing))
+        total += job.processing
+        for ii, (a, b) in enumerate(intervals):
+            if a >= job.release - TOL and b <= job.deadline + TOL:
+                arcs.append((1 + ji, 1 + n + ii, b - a))
+    return arcs, intervals, total
+
+
+class TestNetwork:
+    def check(self, monkeypatch, jobs, extra=()):
+        monkeypatch.setattr(oracle, "_MaxFlow", ArcRecorder)
+        net, intervals, total = oracle._network(jobs, extra)
+        assert repr((net.arcs, intervals, total)) == repr(per_interval_network(jobs, extra))
+        return len(intervals)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_tie_heavy_integer_grids(self, seed, monkeypatch):
+        rng = random.Random(1100 + seed)
+        jobs = integer_grid_jobs(rng, rng.randint(1, 12), shifts=(0.0, 1.0, -1.0))
+        self.check(monkeypatch, jobs, extra=[float(rng.randint(0, 10))])
+
+    @pytest.mark.parametrize("n, seed", [(60, 0), (200, 1)])
+    def test_random_instances(self, n, seed, monkeypatch):
+        self.check(monkeypatch, horn_jobs(n, seed), extra=[n / 4])
+
+    def test_event_points_closer_than_tol(self, monkeypatch):
+        # Releases and deadlines a fraction of TOL off the grid: the
+        # ``b - a > TOL`` filter drops the short intervals between them, and
+        # windows end within TOL of an interval's start or end.
+        rng = random.Random(1200)
+        nudge = [0.0, 0.25 * TOL, -0.5 * TOL, 0.9 * TOL, TOL, -TOL, 1.5 * TOL]
+        dropped = 0
+        for _ in range(100):
+            jobs = []
+            for i in range(rng.randint(2, 10)):
+                r, p = rng.randint(0, 6), rng.randint(1, 4)
+                jobs.append(Job(i, r + rng.choice(nudge), float(p), r + p + rng.randint(0, 3) + rng.choice(nudge)))
+            cut = rng.randint(0, 8) + rng.choice(nudge)
+            points = sorted({j.release for j in jobs} | {j.deadline for j in jobs} | {cut})
+            kept = self.check(monkeypatch, jobs, extra=[cut])
+            dropped += len(points) - 1 - kept
+        assert dropped > 0
 
 
 class TestGreedyMatchesFlow:
