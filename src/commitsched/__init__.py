@@ -25,7 +25,7 @@ from .model import (
     verify_schedule,
     write_instance,
 )
-from .vmin import ActiveJob, PiecewiseLinear, f_threshold, horn_feasible, v_min, v_min_curve, v_shape
+from .vmin import ActiveJob, PiecewiseLinear, f_threshold, horn_feasible, v_min, v_min_curve
 from .preemptive import (
     PlanWindow,
     PreemptiveSimulator,

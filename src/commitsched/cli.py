@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .harness import (
@@ -121,17 +122,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     table = theoretical_bounds(args.m, args.epsilon)
+    if args.out:
+        # Written before the table is printed, so a bad --max-m prints nothing.
+        path = os.path.join(args.out, "bounds_vs_m.txt")
+        write_bound_curves(path, args.epsilon, max_m=args.max_m)
     width = max(len(k) for k in table)
     print(f"bounds for m={args.m}, epsilon={args.epsilon}:")
     for key, value in table.items():
         shown = "n/a" if value is None else f"{value:.9f}"
         print(f"  {key:<{width}}  {shown}")
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "bounds_vs_m.txt")
-        write_bound_curves(path, args.epsilon, max_m=args.max_m)
         print(f"wrote {path}")
     return 0
 

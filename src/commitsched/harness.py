@@ -293,18 +293,31 @@ def write_outputs(rows: Sequence[RatioRow], out_dir: str, epsilon: float) -> Non
 
 
 def write_bound_curves(path: str, epsilon: float, max_m: int = 16) -> None:
-    """Columnar bound-vs-machine-count table for external plotting."""
+    """Columnar bound-vs-machine-count table for external plotting, one row
+    per m = 1..max_m.
+
+    A bound that is undefined at (m, epsilon) reads nan, and so does every
+    bound of an m that fails the slack gate (rho^(1/m) rounds to 1 for a
+    large enough m), so the file always has max_m rows.  Makes the file's
+    directory if needed.  Raises ValueError, before anything is made, when
+    max_m < 1 or epsilon fails the gate at m = 1.
+    """
+    if type(max_m) is not int or max_m < 1:
+        raise ValueError(f"max_m={max_m!r} must be an integer >= 1")
+    check_policy_args(1, epsilon)
+    columns = ("preemptive_upper", "preemptive_lower", "nonpreemptive_upper", "nonpreemptive_lower")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "# m preemptive_upper preemptive_lower nonpreemptive_upper nonpreemptive_lower\n"
-        )
+        fh.write(f"# m {' '.join(columns)}\n")
         for m in range(1, max_m + 1):
-            b = theoretical_bounds(m, epsilon)
-            lower = math.nan if b["nonpreemptive_lower"] is None else b["nonpreemptive_lower"]
-            fh.write(
-                f"{m} {b['preemptive_upper']:.9g} {b['preemptive_lower']:.9g} "
-                f"{b['nonpreemptive_upper']:.9g} {lower:.9g}\n"
-            )
+            try:
+                check_policy_args(m, epsilon)
+            except ValueError:  # rho^(1/m) rounds to 1; epsilon passed the gate at m = 1
+                bounds = {}
+            else:
+                bounds = theoretical_bounds(m, epsilon)
+            values = [math.nan if bounds.get(key) is None else bounds[key] for key in columns]
+            fh.write(" ".join([str(m)] + [f"{value:.9g}" for value in values]) + "\n")
 
 
 def write_ratio_histogram(path: str, rows: Sequence[RatioRow], bins: int = 20) -> None:

@@ -407,24 +407,30 @@ def read_instance(path: str) -> Instance:
     Slack factors above 1 are accepted with a warning: the paper proves its
     bounds for epsilon <= 1, and ``nonpreemptive_lower`` is undefined above it.
     """
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+        # Blank lines are skipped, but every message counts the file's own lines.
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append((number, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {number}: {exc.msg} (column {exc.colno})") from exc
+    if not records:
         raise ValueError(f"{path}: empty instance file")
-    header = json.loads(lines[0])
+    number, header = records[0]
     try:
-        epsilon = _json_float(header["epsilon"], f"{path}: header line 1: epsilon")
-        machines = _json_int(header["machines"], f"{path}: header line 1: machines")
+        epsilon = _json_float(header["epsilon"], f"{path}: header line {number}: epsilon")
+        machines = _json_int(header["machines"], f"{path}: header line {number}: machines")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header line") from exc
     jobs = []
-    for i, line in enumerate(lines[1:]):
-        rec = json.loads(line)
+    for number, rec in records[1:]:
         try:
-            job_id = _json_int(rec["id"], f"{path}: job line {i + 2}: id")
-            jobs.append(Job(job_id, *(_json_float(rec[k], f"{path}: job line {i + 2}: {k}") for k in "rpd")))
+            job_id = _json_int(rec["id"], f"{path}: job line {number}: id")
+            jobs.append(Job(job_id, *(_json_float(rec[k], f"{path}: job line {number}: {k}") for k in "rpd")))
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed job line {i + 2}") from exc
+            raise ValueError(f"{path}: malformed job line {number}") from exc
     if [j.id for j in jobs] != list(range(len(jobs))):
         raise ValueError(f"{path}: job ids must be 0..n-1 in sequence order")
     if epsilon > 1.0:

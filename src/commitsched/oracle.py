@@ -6,12 +6,15 @@ event points inside the job's window (capacity = interval length), and
 interval -> sink (capacity = machines * length).  The job set is feasible
 iff the max flow equals the total processing time; with a common release
 this coincides with the breakpoint capacity test in :mod:`commitsched.vmin`.
-The most work that fits before a cut is a max flow on the same network.
-Event points ascend, so the intervals inside a job's window are one run,
-found by bisection.  The flow is Dinic's algorithm: every source-to-sink
-path of Horn's network has three arcs, so its level graphs are shallow and
-few (on a random 100-job network, 5 level graphs where Edmonds-Karp runs
-861 breadth-first searches, one per augmenting path).
+The most work that fits before a cut is the max flow of the same network
+with the cut as one more event point and sink arcs only before it.  One
+builder makes each network as a list of (u, v, capacity) arcs, and each
+flow runs once on a solver built from that list.  Event points ascend, so
+the intervals inside a job's window are one run, found by bisection.  The
+flow is Dinic's algorithm: every source-to-sink path of Horn's network has
+three arcs, so its level graphs are shallow and few (on a random 100-job
+network, 5 level graphs where Edmonds-Karp runs 861 breadth-first
+searches, one per augmenting path).
 
 Optima are found by enumerating job subsets in decreasing-volume order and
 returning the first feasible one.  The order is sorted lazily: a batch of
@@ -54,24 +57,25 @@ class _MaxFlow:
     """Dinic's blocking-flow max-flow (Dinic 1970) on a sparse residual graph.
 
     ``cap[u]`` maps each neighbour of u, in either arc direction, to the
-    residual capacity of u -> v; an arc with residual at most ``DUST``
-    counts as saturated.  Each round builds the level graph by breadth-first
-    search, then saturates it with depth-first augmenting paths that keep a
-    current-arc pointer per node, so no arc is rescanned within a round, and
-    drop a node from the round once no path to the sink leaves it.
-    Both searches scan neighbours in ascending node order, and the flow is
-    the sum of the path bottlenecks in the order they are found.
-    ``max_flow`` may be called again after more ``add`` calls; it continues
-    from the flow already in the residual graph.
+    residual capacity of u -> v, summed over the (u, v, capacity) arcs it is
+    built from; an arc with residual at most ``DUST`` counts as saturated.
+    Each round builds the level graph by breadth-first search, then
+    saturates it with depth-first augmenting paths that keep a current-arc
+    pointer per node, so no arc is rescanned within a round, and drop a
+    node from the round once no path to the sink leaves it.  Both searches
+    scan neighbours in ascending node order, and the flow is the sum of the
+    path bottlenecks in the order they are found.  ``max_flow`` runs once;
+    it leaves the residual graph of a maximum flow in ``cap``.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int, float]]) -> None:
         self.n = n
         self.cap: list[dict[int, float]] = [{} for _ in range(n)]
-
-    def add(self, u: int, v: int, capacity: float) -> None:
-        self.cap[u][v] = self.cap[u].get(v, 0.0) + capacity
-        self.cap[v].setdefault(u, 0.0)
+        cap = self.cap
+        for u, v, capacity in arcs:
+            row = cap[u]
+            row[v] = row.get(v, 0.0) + capacity
+            cap[v].setdefault(u, 0.0)
 
     def _levels(self, s: int, t: int, neighbours: list[list[int]]) -> list[int]:
         """Breadth-first distance from s over unsaturated arcs, or -1.
@@ -95,8 +99,9 @@ class _MaxFlow:
                 level[v] = -1
         return level
 
-    def max_flow(self, s: int, t: int) -> float:
-        cap = self.cap
+    def max_flow(self) -> float:
+        """The max flow from node 0 to node ``n - 1``."""
+        cap, s, t = self.cap, 0, self.n - 1
         neighbours = [sorted(row) for row in cap]
         total = 0.0
         while True:
@@ -145,48 +150,38 @@ class _MaxFlow:
                     arc[u] += 1
 
 
-def _event_points(jobs: Sequence[Job], extra: Iterable[float] = ()) -> list[float]:
-    pts = {j.release for j in jobs} | {j.deadline for j in jobs} | set(extra)
-    return sorted(pts)
+def _event_points(jobs: Sequence[Job], cut: float = math.inf) -> list[float]:
+    """The releases, the deadlines and a finite ``cut``, ascending."""
+    return sorted({j.release for j in jobs} | {j.deadline for j in jobs} | ({cut} - {math.inf}))
 
 
-def _network(
-    jobs: Sequence[Job], extra: Iterable[float] = ()
-) -> tuple[_MaxFlow, list[tuple[float, float]], float]:
-    """Horn's flow network for the jobs, without its interval -> sink arcs.
+def _network(jobs: Sequence[Job], m: int, cut: float = math.inf) -> tuple[int, list[tuple[int, int, float]], float]:
+    """Horn's flow network for the jobs on m machines, as an arc list.
 
-    Node 0 is the source, node ``net.n - 1`` the sink, and the intervals
-    between consecutive event points (plus ``extra``) are the nodes just
-    before the sink, in time order.  Returns the network, the intervals and
-    the total processing time.
+    Node 0 is the source and the last node the sink.  The intervals between
+    consecutive event points (``cut`` among them when finite) are the nodes
+    just before the sink, in time order, and only those that start before
+    ``cut - TOL`` have a sink arc, of capacity m * length.  Returns the node
+    count, the (u, v, capacity) arcs and the total processing time.
     """
-    points = _event_points(jobs, extra)
+    points = _event_points(jobs, cut)
     intervals = [(a, b) for a, b in zip(points, points[1:]) if b - a > TOL]
     starts = [a for a, _ in intervals]
     ends = [b for _, b in intervals]
     n = len(jobs)
-    net = _MaxFlow(2 + n + len(intervals))
+    arcs = []
     total = 0.0
     for ji, job in enumerate(jobs):
-        net.add(0, 1 + ji, job.processing)
+        arcs.append((0, 1 + ji, job.processing))
         total += job.processing
         # Starts and ends both ascend, so the intervals inside the window
         # (a >= release - TOL and b <= deadline + TOL) are one run.
         first = bisect_left(starts, job.release - TOL)
         for ii in range(first, bisect_right(ends, job.deadline + TOL)):
-            net.add(1 + ji, 1 + n + ii, ends[ii] - starts[ii])
-    return net, intervals, total
-
-
-def _add_sink_arcs(
-    net: _MaxFlow, intervals: list[tuple[float, float]], m: int, start: int = 0, stop: int | None = None
-) -> None:
-    """Add the sink arc, of capacity m * length, of each interval in
-    ``intervals[start:stop]``."""
-    sink = net.n - 1
-    first = sink - len(intervals) + start
-    for node, (a, b) in enumerate(intervals[start:stop], start=first):
-        net.add(node, sink, m * (b - a))
+            arcs.append((1 + ji, 1 + n + ii, ends[ii] - starts[ii]))
+    sink = 1 + n + len(intervals)
+    arcs += [(1 + n + ii, sink, m * (b - a)) for ii, (a, b) in enumerate(intervals) if a < cut - TOL]
+    return sink + 1, arcs, total
 
 
 def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
@@ -197,41 +192,29 @@ def flow_feasible(jobs: Sequence[Job], m: int) -> bool:
     for job in jobs:
         if job.deadline - job.release < job.processing - TOL:
             return False
-    net, intervals, total = _network(jobs)
-    _add_sink_arcs(net, intervals, m)
-    flow = net.max_flow(0, net.n - 1)
-    return flow >= total - TOL * max(1.0, total)
+    n, arcs, total = _network(jobs, m)
+    return _MaxFlow(n, arcs).max_flow() >= total - TOL * max(1.0, total)
 
 
 def max_prefix_work(jobs: Sequence[Job], m: int, cut: float) -> float:
     """Largest volume any valid schedule of *all* jobs can place in [0, cut).
 
-    Requires the full set to be feasible.  Solved as two phases of one max
-    flow on Horn's network, with ``cut`` as an extra event point.  The first
-    phase has sink arcs only for the intervals before the cut; its max flow
-    is the answer.  The second adds the remaining sink arcs and continues
-    augmenting, to check that all the work fits.  The answer is exact:
-
-    - an augmenting path, of any augmenting-path method that stops at the
-      sink (Dinic's blocking flows included), ends at the sink and never
-      leaves it, so it never lowers the flow on a sink arc, and the
-      saturating flow that the second phase reaches keeps all of the first
-      phase's pre-cut work;
-    - the pre-cut part of any feasible flow is itself a flow of the
-      first-phase network, so no schedule places more work before the cut.
+    Requires the full set to be feasible, which one flow on the whole
+    network checks.  The answer is the max flow of the network with
+    ``cut`` as an event point and sink arcs only before it.  The pre-cut
+    part of any feasible flow is a flow of that network, so no schedule
+    places more work before the cut; and a max flow of it extends to a
+    complete schedule, since augmenting paths on the full network end at
+    the sink and never lower the flow on a sink arc.
     """
     jobs = list(jobs)
     if not jobs or cut <= min(j.release for j in jobs):
         return 0.0
-    net, intervals, total = _network(jobs, extra=[cut])
-    sink = net.n - 1
-    split = sum(a < cut - TOL for a, _ in intervals)
-    _add_sink_arcs(net, intervals, m, stop=split)
-    prefix = net.max_flow(0, sink)
-    _add_sink_arcs(net, intervals, m, start=split)
-    if prefix + net.max_flow(0, sink) < total - COMMIT_TOL * max(1.0, total):
+    n, arcs, total = _network(jobs, m)
+    if _MaxFlow(n, arcs).max_flow() < total - COMMIT_TOL * max(1.0, total):
         raise ValueError("job set is infeasible; prefix-work oracle needs a feasible set")
-    return prefix
+    n, arcs, _ = _network(jobs, m, cut)
+    return _MaxFlow(n, arcs).max_flow()
 
 
 def _forced_work_table(jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray]:

@@ -506,7 +506,7 @@ class PreemptiveSimulator:
         if self.policy != "lazy":
             return curve
         # The curve grows at most at rate f beyond d_eff, and stays under the
-        # envelope stretched to span * v_shape((tau - t) / span) on [t, d_eff).
+        # envelope stretched to span * shape((tau - t) / span) on [t, d_eff).
         d_eff = max(self.d_min, t)
         cap = PiecewiseLinear(d_eff, (d_eff,), (curve.value(d_eff),), (self.f,))
         bounds = [("growth cap", cap, d_eff, math.inf)]

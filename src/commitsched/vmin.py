@@ -164,11 +164,6 @@ def v_shape_curve(m: int, epsilon: float) -> PiecewiseLinear:
     return PiecewiseLinear(0.0, tuple(breakpoints), tuple(values), tuple(slopes))
 
 
-def v_shape(x: float, m: int, epsilon: float) -> float:
-    """The envelope ``v_shape_curve(m, epsilon)`` at x >= 0."""
-    return v_shape_curve(m, epsilon).value(x)
-
-
 def v_shape_corners(m: int, epsilon: float) -> list[float]:
     """The x positions where the envelope's slope changes, in (0, 1]."""
     lo = 1.0 / rho(epsilon)

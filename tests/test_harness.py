@@ -267,6 +267,20 @@ class TestRun:
         assert np.isnan(table[:, 4]).all()
         assert np.isfinite(table[:, :4]).all()
 
+    def test_bound_curves_have_every_row_where_the_slack_gate_fails(self, tmp_path):
+        # At epsilon = 1e15, rho^(1/m) rounds to 1 from m = 10 on: those rows
+        # read nan in every bound column, and the file keeps its 16 rows.
+        path = tmp_path / "bounds_vs_m.txt"
+        write_bound_curves(str(path), 1e15)
+        table = np.loadtxt(path)
+        assert table[:, 0].tolist() == list(range(1, 17))
+        assert np.isfinite(table[:9, :4]).all() and np.isnan(table[9:, 1:]).all()
+        # An epsilon that fails the gate at m = 1, or no rows, is an input error.
+        for epsilon, max_m in ((1e300, 16), (0.5, 0), (0.5, -1)):
+            with pytest.raises(ValueError):
+                write_bound_curves(str(tmp_path / "none.txt"), epsilon, max_m)
+        assert not (tmp_path / "none.txt").exists()
+
 
 class TestCli:
     @pytest.mark.parametrize("machines,code", [(1, 0), (3, 2)])
@@ -457,7 +471,7 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("m", ["1", "3"])
-    @pytest.mark.parametrize("epsilon", ["1e-320", "1e-30", "0.5", "2", "1e300"])
+    @pytest.mark.parametrize("epsilon", ["1e-320", "1e-30", "0.5", "2", "1e15", "1e300"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -472,9 +486,20 @@ class TestCli:
     def test_extreme_slack_factors_leave_main_with_an_exit_code(self, command, epsilon, m, tmp_path, monkeypatch):
         # (1+eps)/eps overflows at 1e-320 and rounds to 1 at 1e300: input errors.
         # At 1e-30 the float regime of the simulators may still report a violation.
+        # At 1e15 its m-th root rounds to 1 from m = 10 on, past --m but inside
+        # the bound curves, which then hold nan rows.
         monkeypatch.chdir(tmp_path)
-        code = main([*command.split(), "--m", m, "--epsilon", epsilon])
+        out = [] if command.startswith("gen") else ["--out", "out"]
+        code = main([*command.split(), "--m", m, "--epsilon", epsilon, *out])
         assert code == 2 if epsilon in ("1e-320", "1e300") else code in (0, 1, 2)
+        written = [path for path in tmp_path.rglob("*") if path.is_file()]
+        if code == 2:
+            assert written == []
+        if epsilon == "1e15" and command.split()[0] in ("bounds", "run"):
+            assert code == 0
+        curves = tmp_path / "out" / "bounds_vs_m.txt"
+        if curves.exists():
+            assert len(np.loadtxt(curves, ndmin=2)) == 16
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["run", "--alg", "alg3-randomized", "--m", "2"]) == 2
@@ -495,13 +520,16 @@ class TestCli:
             "run --alg alg3 --n 3 --slack-mix -0.1",
             "run --alg alg3 --n 3 --count 0",
             "run --alg alg3 --n 3 --count -2",
+            "bounds --max-m 0 --out out",
+            "bounds --max-m -1 --out out",
         ],
     )
     def test_bad_parameters_are_input_errors(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv.split()) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "inst.jsonl").exists()
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_on_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.jsonl"

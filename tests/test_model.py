@@ -246,6 +246,27 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match="empty"):
             read_instance(str(empty))
 
+    def test_json_syntax_errors_name_the_file_and_its_line(self, tmp_path):
+        path = tmp_path / "syntax.jsonl"
+        path.write_text(
+            '{"epsilon": 1.0, "machines": 1}\n{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}\n{"id": 1 "r": 0.0}\n'
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: Expecting ',' delimiter (column 10)")):
+            read_instance(str(path))
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        # Line 6 of the file is the second job line once blank lines are skipped.
+        path = tmp_path / "blank.jsonl"
+        path.write_text(
+            '\n{"epsilon": 1.0, "machines": 1}\n\n{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}\n\n'
+            '{"id": 1, "r": 0.0, "p": "x", "d": 4.0}\n'
+        )
+        with pytest.raises(ValueError, match="job line 6: p must be a JSON number"):
+            read_instance(str(path))
+        path.write_text('\n\n{"epsilon": 1.0, "machines": 1}\n\n{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0,}\n')
+        with pytest.raises(ValueError, match=r"blank.jsonl: line 5: "):
+            read_instance(str(path))
+
 
 class TestDecisionLog:
     def test_duplicate_rejected(self):

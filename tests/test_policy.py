@@ -235,3 +235,40 @@ def test_package_imports_form_layers():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for name in leaves:
             del remaining[name]
+
+
+#: Library names that no code in ``src/`` refers to, each with the reason it stays.
+UNREFERENCED = {
+    "preemptive.simulate_preemptive": "benchmarks/ API: bench.py runs alg1+2 through it",
+    "preemptive.greedy_preemptive": "benchmarks/ API: bench.py runs greedy-p through it",
+    "nonpreemptive.simulate_nonpreemptive": "benchmarks/ API: bench.py runs alg3 through it",
+    "nonpreemptive.simulate_partitioned": "benchmarks/ API: bench.py and spans.LAYER_FUNCTIONS",
+    "nonpreemptive.simulate_randomized_single": "benchmarks/ API: bench.py and spans.LAYER_FUNCTIONS",
+    "nonpreemptive.greedy_nonpreemptive": "benchmarks/ API: bench.py and spans.LAYER_FUNCTIONS",
+    "nonpreemptive.d_lim": "benchmarks/ API: spans.LAYER_FUNCTIONS wraps it",
+    "oracle.max_prefix_work": "the criterion 6 oracle (tests/test_acceptance.py)",
+    "nonpreemptive.randomized_single_parts": "criterion 10; known defect 4 gives it a caller or removes it",
+}
+
+
+def test_library_names_without_a_caller_in_src_are_listed():
+    # Every module-level def, class or constant that no Name or Attribute in
+    # src/ loads, ``__init__`` aside: new dead code fails here.
+    defined, loaded = set(), set()
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((path.stem, t.id) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unreferenced = {f"{module}.{name}" for module, name in defined if name not in loaded}
+    assert sorted(unreferenced) == sorted(UNREFERENCED)

@@ -42,8 +42,8 @@ from commitsched.vmin import (
     horn_feasible,
     v_min,
     v_min_curve,
-    v_shape,
     v_shape_corners,
+    v_shape_curve,
 )
 from helpers import make_instance, random_instance_local, scaled, time_shifted
 
@@ -719,10 +719,11 @@ def reference_check_invariants(sim, active):
         span = d_eff - t
         taus = [bp for bp in curve.breakpoints if t <= bp < d_eff]
         taus += [t + x * span for x in v_shape_corners(sim.machines, sim.epsilon)]
+        shape = v_shape_curve(sim.machines, sim.epsilon)
         for tau in taus:
             if not (t <= tau < d_eff):
                 continue
-            bound = span * v_shape((tau - t) / span, sim.machines, sim.epsilon)
+            bound = span * shape.value((tau - t) / span)
             if curve.value(tau) > bound + CHECK_SLACK:
                 raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {curve.value(tau)} > {bound}")
     return curve

@@ -15,7 +15,6 @@ from commitsched.vmin import (
     horn_feasible,
     v_min,
     v_min_curve,
-    v_shape,
     v_shape_corners,
     v_shape_curve,
 )
@@ -249,24 +248,24 @@ class TestShapeEnvelope:
         xs = [i / 997 for i in range(1500)]
         xs += [c + d for c in v_shape_corners(m, eps) for d in (-1e-12, 0.0, 1e-12)]
         for x in xs:
-            assert v_shape(x, m, eps) == pytest.approx(reference_v_shape(x, m, eps), rel=1e-12, abs=0.0), x
+            assert curve.value(x) == pytest.approx(reference_v_shape(x, m, eps), rel=1e-12, abs=0.0), x
 
     def test_zero(self):
-        assert v_shape(0.0, 3, 0.5) == 0.0
+        assert v_shape_curve(3, 0.5).value(0.0) == 0.0
 
     @pytest.mark.parametrize("m,eps", [(1, 1.0), (2, 1.0), (3, 0.5), (4, 0.1)])
     def test_branches_agree_at_one(self, m, eps):
         # At x=1 the outer branch gives f; the inner staircase must agree.
         f = f_threshold(m, eps)
-        assert v_shape(1.0, m, eps) == pytest.approx(f, rel=1e-12)
-        assert v_shape(1.0 - 1e-12, m, eps) == pytest.approx(f, rel=1e-9)
+        assert v_shape_curve(m, eps).value(1.0) == pytest.approx(f, rel=1e-12)
+        assert v_shape_curve(m, eps).value(1.0 - 1e-12) == pytest.approx(f, rel=1e-9)
 
     def test_branches_agree_at_low_corner(self):
         # m=2, eps=1: at x = eps/(1+eps) = 1/2 both adjacent branches give 1.
         lo = 0.5
-        assert v_shape(lo, 2, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert v_shape(lo + 1e-12, 2, 1.0) == pytest.approx(1.0, rel=1e-9)
-        assert v_shape(lo - 1e-12, 2, 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert v_shape_curve(2, 1.0).value(lo) == pytest.approx(1.0, rel=1e-12)
+        assert v_shape_curve(2, 1.0).value(lo + 1e-12) == pytest.approx(1.0, rel=1e-9)
+        assert v_shape_curve(2, 1.0).value(lo - 1e-12) == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("m", range(1, 9))
@@ -276,16 +275,18 @@ class TestShapeEnvelope:
         # first corner, f_threshold at the last, where the sum is f itself).
         lo = eps / (1.0 + eps)
         corners = [lo ** ((m - k) / m) for k in range(m + 1)]
+        curve = v_shape_curve(m, eps)
         for k, corner in enumerate(corners):
             level = sum(corners[: k + 1]) + corner * (m - k - 1)
             for x in (corner - 1e-12, corner, corner + 1e-12):
-                assert v_shape(x, m, eps) == pytest.approx(level, rel=1e-9), (k, x)
+                assert curve.value(x) == pytest.approx(level, rel=1e-9), (k, x)
 
     @pytest.mark.parametrize("m,eps", [(1, 1.0), (2, 1.0), (2, 0.5), (3, 0.5), (5, 0.1)])
     def test_grid_properties(self, m, eps):
         f = f_threshold(m, eps)
         xs = [i * 1.4 / 10000 for i in range(1, 10001)]
-        vals = [v_shape(x, m, eps) for x in xs]
+        curve = v_shape_curve(m, eps)
+        vals = [curve.value(x) for x in xs]
         # Monotone nondecreasing.
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         # v(x)/x nonincreasing and pinched between m and f.
@@ -297,12 +298,13 @@ class TestShapeEnvelope:
     def test_constant_exactly_on_top_plateau(self, m, eps):
         lo = eps / (1 + eps)
         plateau_left = lo ** (1.0 / m)
-        level = v_shape(1.0, m, eps)
+        curve = v_shape_curve(m, eps)
+        level = curve.value(1.0)
         for i in range(50):
             x = plateau_left + (1.0 - plateau_left) * i / 49
-            assert v_shape(x, m, eps) == pytest.approx(level, rel=1e-12)
+            assert curve.value(x) == pytest.approx(level, rel=1e-12)
         # Strictly below the plateau the envelope is strictly smaller.
-        assert v_shape(plateau_left * 0.999, m, eps) < level - 1e-9
+        assert curve.value(plateau_left * 0.999) < level - 1e-9
 
     def test_corner_list(self):
         corners = v_shape_corners(2, 1.0)
