@@ -21,7 +21,7 @@ from .harness import (
     write_bound_curves,
     write_outputs,
 )
-from .model import InvariantError, write_instance
+from .model import ASSERT_LEVELS, InvariantError, write_instance
 from .policy import ALGORITHMS, stress_algorithms
 
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--slack-mix", type=float, default=0.5)
     p_run.add_argument("--instance-file", default=None, help="run on a JSON-lines instance file")
     p_run.add_argument("--oracle", action="store_true", help="compute exact optima where possible")
-    p_run.add_argument("--assert-level", type=int, default=0, choices=(0, 1, 2))
+    p_run.add_argument("--assert-level", type=int, default=0, choices=ASSERT_LEVELS)
 
     p_bounds = sub.add_parser("bounds", help="print the closed-form bound table")
     _add_common(p_bounds)
@@ -68,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--alg", choices=stress_algorithms(True) + stress_algorithms(False), required=True)
     _add_common(p_adv)
     p_adv.add_argument("--delta", type=float, default=1.0 / 64)
-    p_adv.add_argument("--assert-level", type=int, default=0, choices=(0, 1, 2))
+    p_adv.add_argument("--assert-level", type=int, default=0, choices=ASSERT_LEVELS)
     p_adv.add_argument("--export", default=None, help="write the realised sequence to this file")
 
     p_verify = sub.add_parser("verify", help="validate an instance file and check a policy run on it")
     p_verify.add_argument("--instance-file", required=True)
     p_verify.add_argument("--alg", choices=ALGORITHMS, default="alg1+2")
-    p_verify.add_argument("--assert-level", type=int, default=1, choices=(0, 1, 2))
+    p_verify.add_argument("--assert-level", type=int, default=1, choices=ASSERT_LEVELS)
     p_verify.add_argument("--seed", type=int, default=0)
     return parser
 

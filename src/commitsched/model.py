@@ -48,15 +48,23 @@ def rho(epsilon: float) -> float:
     return (1.0 + epsilon) / epsilon
 
 
-def check_policy_args(machines: int, epsilon: float | None = None) -> None:
-    """Raise ValueError unless machines is an int >= 1 and epsilon, if given, is finite and > 0
-    with rho(epsilon) finite and rho(epsilon)^(1/machines) > 1.
+#: The invariant-check depths a policy runs at: none, the checks at every
+#: event, and those plus the volume-decay check between events.
+ASSERT_LEVELS = (0, 1, 2)
+
+
+def check_policy_args(machines: int, epsilon: float | None = None, assert_level: int = 0) -> None:
+    """Raise ValueError unless machines is an int >= 1, assert_level is one of
+    ``ASSERT_LEVELS``, and epsilon, if given, is finite and > 0 with rho(epsilon)
+    finite and rho(epsilon)^(1/machines) > 1.
 
     The last two fail in floats only: rho overflows below epsilon ~ 5.6e-309, and
     rounds to 1 (or its m-th root does) for a large enough epsilon.
     """
     if type(machines) is not int or machines < 1:  # a bool is not a machine count
         raise ValueError(f"machines={machines!r} must be an integer >= 1")
+    if type(assert_level) is not int or assert_level not in ASSERT_LEVELS:
+        raise ValueError(f"assert_level={assert_level!r} must be one of {ASSERT_LEVELS}")
     if epsilon is None:
         return
     if not 0.0 < epsilon < inf:

@@ -59,10 +59,11 @@ def stress_algorithms(preemptive: bool) -> tuple[str, ...]:
 
 
 def make_policy(algorithm: str, machines: int, epsilon: float, assert_level: int = 0, seed: int = 0) -> Policy:
-    """A fresh online object for ``algorithm``.  ``assert_level`` applies to
-    the preemptive policies, ``seed`` to the randomized one."""
+    """A fresh online object for ``algorithm``.  ``assert_level``, one of
+    ``model.ASSERT_LEVELS`` for every algorithm, applies to the preemptive
+    policies, ``seed`` to the randomized one."""
     if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    check_policy_args(machines, epsilon)
+    check_policy_args(machines, epsilon, assert_level)
     return ALGORITHM_TABLE[algorithm].factory(machines, epsilon, assert_level, seed)
 

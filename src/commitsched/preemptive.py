@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
     CHECK_SLACK,
@@ -33,6 +32,7 @@ from .model import (
     Schedule,
     Segment,
     SimulationResult,
+    check_policy_args,
     drive,
 )
 from .vmin import (
@@ -51,9 +51,11 @@ from .vmin import (
 _record = tuple.__new__
 
 
-@dataclass(frozen=True)
-class PlanWindow:
-    """A committed execution plan over [start, end)."""
+class PlanWindow(NamedTuple):
+    """A committed execution plan over [start, end).
+
+    A named tuple, so it equals the plain tuple of its fields.
+    """
 
     start: float
     end: float
@@ -145,32 +147,36 @@ def lrpt_assign(
     first_idle: float | None = None
     while cur < end - DUST and rem:
         # Group jobs by (tolerance-equal) remaining volume, largest first.
-        order = sorted(rem, key=lambda j: (-rem[j], j))
         groups: list[list[int]] = []
-        for j in order:
-            if groups and abs(rem[groups[-1][0]] - rem[j]) <= TOL:
+        for _, j in sorted([(-v, j) for j, v in rem.items()]):
+            if groups and abs(lead - rem[j]) <= TOL:
                 groups[-1].append(j)
             else:
+                lead = rem[j]
                 groups.append([j])
-        # Assign machines to groups greedily from the largest volume.
+        # Assign machines to groups greedily from the largest volume.  Next
+        # event: window end, a running group exhausting, or a group catching
+        # up with the one below it; groups past the first idle one neither
+        # run nor close a gap.
+        delta = end - cur
         avail = m
-        alloc: list[int] = []
+        running: list[tuple[list[int], int, float]] = []
         for g in groups:
             q = min(avail, len(g))
-            alloc.append(q)
             avail -= q
-        rates = [q / len(g) for g, q in zip(groups, alloc)]
-        # Next event: window end, a running group exhausting, or a group
-        # catching up with the one below it.
-        delta = end - cur
-        for g, q, rate in zip(groups, alloc, rates):
+            rate = q / len(g)
+            volume = rem[g[0]]
             if rate > 0:
-                delta = min(delta, rem[g[0]] / rate)
-        for i in range(len(groups) - 1):
-            gap = rem[groups[i][0]] - rem[groups[i + 1][0]]
-            closing = rates[i] - rates[i + 1]
-            if closing > SLOPE_TOL and gap > 0:
-                delta = min(delta, gap / closing)
+                delta = min(delta, volume / rate)
+            if running:
+                gap = above - volume
+                closing = running[-1][2] - rate
+                if closing > SLOPE_TOL and gap > 0:
+                    delta = min(delta, gap / closing)
+            if q == 0:
+                break
+            running.append((g, q, rate))
+            above = volume
         nxt = min(end, cur + delta)
         if nxt <= cur:
             raise InvariantError(f"LRPT sub-step of {delta} cannot advance t={cur} (float spacing)")
@@ -178,9 +184,7 @@ def lrpt_assign(
         # Realise this sub-interval: full machines for untied capacity,
         # wrap-around for shared groups.
         machine_idx = 0
-        for g, q, rate in zip(groups, alloc, rates):
-            if q == 0:
-                continue
+        for g, q, rate in running:
             chunk = rate * span
             if q == len(g):
                 for j in g:
@@ -193,9 +197,11 @@ def lrpt_assign(
                     wrap_fill([(j, chunk) for j in sorted(g)], lanes, cur, span)
                 )
             for j in g:
-                rem[j] = rem[j] - rate * span
-        for j in [j for j, v in rem.items() if v <= TOL]:
-            del rem[j]
+                left = rem[j] - rate * span
+                if left > TOL:
+                    rem[j] = left
+                else:
+                    del rem[j]
         cur = nxt
         if first_idle is None and len(rem) < m and cur < end - DUST:
             first_idle = cur
@@ -210,6 +216,11 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     smallest of those mandatory contributions.  Idle machines then run the
     longest-remaining rule on the next deadline class, and the window
     shrinks to the first idle instant of that sub-schedule.
+
+    A job contributes to class d when contribution(remaining, deadline, d)
+    > TOL.  That count is nondecreasing in the class, so with n <= m jobs
+    the last class is pre-allocated without a search, and otherwise a
+    bisection finds it, each probe counting only until the count passes m.
     """
     jobs = sorted(active)  # by id: records compare by their fields, id first
     if not jobs:
@@ -218,39 +229,52 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
         if not horn_feasible(jobs, t, m):
             raise InvariantError(f"plan requested for an infeasible active set at t={t}")
-    # (id, latest start, remaining, deadline); a job contributes to class d
-    # when contribution(remaining, deadline, d) > TOL.
+    if len(jobs) <= m:
+        # The last class: every job whose latest start precedes it and whose
+        # remaining work exceeds TOL, each contributing all of that work.
+        # Each runs over [t, run) with run <= end, so none is clipped, and
+        # all are kept while t < end - DUST, the test of the general path.
+        d = deadlines[-1]
+        pre = [job for job in jobs if job.deadline - job.remaining < d and job.remaining > TOL]
+        run = t + min(job.remaining for job in pre) if pre else deadlines[0]
+        end = max(run, t + DUST)
+        if not pre or t >= end - DUST:
+            return _record(PlanWindow, (t, end, ()))
+        segments = tuple([_record(Segment, (machine, job.id, t, run)) for machine, job in enumerate(pre)])
+        return _record(PlanWindow, (t, end, segments))
+
+    # (id, latest start, remaining, deadline)
     rows = [(job_id, deadline - remaining, remaining, deadline) for job_id, remaining, deadline in jobs]
 
-    def contributors(d: float) -> list[tuple[int, float, float, float]]:
-        return [row for row in rows if row[1] < d and (row[2] if d >= row[3] else d - row[1]) > TOL]
+    def crowded(d: float) -> bool:
+        count = 0
+        for _, ls, rem, dl in rows:
+            if ls < d and (rem if d >= dl else d - ls) > TOL:
+                count += 1
+                if count > m:
+                    return True
+        return False
 
-    # A job that contributes to a class contributes to every later one, so
-    # the contributor count is nondecreasing in the class: the classes with
-    # at most m contributors are a prefix, all of them when n <= m.  With
-    # none, k = -1: nothing is pre-allocated and longest-remaining runs over
-    # the first class on every machine.
-    if len(jobs) <= m:
-        chosen_k = len(deadlines) - 1
-    else:
-        chosen_k = bisect_left(deadlines, True, key=lambda d: len(contributors(d)) > m) - 1
-    pre = contributors(deadlines[chosen_k]) if chosen_k >= 0 else []
-
-    if pre:
-        d = deadlines[chosen_k]
-        end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre)
-    else:
-        end = deadlines[0]
-    segments = [_record(Segment, (machine, job_id, t, end)) for machine, (job_id, _, _, _) in enumerate(pre)]
-    if chosen_k < len(deadlines) - 1 and len(pre) < m:
-        d_next = deadlines[chosen_k + 1]
-        pre_ids = {row[0] for row in pre}
-        volumes = {
-            job_id: rem if d_next >= dl else d_next - ls
-            for job_id, ls, rem, dl in contributors(d_next)
-            if job_id not in pre_ids
-        }
-        segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
+    # With no class of at most m contributors, k = -1: nothing is
+    # pre-allocated and longest-remaining runs over the first class on
+    # every machine.
+    k = bisect_left(deadlines, True, key=crowded) - 1
+    d = deadlines[k] if k >= 0 else -math.inf
+    d_next = deadlines[k + 1] if k + 1 < len(deadlines) else -math.inf
+    # One scan: the contributors to class d are pre-allocated, and the other
+    # contributors to the next class get longest-remaining volumes.
+    pre_rows: list[tuple[int, float, float, float]] = []
+    volumes: dict[int, float] = {}
+    for row in rows:
+        job_id, ls, rem, dl = row
+        if ls < d and (rem if d >= dl else d - ls) > TOL:
+            pre_rows.append(row)
+        elif ls < d_next and (volume := rem if d_next >= dl else d_next - ls) > TOL:
+            volumes[job_id] = volume
+    end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre_rows) if pre_rows else deadlines[0]
+    segments = [_record(Segment, (machine, row[0], t, end)) for machine, row in enumerate(pre_rows)]
+    if k < len(deadlines) - 1 and len(pre_rows) < m:
+        segs, first_idle = lrpt_assign(volumes, list(range(len(pre_rows), m)), t, end)
         if first_idle is not None and first_idle < end:
             end = first_idle
         segments.extend(segs)
@@ -261,7 +285,7 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
         for s in segments
         if s.start < end - DUST
     )
-    return PlanWindow(t, end, clipped)
+    return _record(PlanWindow, (t, end, clipped))
 
 
 class PreemptiveSimulator:
@@ -295,8 +319,9 @@ class PreemptiveSimulator:
         self.machines = machines
         self.epsilon = epsilon
         self.policy = policy
+        check_policy_args(machines, epsilon, assert_level)
         self.assert_level = assert_level
-        self.f = f_threshold(machines, epsilon)  # rejects a bad (machines, epsilon)
+        self.f = f_threshold(machines, epsilon)
         self._shape = v_shape_curve(machines, epsilon)
         self.clock = 0.0
         self.d_min = 0.0

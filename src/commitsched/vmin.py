@@ -79,8 +79,12 @@ class PiecewiseLinear:
             yield self.values[i] + self.slopes[i] * (tau - bps[i])
 
 
-def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
-    """Exact curve of tau -> v_min(active, t, tau) for tau >= t.
+def _sweep(
+    active: Iterable[ActiveJob], t: float, m: int | None = None
+) -> tuple[list[float], list[float], list[float]] | None:
+    """Breakpoints, values and slopes of tau -> v_min(active, t, tau) for
+    tau >= t, or, when ``m`` is given, None as soon as a value exceeds the
+    capacity (bp - t) * m + TOL.
 
     Breakpoints are the deadlines and latest-start points of the active
     jobs, clipped to [t, inf); slopes count the jobs whose mandatory volume
@@ -106,6 +110,8 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     breakpoints = sorted(deltas)
     if not breakpoints or breakpoints[0] > t:
         breakpoints.insert(0, t)
+    if m is not None and base > TOL:  # the capacity at breakpoints[0] == t
+        return None
     slopes: list[float] = []
     values: list[float] = [base]
     value, running = base, 0
@@ -113,9 +119,17 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
         running += deltas.get(bp, 0)
         slopes.append(float(running))
         value += running * (nxt - bp)
+        if m is not None and value > (nxt - t) * m + TOL:
+            return None
         values.append(value)
     running += deltas.get(breakpoints[-1], 0)
     slopes.append(float(running))
+    return breakpoints, values, slopes
+
+
+def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
+    """Exact curve of tau -> v_min(active, t, tau) for tau >= t."""
+    breakpoints, values, slopes = _sweep(active, t)
     return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
 
 
@@ -126,14 +140,15 @@ def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: Piecewis
     and the mandatory volume to stay within aggregate capacity,
     v_min(tau) <= (tau - t) * m, at every tau.  Both sides are piecewise
     linear, so checking at breakpoints is exact.  ``curve``, when given,
-    must be ``v_min_curve(active, t)``; it is built otherwise.
+    must be ``v_min_curve(active, t)``; otherwise no curve is built, and
+    the breakpoint sweep stops at the first breach.
     """
     jobs = list(active)
     for job in jobs:
         if job.deadline < t + job.remaining - TOL:
             return False
     if curve is None:
-        curve = v_min_curve(jobs, t)
+        return _sweep(jobs, t, m) is not None
     for bp, val in zip(curve.breakpoints, curve.values):
         if val > (bp - t) * m + TOL:
             return False

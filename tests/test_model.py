@@ -345,6 +345,17 @@ class TestRecords:
         record = preemptive._record(cls, values)
         assert type(record) is cls and record == cls(*values) and repr(record) == repr(cls(*values))
 
+    def test_plan_window_is_the_named_tuple_of_its_fields(self):
+        segments = (Segment(0, 7, 0.5, 1.75), Segment(1, 3, 0.5, 1.0))
+        plan = preemptive.PlanWindow(0.5, 1.75, segments)
+        assert (plan.start, plan.end, plan.segments) == (0.5, 1.75, segments)
+        assert plan == (0.5, 1.75, segments) and hash(plan) == hash((0.5, 1.75, segments))
+        assert repr(plan) == f"PlanWindow(start=0.5, end=1.75, segments={segments!r})"
+        built = preemptive._record(preemptive.PlanWindow, (0.5, 1.75, segments))
+        assert type(built) is preemptive.PlanWindow and built == plan
+        with pytest.raises(AttributeError):
+            plan.end = 2.0
+
     def test_segment_length_tuple_equality_and_order(self):
         seg = Segment(1, 3, 2.0, 5.5)
         assert seg.length == 3.5

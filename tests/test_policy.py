@@ -9,8 +9,8 @@ import pytest
 from commitsched import policy as policy_module
 from commitsched.adversary import replay_nonpreemptive, replay_preemptive
 from commitsched.cli import build_parser
-from commitsched.harness import bound_for_algorithm, random_instance, theoretical_bounds
-from commitsched.model import TOL, Instance, Job, drive
+from commitsched.harness import ExperimentConfig, bound_for_algorithm, random_instance, run, theoretical_bounds
+from commitsched.model import ASSERT_LEVELS, TOL, Instance, Job, check_policy_args, drive
 from commitsched.nonpreemptive import (
     GreedyAllocator,
     NonpreemptiveResult,
@@ -124,6 +124,26 @@ def test_every_policy_rejects_bad_epsilon_and_an_earlier_release(algorithm):
     # Committing a job released before the clock would start it in the past.
     with pytest.raises(ValueError):
         policy.submit(Job(1, 0.0, 1.0, 3.0))
+
+
+@pytest.mark.parametrize("level", [-4, 3, 9, True, 1.0, None])
+def test_an_assert_level_outside_the_three_is_an_input_error(level):
+    # Each library entry point passes ``check_policy_args`` with its level:
+    # the simulator directly, every table row through ``make_policy``, and
+    # the harness and the stress replay through it.
+    entries = [
+        lambda: PreemptiveSimulator(2, 0.5, level),
+        lambda: run(ExperimentConfig("alg1+2", m=2, epsilon=0.5, n=5, assert_level=level)),
+        lambda: replay_preemptive(2, 0.5, assert_level=level),
+    ] + [lambda algorithm=algorithm: make_policy(algorithm, 1, 0.5, level) for algorithm in ALGORITHMS]
+    for entry in entries:
+        with pytest.raises(ValueError, match="assert_level="):
+            entry()
+    with pytest.raises(ValueError, match="assert_level="):
+        check_policy_args(1, None, level)
+    for level in ASSERT_LEVELS:
+        PreemptiveSimulator(2, 0.5, level)
+        assert run(ExperimentConfig("alg1+2", m=2, epsilon=0.5, n=5, assert_level=level))[1]
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,69 @@ class TestHornFeasible:
         assert not horn_feasible([ActiveJob(0, 2.0, 1.5)], 0.0, 4)
 
 
+def random_horn_input(rng, t):
+    """Active jobs with tied deadlines, tied latest starts, remainders at or
+    below TOL, and deadlines within TOL of t, on 1 to 4 machines."""
+    m = rng.randint(1, 4)
+    deadlines = [t + rng.uniform(0.5, 8.0) for _ in range(rng.randint(1, 3))] + [t, t + TOL / 2]
+    starts = [t + rng.uniform(0.0, 4.0) for _ in range(rng.randint(1, 3))]
+    active = []
+    for job_id in range(rng.randint(0, 4 * m)):
+        kind = rng.random()
+        if kind < 0.2:
+            deadline, remaining = rng.choice(deadlines), TOL * rng.choice([0.25, 0.5, 1.0])
+        elif kind < 0.4:
+            remaining = rng.choice([0.5, 1.0, 2.0])
+            deadline = rng.choice(starts) + remaining  # a tied latest start
+        else:
+            deadline = rng.choice(deadlines)
+            remaining = rng.uniform(0.0, 1.2) * max(deadline - t, TOL)
+        active.append(ActiveJob(job_id, remaining, deadline))
+    return active, m
+
+
+def at_capacity_input(t, m, w, extra):
+    """m jobs that fill [t, t + w) on m machines, plus a job due at t whose
+    remainder ``extra`` puts the curve at exactly (bp - t) * m + TOL at every
+    breakpoint when extra == TOL (t and w exact in binary)."""
+    return [ActiveJob(i, w, t + w) for i in range(m)] + [ActiveJob(m, extra, t)]
+
+
+class TestHornWithoutCurve:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_curve_path(self, seed):
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(300):
+            t = rng.choice([0.0, 2.5, 1024.25])
+            active, m = random_horn_input(rng, t)
+            got = horn_feasible(active, t, m)
+            assert got == horn_feasible(active, t, m, v_min_curve(active, t)), (active, t, m)
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize("extra", [TOL, TOL * (1 + 2**-40), TOL * (1 - 2**-40)])
+    def test_a_value_exactly_at_capacity(self, m, extra):
+        t, w = 0.0, 0.5
+        active = at_capacity_input(t, m, w, extra)
+        curve = v_min_curve(active, t)
+        at_cap = [val == (bp - t) * m + TOL for bp, val in zip(curve.breakpoints, curve.values)]
+        assert all(at_cap) == (extra == TOL)
+        assert horn_feasible(active, t, m) == horn_feasible(active, t, m, curve) == (extra <= TOL)
+
+    def test_a_breach_at_t_alone(self):
+        # Two jobs each start 0.75 TOL late, which their own windows allow:
+        # the curve starts at 1.5 TOL, above the capacity TOL at t, and
+        # never breaches again on four machines.
+        t = 1.0
+        active = [ActiveJob(i, 1.0 + 0.75 * TOL, t + 1.0) for i in range(2)]
+        curve = v_min_curve(active, t)
+        breached = [val > (bp - t) * 4 + TOL for bp, val in zip(curve.breakpoints, curve.values)]
+        assert breached[0] and not any(breached[1:])
+        assert not horn_feasible(active, t, 4) and not horn_feasible(active, t, 4, curve)
+
+
 class TestThresholdConstant:
     def test_single_machine_unit_slack(self):
         assert f_threshold(1, 1.0) == pytest.approx(0.5)
