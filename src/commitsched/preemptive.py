@@ -16,7 +16,7 @@ one plan, not one each.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import (
@@ -133,10 +133,10 @@ def lrpt_assign(
     At every instant the largest remaining volumes run; groups tied within
     tolerance share evenly, realised by wrap-around splitting so that no
     job overlaps itself and at most one job is split per machine boundary.
-    Returns the segments over [start, end) and the earliest instant after
-    the start at which a machine sits idle (None when every machine that
-    had work stays busy to the end; machines idle from the very start do
-    not count, since no later event will change their situation).
+    It stops at the first idle instant, the end of the first sub-step after
+    which fewer volumes are left than machines, if that precedes end - DUST
+    (machines idle from the start do not count), and returns the segments up
+    to it and the instant; otherwise the segments over [start, end) and None.
     """
     m = len(machines)
     if m == 0 or end <= start + DUST:
@@ -144,7 +144,6 @@ def lrpt_assign(
     rem = {j: v for j, v in volumes.items() if v > TOL}
     segments: list[Segment] = []
     cur = start
-    first_idle: float | None = None
     while cur < end - DUST and rem:
         # Group jobs by (tolerance-equal) remaining volume, largest first.
         groups: list[list[int]] = []
@@ -203,9 +202,9 @@ def lrpt_assign(
                 else:
                     del rem[j]
         cur = nxt
-        if first_idle is None and len(rem) < m and cur < end - DUST:
-            first_idle = cur
-    return segments, first_idle
+        if len(rem) < m and cur < end - DUST:
+            return segments, cur
+    return segments, None
 
 
 def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
@@ -274,9 +273,9 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre_rows) if pre_rows else deadlines[0]
     segments = [_record(Segment, (machine, row[0], t, end)) for machine, row in enumerate(pre_rows)]
     if k < len(deadlines) - 1 and len(pre_rows) < m:
-        segs, first_idle = lrpt_assign(volumes, list(range(len(pre_rows), m)), t, end)
-        if first_idle is not None and first_idle < end:
-            end = first_idle
+        segs, idle = lrpt_assign(volumes, list(range(len(pre_rows), m)), t, end)
+        if idle is not None:
+            end = idle
         segments.extend(segs)
 
     end = max(end, t + DUST)
@@ -461,7 +460,7 @@ class PreemptiveSimulator:
             decisions=self.decisions,
             schedule=self.schedule,
             accepted_volume=self.accepted_volume(),
-            event_times=sorted(set(self.event_times)),
+            event_times=list(self.event_times),
         )
 
     # -- internals ------------------------------------------------------
@@ -530,19 +529,20 @@ class PreemptiveSimulator:
             raise InvariantError(f"active set infeasible at t={t}")
         if self.policy != "lazy":
             return curve
-        # The curve grows at most at rate f beyond d_eff, and stays under the
-        # envelope stretched to span * shape((tau - t) / span) on [t, d_eff).
+        # The curve grows at most at rate f beyond d_eff (a line, compared at
+        # the curve's breakpoints), and stays under the envelope stretched to
+        # span * shape((tau - t) / span) on [t, d_eff).
         d_eff = max(self.d_min, t)
-        cap = PiecewiseLinear(d_eff, (d_eff,), (curve.value(d_eff),), (self.f,))
-        bounds = [("growth cap", cap, d_eff, math.inf)]
+        bps, values, base = curve.breakpoints, curve.values, curve.value(d_eff)
+        for i in range(bisect_right(bps, d_eff), len(bps)):
+            if values[i] > (bound := base + self.f * (bps[i] - d_eff)) + CHECK_SLACK:
+                raise InvariantError(f"growth cap breached at tau={bps[i]}, t={t}: {values[i]} > {bound}")
         if d_eff > t + TOL:
             span, shape = d_eff - t, self._shape
             stretched = tuple(t + x * span for x in shape.breakpoints), tuple(span * v for v in shape.values)
-            bounds.append(("shape envelope", PiecewiseLinear(t, *stretched, shape.slopes), -math.inf, d_eff))
-        for name, bound_curve, lo, hi in bounds:
-            for tau, value, bound in _pointwise(curve, bound_curve, lo, hi):
+            for tau, value, bound in _pointwise(curve, PiecewiseLinear(t, *stretched, shape.slopes), -math.inf, d_eff):
                 if value > bound + CHECK_SLACK:
-                    raise InvariantError(f"{name} breached at tau={tau}, t={t}: {value} > {bound}")
+                    raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {value} > {bound}")
         return curve
 
     def _check_progression(self, now: PiecewiseLinear) -> None:

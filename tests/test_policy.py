@@ -292,3 +292,21 @@ def test_library_names_without_a_caller_in_src_are_listed():
                 loaded.add(node.attr)
     unreferenced = {f"{module}.{name}" for module, name in defined if name not in loaded}
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+def test_generate_plan_is_the_only_caller_of_lrpt_assign():
+    # lrpt_assign stops at the first idle instant, which is where the plan
+    # window ends; a caller that needs the whole window would lose segments.
+    callers = set()
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name != "lrpt_assign":
+                continue
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents.get(scope)
+            callers.add(f"{path.stem}.{scope.name if scope else '<module>'}")
+    assert callers == {"preemptive.generate_plan"}

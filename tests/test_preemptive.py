@@ -208,11 +208,12 @@ def test_lrpt_matches_fluid_sharing_at_window_end(seed):
     m = rng.randint(1, 3)
     volumes = {i: rng.uniform(0.1, 4.0) for i in range(n)}
     length = rng.uniform(0.5, 6.0)
-    segs, _ = lrpt_assign(dict(volumes), list(range(m)), 0.0, length)
+    segs, idle = lrpt_assign(dict(volumes), list(range(m)), 0.0, length)
     done = {}
     for s in segs:
         done[s.job] = done.get(s.job, 0.0) + s.length
-    fluid = fluid_lrpt_oracle(volumes, m, length)
+    # The schedule stops at its first idle instant, if one comes first.
+    fluid = fluid_lrpt_oracle(volumes, m, length if idle is None else idle)
     for j in volumes:
         assert done.get(j, 0.0) == pytest.approx(fluid[j], abs=2e-3)
 
@@ -251,6 +252,24 @@ class TestLrptAssign:
         assert idle2 == pytest.approx(1.0)
         segs3, idle3 = lrpt_assign({}, [0, 1], 0.0, 5.0)
         assert segs3 == [] and idle3 is None
+
+    @pytest.mark.parametrize(
+        "volumes, m, idle",
+        [
+            ({0: 3.0, 1: 1.0}, 2, 1.0),
+            ({0: 3.0, 1: 2.0, 2: 0.5}, 2, 2.5),  # a tied pair shares a machine first
+            ({0: 5.0, 1: 2.0, 2: 2.0, 3: 2.0}, 3, 3.0),  # a tied triple wraps around two
+        ],
+    )
+    def test_the_schedule_stops_at_an_idle_machine_mid_window(self, volumes, m, idle):
+        # Over [0, 5) a machine goes idle at ``idle`` while job 0 has work
+        # left, so the whole-window reference runs on past that instant.
+        segs, got = lrpt_assign(volumes, list(range(m)), 0.0, 5.0)
+        assert got == idle
+        assert segs and all(s.start < idle for s in segs)
+        full, full_idle = reference_lrpt_assign(volumes, list(range(m)), 0.0, 5.0)
+        assert full_idle == idle and any(s.start >= idle for s in full)
+        assert segs == [s for s in full if s.start < idle]
 
 
 def reference_lrpt_assign(volumes, machines, start, end):
@@ -344,13 +363,26 @@ def random_lrpt_input(rng):
     return volumes, list(range(rng.randint(1, 5))), start, start + span
 
 
+def reference_up_to_first_idle(volumes, machines, start, end):
+    """The reference's segments that start before its first idle instant,
+    and that instant: all of its schedule that ``generate_plan`` keeps."""
+    segments, first_idle = reference_lrpt_assign(volumes, machines, start, end)
+    if first_idle is not None:
+        segments = [s for s in segments if s.start < first_idle]
+    return segments, first_idle
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_lrpt_assign_equals_the_reference_by_repr(seed):
     rng = random.Random(300 + seed)
+    truncated = 0
     for _ in range(1500):
         volumes, machines, start, end = random_lrpt_input(rng)
         got = _outcome(lrpt_assign, volumes, machines, start, end)
-        assert got == _outcome(reference_lrpt_assign, volumes, machines, start, end)
+        assert got == _outcome(reference_up_to_first_idle, volumes, machines, start, end)
+        truncated += got != _outcome(reference_lrpt_assign, volumes, machines, start, end)
+    # Some inputs go idle mid-window, where the reference schedules on.
+    assert truncated > 100
 
 
 def reference_generate_plan(active, t, m):
@@ -1073,6 +1105,62 @@ class TestCheckpoint:
         # Greedy decisions and the plan generator's feasibility guard run
         # Horn's test without a curve.
         assert counts["curve"] == counts["check"]
+
+    @pytest.mark.parametrize("policy, level", [("lazy", 1), ("lazy", 2), ("greedy", 1), ("greedy", 2)])
+    def test_a_checkpoint_builds_the_curve_and_at_most_the_envelope(self, monkeypatch, policy, level):
+        # The growth cap is a line and is compared as one: the only
+        # PiecewiseLinear a check builds besides the curve it is not handed
+        # is the shape envelope stretched to [t, d_min) of the lazy policy.
+        counts = Counter()
+        init = PiecewiseLinear.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts["built"] += 1
+            init(self, *args, **kwargs)
+
+        check = PreemptiveSimulator.check_invariants
+
+        def counted_check(sim, active=None, curve=None):
+            before = counts["built"]
+            got = check(sim, active, curve)
+            stretched = sim.policy == "lazy" and max(sim.d_min, sim.clock) > sim.clock + TOL
+            assert counts["built"] - before == (curve is None) + stretched, sim.clock
+            counts["checks"] += 1
+            counts["envelopes"] += stretched
+            return got
+
+        monkeypatch.setattr(PiecewiseLinear, "__init__", counted_init)
+        monkeypatch.setattr(PreemptiveSimulator, "check_invariants", counted_check)
+        inst = random_instance(200, 4, 0.5, seed=5, release_span=60.0)
+        drive(PreemptiveSimulator(4, 0.5, level, policy), inst)
+        assert counts["checks"] > len(inst)
+        assert (counts["envelopes"] > 0) == (policy == "lazy")
+
+
+class TestEventTimes:
+    def test_event_times_increase_strictly(self, monkeypatch):
+        # A window end is recorded only after the clock has moved past the
+        # last one, so ``finish`` returns the list as recorded, in a copy.
+        finish = PreemptiveSimulator.finish
+        runs = []
+
+        def recorded_finish(sim):
+            result = finish(sim)
+            assert result.event_times == sim.event_times and result.event_times is not sim.event_times
+            runs.append(result.event_times)
+            return result
+
+        monkeypatch.setattr(PreemptiveSimulator, "finish", recorded_finish)
+        for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
+            inst = random_instance(60, m, eps, seed=seed, release_span=span)
+            for policy, level in itertools.product(("lazy", "greedy"), (0, 1, 2)):
+                drive(PreemptiveSimulator(m, eps, level, policy), inst)
+        for algorithm in stress_algorithms(preemptive=True):
+            replay_preemptive(8, 0.5, 1 / 64, algorithm, 2)
+        assert len(runs) == 4 * 6 + 2
+        for times in runs:
+            assert times[0] == 0.0 and len(times) > 2
+            assert all(a < b for a, b in zip(times, times[1:]))
 
 
 class TestTimeScaling:
