@@ -26,6 +26,7 @@ from .model import (
     check_instance,
     check_policy_args,
     check_schedule,
+    ordered_sum,
     rho,
     volume_ratio,
 )
@@ -154,7 +155,7 @@ class PreemptiveAdversary:
         self.m = m
         self.epsilon = epsilon
         self.rho = rho(epsilon)
-        target_volume = epsilon * sum(self.rho ** (i / m) for i in range(m))
+        target_volume = epsilon * ordered_sum(self.rho ** (i / m) for i in range(m))
         # Shrink delta so the block-1 target is an exact multiple of it; a target
         # volume far below delta still takes one job.
         self.target_count = max(1, math.ceil(target_volume / delta - DUST))
@@ -203,7 +204,7 @@ class PreemptiveAdversary:
         last = len(self.blocks)
         members = self.blocks[-1]
         sched = _mcnaughton(members, self.m, 0.0, self.block_deadline(last))
-        return sum(j.processing for j in members), sched, last, members
+        return ordered_sum(j.processing for j in members), sched, last, members
 
 
 class NonpreemptiveAdversary:
@@ -268,7 +269,7 @@ class NonpreemptiveAdversary:
         else:
             p_last = members[0].processing
             sched.segments.append(Segment(0, probe.id, t + p_last, t + p_last + 1.0))
-        return 1.0 + sum(j.processing for j in members), sched, len(self.blocks) - 1, [probe] + members
+        return 1.0 + ordered_sum(j.processing for j in members), sched, len(self.blocks) - 1, [probe] + members
 
 
 def _append(blocks: list[list[Job]], release: float, processing: float, deadline: float) -> Job:

@@ -251,15 +251,17 @@ def stress_run(
     """Replay the stress generator of ``algorithm``'s family.
 
     Returns the ratio row, a flag that is False when the measured ratio
-    falls short of the lower bound by more than the delta slack, and the
-    replay itself.
+    falls short of what the game proves, and the replay itself.  The
+    preemptive game proves lb * (1 - delta), delta its block-1 job size,
+    checked up to ``BOUND_SLACK``; the non-preemptive one is checked
+    against its bound less 5 * delta * m.
     """
     if ALGORITHM_TABLE[algorithm].preemptive:
         outcome = replay_preemptive(m, epsilon, delta, algorithm, assert_level)
-        lb_slack = 10.0 * outcome.delta
+        floor = outcome.lower_bound * (1.0 - outcome.delta) - BOUND_SLACK
     else:
         outcome = replay_nonpreemptive(m, epsilon, delta, algorithm)
-        lb_slack = 5.0 * outcome.delta * m
+        floor = outcome.lower_bound - 5.0 * outcome.delta * m
     ratio = outcome.ratio
     bound = outcome.lower_bound
     rows = [
@@ -276,7 +278,7 @@ def stress_run(
             margin=None if math.isinf(ratio) else ratio - bound,
         )
     ]
-    ok = math.isinf(ratio) or ratio >= bound - lb_slack
+    ok = math.isinf(ratio) or ratio >= floor
     return rows, ok, outcome
 
 

@@ -26,7 +26,8 @@ COMMIT_TOL = 1e-6
 #: Runtime invariant checks, which compare sums of many float terms.  Float spacing exceeds it from 2^29.
 CHECK_SLACK = 1e-7
 
-#: A measured ratio over its proven bound in ``harness.run``.  Float spacing exceeds it from 2^33.
+#: A measured ratio over its proven bound in ``harness.run``, and a preemptive stress ratio under
+#: the bound its game proves in ``harness.stress_run``.  Float spacing exceeds it from 2^33.
 BOUND_SLACK = 1e-6
 
 #: Float dust: the shortest preemptive window or piece, the least max-flow residual, the guard of
@@ -288,6 +289,16 @@ def validate_instance(instance: Instance) -> list[Violation]:
             )
         prev_release = max(prev_release, job.release) if prev_release is not None else job.release
     return out
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The values added left to right, the order of every float reduction
+    in the package: from CPython 3.12 builtin ``sum`` compensates float
+    rounding, so its result would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def volume_ratio(opt_volume: float, alg_volume: float) -> float:

@@ -349,25 +349,28 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
     place each in turn on the machine free first.  By induction each starts
     no later than before, since if all m machines were still busy at job
     k's old start, m + 1 jobs would overlap there.  Identical jobs are
-    collapsed, and dead states are memoised on (remaining set, rounded
-    machine free times).  A state is dead when some remaining job cannot
-    end in time, or when a prefix of the remaining jobs in deadline order,
-    with work W, largest deadline D and smallest release rmin, breaks the
-    capacity bound
+    collapsed.  A state is dead when some remaining job cannot end in time,
+    or when a prefix of the remaining jobs in deadline order, with work W,
+    largest deadline D and smallest release rmin, breaks the capacity bound
 
         W <= sum_i max(0, D + TOL - max(free_i, rmin)) + TOL.
+
+    States are memoised exactly, on (remaining set, machine free times),
+    once each, when the search enters them: a True answer ends the search,
+    so every state met again has already failed.
     """
     order = sorted(range(len(jobs)), key=lambda ji: (jobs[ji].deadline, jobs[ji].release, ji))
     # (bit, release, processing, latest end), in deadline order.
     items = [(1 << ji, jobs[ji].release, jobs[ji].processing, jobs[ji].deadline + TOL) for ji in order]
-    failed: set[tuple[int, tuple[int, ...]]] = set()
+    seen: set[tuple[int, tuple[float, ...]]] = set()
 
     def rec(mask: int, free: tuple[float, ...]) -> bool:
         if mask == 0:
             return True
-        k = (mask, tuple([round(f / TOL) for f in free]))
-        if k in failed:
+        state = (mask, free)
+        if state in seen:
             return False
+        seen.add(state)
         min_free = free[0]
         # The two dead-state tests of the docstring, one deadline prefix at a time.
         work = 0.0
@@ -376,7 +379,6 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
             if mask & bit:
                 # max(r, min_free), written out like the sum below.
                 if (r if r > min_free else min_free) + p > end:
-                    failed.add(k)
                     return False
                 work += p
                 if r < rmin:
@@ -389,7 +391,6 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
                     if gap > 0.0:
                         room += gap
                 if work > room + TOL:
-                    failed.add(k)
                     return False
         seen_jobs: set[tuple[float, float, float]] = set()
         rest = free[1:]
@@ -400,7 +401,6 @@ def _np_search(jobs: Sequence[Job], m: int) -> bool:
             start = r if r > min_free else min_free
             if rec(mask & ~bit, tuple(sorted((start + p,) + rest))):
                 return True
-        failed.add(k)
         return False
 
     return rec((1 << len(jobs)) - 1, tuple([0.0] * m))

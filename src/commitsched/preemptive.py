@@ -326,6 +326,7 @@ class PreemptiveSimulator:
         self.d_min = 0.0
         self.v_delta = 0.0
         self.jobs: dict[int, Job] = {}  # every accepted job
+        self._volume = 0.0  # their processing, added in acceptance order
         self.live: list[tuple[int, float, float]] = []  # unfinished jobs only
         self.committed_work: dict[int, float] = {}  # unfinished jobs only
         self.schedule = Schedule(machines=machines)
@@ -356,7 +357,7 @@ class PreemptiveSimulator:
         ]
 
     def accepted_volume(self) -> float:
-        return sum(job.processing for job in self.jobs.values())
+        return self._volume
 
     @property
     def plan(self) -> PlanWindow:
@@ -405,6 +406,7 @@ class PreemptiveSimulator:
         if accept:
             row = (job.id, job.processing, job.deadline)
             self.jobs[job.id] = job
+            self._volume += job.processing
             self.committed_work[job.id] = 0.0
             insort(self.live, row)  # rows and records order by id first
             if job.processing > TOL:  # the filter active_jobs applies

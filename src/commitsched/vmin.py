@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import TOL, check_policy_args, rho
+from .model import TOL, check_policy_args, ordered_sum, rho
 
 
 class ActiveJob(NamedTuple):
@@ -47,7 +47,7 @@ def v_min(active: Iterable[ActiveJob], t: float, tau: float) -> float:
     """
     if tau < t - TOL:
         raise ValueError(f"tau={tau} precedes t={t}")
-    return sum(contribution(j.remaining, j.deadline, tau) for j in active)
+    return ordered_sum(contribution(j.remaining, j.deadline, tau) for j in active)
 
 
 @dataclass(frozen=True)

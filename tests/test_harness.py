@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -14,7 +15,7 @@ from commitsched.harness import (
     write_bound_curves,
     write_outputs,
 )
-from commitsched import model
+from commitsched import harness, model
 from commitsched.adversary import (
     NonpreemptiveAdversary,
     PreemptiveAdversary,
@@ -183,6 +184,35 @@ class TestRun:
         # At m=2, eps=0.5 the two generators target different lower bounds.
         rows, _, _ = stress_run(alg, 2, 0.5, delta=1.0 / 8)
         assert rows[0].bound == lower_bound(2, 0.5)
+
+    @pytest.mark.parametrize("alg", ["alg1+2", "greedy-p"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8])
+    def test_preemptive_stress_reaches_the_bound_its_game_proves(self, alg, m):
+        # The game proves lb * (1 - delta), delta the block-1 job size; once
+        # lb > 10 that is below lb - 10 delta, the fixed slack this replaced.
+        for eps in (1.0, 0.5, 0.25, 0.1, 0.05, 0.01):
+            _, ok, outcome = stress_run(alg, m, eps)
+            assert ok, (eps, outcome.ratio)
+            assert outcome.ratio == pytest.approx(outcome.lower_bound * (1.0 - outcome.delta), rel=1e-12)
+
+    def test_preemptive_stress_fails_just_below_the_bound_its_game_proves(self, monkeypatch):
+        # At lb = 100 a ratio a relative 1e-5 short of lb * (1 - delta) is
+        # 1e-3 short, far more than BOUND_SLACK.
+        replay = harness.replay_preemptive
+
+        def short(*args):
+            outcome = replay(*args)
+            return dataclasses.replace(outcome, alg_volume=outcome.alg_volume * (1.0 + 1e-5))
+
+        monkeypatch.setattr(harness, "replay_preemptive", short)
+        _, ok, outcome = stress_run("alg1+2", 1, 0.01)
+        assert outcome.lower_bound == pytest.approx(100.0)
+        assert outcome.ratio == pytest.approx(outcome.lower_bound * (1.0 - outcome.delta), abs=2e-3)
+        assert not ok
+
+    def test_adversary_command_passes_at_small_slack(self, capsys):
+        assert main(["adversary", "--alg", "alg1+2", "--m", "1", "--epsilon", "0.01"]) == 0
+        assert "lower bound reached" in capsys.readouterr().out
 
     @pytest.mark.parametrize("alg", ["alg3-partitioned", "alg3-randomized"])
     def test_stress_run_rejects_an_algorithm_without_a_generator(self, alg):

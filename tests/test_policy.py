@@ -310,3 +310,23 @@ def test_generate_plan_is_the_only_caller_of_lrpt_assign():
                 scope = parents.get(scope)
             callers.add(f"{path.stem}.{scope.name if scope else '<module>'}")
     assert callers == {"preemptive.generate_plan"}
+
+
+def test_no_builtin_sum_over_floats_in_src():
+    # From CPython 3.12 builtin sum adds floats with compensation, so a float
+    # sum would tie outputs to the interpreter; float reductions go through
+    # model.ordered_sum.  These two sums count ints.
+    allowed = {
+        ("adversary.py", "sum(map(len, blocks))"),
+        ("cli.py", "sum(r.opt_volume is None for r in rows)"),
+    }
+    found = set()
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "sum":
+                use = called.get(id(node), node)
+                found.add((path.name, ast.get_source_segment(text, use)))
+    assert found == allowed

@@ -1,14 +1,20 @@
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
+import shutil
+import subprocess
+import sys
 from bisect import bisect_left
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import commitsched
 from commitsched import preemptive, vmin
 from commitsched.adversary import replay_preemptive
 from commitsched.harness import random_instance
@@ -748,6 +754,67 @@ def test_outputs_match_the_recorded_digests():
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, eps, n, span, seed, policy, level)
     # Each machine count met a live set larger than itself.
     assert all(widest[m] > m for m in (1, 3, 8))
+
+
+#: The level-0 digest computation of the test above, for a bare interpreter:
+#: argv holds the package's parent directory and the keys as JSON.  Only the
+#: oracle uses NumPy, and no pinned run reaches it, so a stub stands in for
+#: it where the interpreter has none.
+DIGEST_SCRIPT = """
+import hashlib, json, sys, types
+sys.path.insert(0, sys.argv[1])
+try:
+    import numpy
+except ImportError:
+    sys.modules["numpy"] = types.ModuleType("numpy")
+from commitsched.harness import random_instance
+from commitsched.preemptive import PreemptiveSimulator
+digests = []
+for m, eps, n, span, seed, policy in json.loads(sys.argv[2]):
+    inst = random_instance(n, m, eps, seed=seed, release_span=span)
+    sim = PreemptiveSimulator(m, eps, 0, policy)
+    for job in inst.jobs:
+        sim.submit(job)
+    res = sim.finish()
+    text = repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+    digests.append(hashlib.sha256(text.encode()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def other_interpreters():
+    """Each python3.N (N >= 10) on PATH, other than the running one, that starts."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        try:
+            probe = subprocess.run(
+                [exe, "-I", "-c", "import sys; print(sys.version_info[1])"], capture_output=True, text=True, timeout=60
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
+            found.append(exe)
+    return found
+
+
+def test_digests_hold_under_every_other_interpreter():
+    """The pins are the interpreter's too: from CPython 3.12 builtin sum
+    compensates float rounding, so every float reduction adds left to right."""
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.N (N >= 10) on PATH starts")
+    keys = list(RECORDED_DIGESTS)
+    root = str(Path(commitsched.__file__).resolve().parents[1])
+    for exe in interpreters:
+        done = subprocess.run(
+            [exe, "-I", "-c", DIGEST_SCRIPT, root, json.dumps(keys)], capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, (exe, done.stderr)
+        moved = [key for key, digest in zip(keys, json.loads(done.stdout)) if digest != RECORDED_DIGESTS[key]]
+        assert moved == [], exe
 
 
 def reference_active_jobs(sim):
