@@ -38,6 +38,7 @@ from .model import (
 from .vmin import (
     ActiveJob,
     PiecewiseLinear,
+    extend_curve,
     f_threshold,
     horn_feasible,
     v_min,
@@ -304,6 +305,13 @@ class PreemptiveSimulator:
     ``active_jobs`` reads the remainders ``processing - committed`` off the
     table.  Those two events leave the live list as the pending plan input;
     ``plan`` and ``advance_to`` build the plan from it.
+
+    Every event also keeps the live list it leaves, with the instant and
+    that list's mandatory-volume curve if it built one.  The list changes
+    only at an event or when the clock moves, so an arrival at the same
+    instant starts from a copy of it instead of rebuilding it, and adds its
+    job to the kept curve with ``extend_curve``: the lazy threshold update,
+    the greedy decision and the invariant check then read that curve.
     """
 
     def __init__(
@@ -337,6 +345,10 @@ class PreemptiveSimulator:
         # The live set the plan is to be built from at the clock, or None
         # when ``_plan`` is built for the current state.
         self._plan_input: list[ActiveJob] | None = None
+        # (instant, live set, its mandatory-volume curve or None) as the last
+        # event at that instant left them.  The live set changes only at an
+        # event or when the clock moves, so it holds while the clock stays.
+        self._instant: tuple[float, list[ActiveJob], PiecewiseLinear | None] = (0.0, [], None)
         self.event_times: list[float] = [0.0]
         # Reference state for the volume-decay check: the last plan-aligned
         # instant (acceptance or window end).  Between such instants
@@ -385,8 +397,16 @@ class PreemptiveSimulator:
                 f"arrival handled at clock {self.clock} != release {job.release}; advance first"
             )
         r = job.release
-        # The live set at the arrival; every step of this event reads it.
-        active = self.active_jobs()
+        # The live set at the arrival, which every step of this event reads,
+        # and its mandatory-volume curve at r once built: at the instant of
+        # the last event, the ones that event left (the list is copied, as
+        # an acceptance inserts into it).
+        instant, kept, curve = self._instant
+        if instant == r == self.clock:
+            active = kept[:]
+        else:
+            active, curve = self.active_jobs(), None
+        row = (job.id, job.processing, job.deadline)
         if self.policy == "lazy":
             self.d_min = max(self.d_min, r)
             self.v_delta = (self.d_min - r) * self.f - v_min(active, r, self.d_min)
@@ -397,22 +417,27 @@ class PreemptiveSimulator:
             accept = job.deadline >= threshold - TOL
         else:
             # Live jobs first, then the new one: horn_feasible's sums run in
-            # this order.
-            candidate = active + [_record(ActiveJob, (job.id, job.processing, job.deadline))]
+            # this order.  With the live set's curve at hand, the candidate's
+            # is that curve extended, and the sweep's verdict is read off it.
+            candidate = active + [_record(ActiveJob, row)]
+            grown = None if curve is None else extend_curve(curve, job.processing, job.deadline, r)
             threshold = None
-            accept = horn_feasible(candidate, self.clock, self.machines)
+            accept = horn_feasible(candidate, self.clock, self.machines, grown)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
-        curve = None  # the mandatory-volume curve of the live set at r, once built
         if accept:
-            row = (job.id, job.processing, job.deadline)
             self.jobs[job.id] = job
             self._volume += job.processing
             self.committed_work[job.id] = 0.0
             insort(self.live, row)  # rows and records order by id first
             if job.processing > TOL:  # the filter active_jobs applies
                 insort(active, _record(ActiveJob, row))
+                if self.policy == "greedy":
+                    curve = grown
+                elif curve is not None:
+                    curve = extend_curve(curve, job.processing, job.deadline, r)
             if self.policy == "lazy":
-                curve = v_min_curve(active, r)
+                if curve is None:
+                    curve = v_min_curve(active, r)
                 new_dmin = solve_dmin(curve, self.f, self.v_delta, r)
                 if new_dmin < self.d_min - CHECK_SLACK:
                     raise InvariantError(
@@ -420,10 +445,13 @@ class PreemptiveSimulator:
                     )
                 self.d_min = max(self.d_min, new_dmin)
             self._regenerate_plan(active)
+        if r != self.clock:
+            curve = None  # built at r, a hair off the clock
         if self.assert_level >= 1:
-            curve = self.check_invariants(active, curve if r == self.clock else None)
+            curve = self.check_invariants(active, curve)
             if accept and self.assert_level >= 2:
                 self._decay_curve, self._decay_clock = curve, self.clock
+        self._instant = (self.clock, active, curve)
         return accept
 
     def advance_to(self, target: float) -> None:
@@ -506,11 +534,13 @@ class PreemptiveSimulator:
             work[job] += e - s
 
     def _window_checkpoint(self, active: list[ActiveJob]) -> None:
+        curve = None
         if self.assert_level >= 1:
             curve = self.check_invariants(active)
             if self.assert_level >= 2:
                 self._check_progression(curve)
                 self._decay_curve, self._decay_clock = curve, self.clock
+        self._instant = (self.clock, active, curve)
 
     def check_invariants(
         self, active: list[ActiveJob] | None = None, curve: PiecewiseLinear | None = None

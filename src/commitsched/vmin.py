@@ -9,7 +9,7 @@ exact breakpoint reasoning possible throughout the package.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -133,6 +133,45 @@ def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
 
 
+def extend_curve(curve: PiecewiseLinear, remaining: float, deadline: float, t: float) -> PiecewiseLinear | None:
+    """``v_min_curve(active + [job], t)`` from ``curve == v_min_curve(active,
+    t)``, bit for bit, or None when the job has mandatory volume at t.
+
+    Such a job adds nothing to the curve's value at t, so the sweep's
+    result does not depend on where it sits among the jobs.  Its latest
+    start and deadline are inserted as breakpoints, the prefix before the
+    first of them is copied, and from there on values and slopes are
+    recomputed with the sweep's float operations.
+    """
+    lo = deadline - remaining
+    if lo < t:
+        return None
+    if deadline <= lo:  # no breakpoint, as in the sweep
+        return curve
+    bps, values, slopes = curve.breakpoints, curve.values, curve.slopes
+    k = bisect_left(bps, lo)
+    tail = list(bps[k:])
+    if not tail or tail[0] != lo:
+        tail.insert(0, lo)
+    j = bisect_left(tail, deadline)
+    if j == len(tail) or tail[j] != deadline:
+        tail.insert(j, deadline)
+    new_bps, new_values, new_slopes = list(bps[:k]), list(values[:k]), list(slopes[:k])
+    # The old segment holding lo.  lo >= t == bps[0], so k == 0 only when
+    # lo == t, where the value stays the curve's first.
+    i = max(k - 1, 0)
+    value = values[i]
+    for bp in tail:
+        if new_bps:
+            value += new_slopes[-1] * (bp - new_bps[-1])
+        while i + 1 < len(bps) and bps[i + 1] <= bp:
+            i += 1
+        new_bps.append(bp)
+        new_values.append(value)
+        new_slopes.append(slopes[i] + 1.0 if bp < deadline else slopes[i])
+    return PiecewiseLinear(t, tuple(new_bps), tuple(new_values), tuple(new_slopes))
+
+
 def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: PiecewiseLinear | None = None) -> bool:
     """Whether a valid preemptive schedule of the active jobs exists from t.
 
@@ -140,8 +179,9 @@ def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: Piecewis
     and the mandatory volume to stay within aggregate capacity,
     v_min(tau) <= (tau - t) * m, at every tau.  Both sides are piecewise
     linear, so checking at breakpoints is exact.  ``curve``, when given,
-    must be ``v_min_curve(active, t)``; otherwise no curve is built, and
-    the breakpoint sweep stops at the first breach.
+    must equal ``v_min_curve(active, t)`` bit for bit, and the verdict is
+    then the sweep's; otherwise no curve is built, and the breakpoint sweep
+    stops at the first breach.
     """
     jobs = list(active)
     for job in jobs:

@@ -1,6 +1,7 @@
 """Instance builders shared by the test modules."""
 
 import math
+import random
 
 from commitsched.model import Instance, Job
 
@@ -33,3 +34,54 @@ def time_shifted(inst, offset):
     """The instance with every release and deadline moved by ``offset``."""
     jobs = tuple(Job(j.id, j.release + offset, j.processing, j.deadline + offset) for j in inst.jobs)
     return Instance(epsilon=inst.epsilon, machines=inst.machines, jobs=jobs)
+
+
+def run_trail(sim, jobs):
+    """``repr`` of what a run shows: the decision, ``d_min`` and ``v_delta``
+    after each submit, then the decisions with their thresholds, the
+    committed segments, the accepted volume and the event times."""
+    states = [(sim.submit(job), sim.d_min, sim.v_delta) for job in jobs]
+    res = sim.finish()
+    return repr((states, list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+
+
+def burst_jobs(key):
+    """The jobs of a burst key other than "replay": runs whose arrivals share
+    instants.  ``key`` is one of
+
+    - ("span0", m, epsilon, n, seed, policy): ``random_instance`` with every
+      release at 0;
+    - ("floored", m, epsilon, n, span, seed, policy): ``random_instance``
+      with each release floored to an integer and its deadline moved with
+      it, so each window keeps its length;
+    - ("shuffled", m, epsilon, n, span, seed, policy): the floored jobs with
+      their ids permuted, so an acceptance inserts a live row mid-table.
+    """
+    from commitsched.harness import random_instance
+
+    if key[0] == "span0":
+        _, m, eps, n, seed, _ = key
+        return list(random_instance(n, m, eps, seed=seed, release_span=0.0).jobs)
+    kind, m, eps, n, span, seed, _ = key
+    ids = random.Random(seed).sample(range(n), n) if kind == "shuffled" else range(n)
+    return [
+        Job(ids[j.id], float(math.floor(j.release)), j.processing, math.floor(j.release) + (j.deadline - j.release))
+        for j in random_instance(n, m, eps, seed=seed, release_span=span).jobs
+    ]
+
+
+def burst_trail(key, level):
+    """``run_trail`` of a burst key at one assert level: ``burst_jobs(key)``
+    under the key's policy, or, for ("replay", m, algorithm), the preemptive
+    stress replay at epsilon 0.5 and delta 1/64, prefixed with the replay's
+    own decisions and volume."""
+    from commitsched.adversary import replay_preemptive
+    from commitsched.policy import make_policy
+    from commitsched.preemptive import PreemptiveSimulator
+
+    if key[0] == "replay":
+        _, m, algorithm = key
+        outcome = replay_preemptive(m, 0.5, 1 / 64, algorithm, level)
+        sim = make_policy(algorithm, m, 0.5, level)
+        return repr((list(outcome.decisions), outcome.alg_volume)) + run_trail(sim, outcome.instance.jobs)
+    return run_trail(PreemptiveSimulator(key[1], key[2], level, key[-1]), burst_jobs(key))

@@ -53,7 +53,7 @@ from commitsched.vmin import (
     v_shape_corners,
     v_shape_curve,
 )
-from helpers import make_instance, random_instance_local, scaled, time_shifted
+from helpers import burst_jobs, burst_trail, make_instance, random_instance_local, run_trail, scaled, time_shifted
 
 _record = preemptive._record
 
@@ -756,28 +756,74 @@ def test_outputs_match_the_recorded_digests():
     assert all(widest[m] > m for m in (1, 3, 8))
 
 
-#: The level-0 digest computation of the test above, for a bare interpreter:
-#: argv holds the package's parent directory and the keys as JSON.  Only the
-#: oracle uses NumPy, and no pinned run reaches it, so a stub stands in for
-#: it where the interpreter has none.
+#: sha256 of ``helpers.burst_trail`` per burst key: runs whose arrivals share
+#: instants, on releases all at 0, on releases floored to integers (ids in
+#: order or permuted), and on both preemptive stress replays.  Recorded before
+#: arrivals at one instant reused the live set and extended its curve.
+BURST_DIGESTS = {
+    ("span0", 1, 0.5, 40, 1, "lazy"): "ef524692aaee228100b4ecd2881511aebb3f25f0c50a944c119a0918bea82a61",
+    ("span0", 3, 0.1, 60, 2, "lazy"): "01d27e8112a3de8b12646354759c189ac7dc09d02d13e3b7131ba24e1d6e7576",
+    ("span0", 8, 1.0, 120, 3, "lazy"): "1817e1fb7382ed43fe04d55945538a22d079f6a11ebf200a747eef18a0cb4a37",
+    ("floored", 2, 0.5, 80, 20.0, 4, "lazy"): "d3aeac186645df07b50531912f95d695e324fa94c0e038578bdd91c235ceca57",
+    ("floored", 4, 0.5, 120, 30.0, 7, "lazy"): "7a007eae1349cc9bde5116ae94c62f7f8cc416a5f8e0bf73e701965d53b94b3e",
+    ("floored", 8, 0.25, 200, 25.0, 5, "lazy"): "e74b74d9e2d34cad78c4421c16a42fa6a5dcbb76923fb09e11ef80eaa89414e1",
+    ("shuffled", 4, 0.5, 120, 30.0, 7, "lazy"): "dc9e7d5ab8a93641fc6a995d9c291541ecff8d3f3601325e42110edf137d7a50",
+    ("shuffled", 8, 0.25, 200, 25.0, 5, "lazy"): "0e5b9155e31464549250a4ba1d7c01f608aa1c5dcd872a75cab225d7565a8dc2",
+    ("span0", 1, 0.5, 40, 1, "greedy"): "7db5e541cc638efd535071fd0127c6d78c50342ff093f6c7cb71e5978b3fb466",
+    ("span0", 3, 0.1, 60, 2, "greedy"): "f34d3fa64f368e25c208b41cf2c31ea190336467e5204ebe270f7882d22776bc",
+    ("span0", 8, 1.0, 120, 3, "greedy"): "17dc2a8c4bc038d85940005e198f1eb45fe8020c849c8fd4e5e24b7f3c2bde80",
+    ("floored", 2, 0.5, 80, 20.0, 4, "greedy"): "8a38c4116b364cb96233aa94fcae5b78fd763d9b2c1d6b8b98389e228add608b",
+    ("floored", 4, 0.5, 120, 30.0, 7, "greedy"): "abd00f0cbaae694231d447c66a4b8f99d97f7d3f1c9736fb19415d4b875284ad",
+    ("floored", 8, 0.25, 200, 25.0, 5, "greedy"): "f5e64f3be0a1ce6e33e4cba95f219b19d016d5590732e7bff415818fb40b8f08",
+    ("shuffled", 4, 0.5, 120, 30.0, 7, "greedy"): "1488620e55f73cf2d637b4dab1d4b7b27e2daf5ebbf7995b7ea0caab1ac0dd12",
+    ("shuffled", 8, 0.25, 200, 25.0, 5, "greedy"): "58fab85ce9ae7ccf5ab666433b2d070d72cefd47702f86ac9753af52a8b8b8cf",
+    ("replay", 1, "alg1+2"): "cd20cdcda56cc04805325806b76b73f55a267458d294709dc601ff72f28f4eb4",
+    ("replay", 2, "alg1+2"): "188db485bcdbbea182b672b0cc2ee59474a6b6b3d959846583389f8d9d785198",
+    ("replay", 4, "alg1+2"): "162506e7fe6ebb6f3b15780efc235a1fe6d8c8ec7f504afe77772336e8b5fe99",
+    ("replay", 8, "alg1+2"): "3eae0559561f268a6240abbd51ee02ed2b43e28fef07b3309ba808842937b5ab",
+    ("replay", 1, "greedy-p"): "cee4eff829da48a6e1d3a9a3212fd6cbc3ab731a331d11c929e6f84c121d22c1",
+    ("replay", 2, "greedy-p"): "f5624774f04f902b7379272d85a0ea2d6faa73c76259ba22304f3d6245dd3dc7",
+    ("replay", 4, "greedy-p"): "4843834ebc10f075276f030733abd8740fca4d1e52d7417f0eae955a4db7a032",
+    ("replay", 8, "greedy-p"): "5cf64d3cd51646f8d9a2ab6f7e85093ef8512990b181b8df31186f04c2a89372",
+}
+
+
+def test_burst_outputs_match_the_recorded_digests():
+    """Arrivals at one instant reuse the live set and its curve; every run
+    at assert levels 0-2 repeats the outputs recorded before that reuse."""
+    for key, digest in BURST_DIGESTS.items():
+        for level in (0, 1, 2):
+            assert hashlib.sha256(burst_trail(key, level).encode()).hexdigest() == digest, (key, level)
+
+
+#: The digest computations of the two tests above, for a bare interpreter:
+#: argv holds the package's parent directory, the tests directory, the
+#: ``RECORDED_DIGESTS`` keys (run at assert level 0) and the ``BURST_DIGESTS``
+#: keys (run at levels 0-2) as JSON.  Only the oracle uses NumPy, and no
+#: pinned run reaches it, so a stub stands in for it where the interpreter
+#: has none.
 DIGEST_SCRIPT = """
 import hashlib, json, sys, types
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 try:
     import numpy
 except ImportError:
     sys.modules["numpy"] = types.ModuleType("numpy")
 from commitsched.harness import random_instance
 from commitsched.preemptive import PreemptiveSimulator
+from helpers import burst_trail
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 digests = []
-for m, eps, n, span, seed, policy in json.loads(sys.argv[2]):
+for m, eps, n, span, seed, policy in json.loads(sys.argv[3]):
     inst = random_instance(n, m, eps, seed=seed, release_span=span)
     sim = PreemptiveSimulator(m, eps, 0, policy)
     for job in inst.jobs:
         sim.submit(job)
     res = sim.finish()
-    text = repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
-    digests.append(hashlib.sha256(text.encode()).hexdigest())
+    digests.append(digest(repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))))
+for key in json.loads(sys.argv[4]):
+    digests += [digest(burst_trail(tuple(key), level)) for level in (0, 1, 2)]
 print(json.dumps(digests))
 """
 
@@ -802,18 +848,26 @@ def other_interpreters():
 
 def test_digests_hold_under_every_other_interpreter():
     """The pins are the interpreter's too: from CPython 3.12 builtin sum
-    compensates float rounding, so every float reduction adds left to right."""
+    compensates float rounding, so every float reduction adds left to
+    right, and a curve extended by one job adds as the full sweep does."""
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.N (N >= 10) on PATH starts")
-    keys = list(RECORDED_DIGESTS)
+    keys, bursts = list(RECORDED_DIGESTS), list(BURST_DIGESTS)
+    expected = [RECORDED_DIGESTS[key] for key in keys] + [BURST_DIGESTS[key] for key in bursts for _ in range(3)]
+    labels = keys + [(key, level) for key in bursts for level in range(3)]
     root = str(Path(commitsched.__file__).resolve().parents[1])
     for exe in interpreters:
         done = subprocess.run(
-            [exe, "-I", "-c", DIGEST_SCRIPT, root, json.dumps(keys)], capture_output=True, text=True, timeout=600
+            [exe, "-I", "-c", DIGEST_SCRIPT, root, str(Path(__file__).parent), json.dumps(keys), json.dumps(bursts)],
+            capture_output=True,
+            text=True,
+            timeout=600,
         )
         assert done.returncode == 0, (exe, done.stderr)
-        moved = [key for key, digest in zip(keys, json.loads(done.stdout)) if digest != RECORDED_DIGESTS[key]]
+        digests = json.loads(done.stdout)
+        assert len(digests) == len(expected), exe
+        moved = [label for label, got, want in zip(labels, digests, expected) if got != want]
         assert moved == [], exe
 
 
@@ -941,15 +995,6 @@ class EagerPlanner(PreemptiveSimulator):
     def _regenerate_plan(self, active):
         super()._regenerate_plan(active)
         self._build_plan()
-
-
-def run_trail(sim, jobs):
-    """``repr`` of what a run shows: the decision, ``d_min`` and ``v_delta``
-    after each submit, then the decisions with their thresholds, the
-    committed segments, the accepted volume and the event times."""
-    states = [(sim.submit(job), sim.d_min, sim.v_delta) for job in jobs]
-    res = sim.finish()
-    return repr((states, list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
 
 
 def counted_plans(monkeypatch):
@@ -1169,8 +1214,9 @@ class TestCheckpoint:
         inst = random_instance(200, 4, 0.5, seed=5, release_span=60.0)
         drive(PreemptiveSimulator(4, 0.5, level, policy), inst)
         assert counts["check"] > len(inst)
-        # Greedy decisions and the plan generator's feasibility guard run
-        # Horn's test without a curve.
+        # No two events of this instance share an instant, so no curve is
+        # kept for a later one: greedy decisions run Horn's early-exit sweep,
+        # as does the plan generator's feasibility guard.
         assert counts["curve"] == counts["check"]
 
     @pytest.mark.parametrize("policy, level", [("lazy", 1), ("lazy", 2), ("greedy", 1), ("greedy", 2)])
@@ -1202,6 +1248,88 @@ class TestCheckpoint:
         drive(PreemptiveSimulator(4, 0.5, level, policy), inst)
         assert counts["checks"] > len(inst)
         assert (counts["envelopes"] > 0) == (policy == "lazy")
+
+
+class InstantChecked(PreemptiveSimulator):
+    """A simulator that, at every arrival at the instant of the last event,
+    holds the live set that event left equal to ``active_jobs()``, and the
+    curve it left equal to the one ``v_min_curve`` builds for that set."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reused = self.curves = 0
+
+    def on_arrival(self, job):
+        instant, kept, curve = self._instant
+        if instant == job.release == self.clock:
+            assert repr(kept) == repr(self.active_jobs()), self.clock
+            self.reused += 1
+            if curve is not None:
+                assert repr(curve) == repr(v_min_curve(kept, self.clock)), self.clock
+                self.curves += 1
+        return super().on_arrival(job)
+
+
+def curve_counts(monkeypatch):
+    """Counters of the ``v_min_curve`` calls and window ends from now on."""
+    counts = Counter()
+    build, checkpoint = vmin.v_min_curve, PreemptiveSimulator._window_checkpoint
+
+    def v_min_curve(*args):
+        counts["curves"] += 1
+        return build(*args)
+
+    def window_checkpoint(self, active):
+        counts["window ends"] += 1
+        checkpoint(self, active)
+
+    monkeypatch.setattr(preemptive, "v_min_curve", v_min_curve)
+    monkeypatch.setattr(PreemptiveSimulator, "_window_checkpoint", window_checkpoint)
+    return counts
+
+
+class TestSameInstant:
+    """An arrival at the instant of the last event starts from the live set
+    that event left and extends the curve kept with it."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_the_kept_set_and_curve_are_the_live_ones(self, policy, level):
+        reused = curves = 0
+        for key in BURST_DIGESTS:
+            if key[-1] == policy:
+                sim = InstantChecked(key[1], key[2], level, policy)
+                run_trail(sim, burst_jobs(key))
+                reused, curves = reused + sim.reused, curves + sim.curves
+        assert reused > 300
+        # Greedy at level 0 keeps no curve: seeding one would cost a full
+        # sweep at every acceptance whose clock has moved.
+        assert (curves > 100) == (policy == "lazy" or level >= 1)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
+    def test_one_curve_per_instant_and_window_end(self, monkeypatch, algorithm, level):
+        jobs = replay_preemptive(8, 0.5, 1 / 64, algorithm, level).instance.jobs
+        floored = burst_jobs(("floored", 8, 0.25, 200, 25.0, 5, "lazy"))
+        counts = curve_counts(monkeypatch)
+        for eps, instance in ((0.5, jobs), (0.25, floored)):
+            counts.clear()
+            drive(make_policy(algorithm, 8, eps, level), Instance(eps, 8, tuple(instance)))
+            # The arrivals far outnumber the instants they share.
+            instants = len({job.release for job in instance})
+            assert instants <= len(instance) / 8
+            assert counts["curves"] <= instants + counts["window ends"], counts
+        # The replay releases its 400-odd jobs at t = 0.
+        assert len(jobs) > 400 and {job.release for job in jobs} == {0.0}
+
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_a_moved_clock_builds_what_it_built_before(self, monkeypatch, policy):
+        # With no two arrivals at one instant, level 0 builds one curve per
+        # lazy acceptance and none for greedy, as before the reuse.
+        counts = curve_counts(monkeypatch)
+        inst = random_instance(300, 4, 0.5, seed=5, release_span=90.0)
+        res = drive(PreemptiveSimulator(4, 0.5, 0, policy), inst)
+        assert counts["curves"] == (len(res.decisions.accepted_ids()) if policy == "lazy" else 0)
 
 
 class TestEventTimes:

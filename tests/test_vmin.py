@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 
 import mpmath
 import pytest
@@ -11,6 +12,7 @@ from commitsched.vmin import (
     ActiveJob,
     PiecewiseLinear,
     contribution,
+    extend_curve,
     f_threshold,
     horn_feasible,
     v_min,
@@ -253,6 +255,73 @@ class TestHornWithoutCurve:
         breached = [val > (bp - t) * 4 + TOL for bp, val in zip(curve.breakpoints, curve.values)]
         assert breached[0] and not any(breached[1:])
         assert not horn_feasible(active, t, 4) and not horn_feasible(active, t, 4, curve)
+
+
+def random_extension(rng, t):
+    """Live jobs and one new job with no mandatory volume at t.  Half of the
+    inputs put every point on a 0.5 grid above t, so breakpoints coincide;
+    the new job's latest start is t, an existing breakpoint or free, and its
+    deadline an existing breakpoint or free."""
+    on_grid = rng.random() < 0.5
+
+    def offset(a, b):
+        x = rng.uniform(a, b)
+        return round(2 * x) / 2 if on_grid else x
+
+    active = []
+    for job_id in range(rng.randint(0, 12)):
+        deadline = t + offset(0.0, 10.0)
+        remaining = offset(0.0, 6.0) or 0.5
+        active.append(ActiveJob(job_id, remaining, deadline))
+    points = v_min_curve(active, t).breakpoints
+    kind = rng.random()
+    lo = t if kind < 0.2 else rng.choice(points) if kind < 0.5 else t + offset(0.0, 6.0)
+    deadline = rng.choice([p for p in points if p > lo] or [lo + 1.0]) if rng.random() < 0.3 else lo + (offset(0.0, 6.0) or 0.25)
+    return active, ActiveJob(len(active), deadline - lo, deadline)
+
+
+class TestExtendCurve:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 1024.25, 1e6 + 0.1])
+    def test_equals_the_full_sweep(self, t):
+        # The new job's place among the jobs does not matter: it adds nothing
+        # to the value at t, and breakpoints are sorted.
+        rng = random.Random(repr(t))
+        met = Counter()
+        for _ in range(3000):
+            active, job = random_extension(rng, t)
+            curve = v_min_curve(active, t)
+            grown = extend_curve(curve, job.remaining, job.deadline, t)
+            at = rng.randint(0, len(active))
+            candidate = active[:at] + [job] + active[at:]
+            assert repr(grown) == repr(v_min_curve(candidate, t)), (active, job, t)
+            m = rng.randint(1, 4)
+            assert horn_feasible(candidate, t, m, grown) == horn_feasible(candidate, t, m)
+            lo = job.deadline - job.remaining
+            met["lo at t"] += lo == t
+            met["lo at a breakpoint"] += lo > t and lo in curve.breakpoints
+            met["deadline at a breakpoint"] += job.deadline in curve.breakpoints
+        assert min(met.values()) > 100, met
+
+    def test_coinciding_points(self):
+        # The new job starts at t and ends at an existing breakpoint; both
+        # points are there already, so only the slopes between them move.
+        active = [ActiveJob(0, 1.0, 3.0), ActiveJob(1, 2.0, 2.5)]
+        curve = v_min_curve(active, 0.5)
+        assert curve.breakpoints == (0.5, 2.0, 2.5, 3.0) and curve.slopes == (1.0, 2.0, 1.0, 0.0)
+        grown = extend_curve(curve, 2.0, 2.5, 0.5)
+        assert grown.breakpoints == curve.breakpoints and grown.slopes == (2.0, 3.0, 1.0, 0.0)
+        assert repr(grown) == repr(v_min_curve(active + [ActiveJob(2, 2.0, 2.5)], 0.5))
+
+    def test_none_for_a_job_with_mandatory_volume_at_t(self):
+        curve = v_min_curve([ActiveJob(0, 1.0, 4.0)], 1.0)
+        assert extend_curve(curve, 2.0, 2.5, 1.0) is None  # latest start 0.5 < t
+        assert extend_curve(curve, 2.0, 3.0, 1.0) is not None  # latest start t
+
+    def test_a_job_too_small_for_a_breakpoint_leaves_the_curve(self):
+        # deadline - remaining rounds to the deadline: the sweep adds no point.
+        curve = v_min_curve([ActiveJob(0, 1.0, 4.0)], 0.0)
+        assert extend_curve(curve, 1e-17, 2.0, 0.0) is curve
+        assert repr(curve) == repr(v_min_curve([ActiveJob(0, 1.0, 4.0), ActiveJob(1, 1e-17, 2.0)], 0.0))
 
 
 class TestThresholdConstant:
