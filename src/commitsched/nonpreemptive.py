@@ -62,10 +62,8 @@ class _Commitments:
         self.starts: list[CommittedStart] = []
         self._volume = 0.0
 
-    def _record(
-        self, job: Job, time: float, threshold: float | None, placed: CommittedStart | None
-    ) -> CommittedStart | None:
-        self.decisions.add(DecisionRecord(job.id, placed is not None, time, threshold))
+    def _record(self, job: Job, threshold: float | None, placed: CommittedStart | None) -> CommittedStart | None:
+        self.decisions.add(DecisionRecord(job.id, placed is not None, job.release, threshold))
         if placed is not None:
             self.starts.append(placed)
             self._volume += job.processing
@@ -245,7 +243,7 @@ class NonpreemptiveSimulator(_Commitments):
 
     def on_arrival(self, job: Job) -> CommittedStart | None:
         limit, placed = self.place(job)
-        return self._record(job, job.release, limit, placed)
+        return self._record(job, limit, placed)
 
     def place(self, job: Job) -> tuple[float, CommittedStart | None]:
         """Decide ``job`` at the current clock without recording it: the
@@ -328,7 +326,7 @@ class RandomizedAllocator(_Commitments):
         limit, placed = self.virtual.place(job)
         if placed is not None:
             placed = CommittedStart(job.id, 0, placed.start) if placed.machine == self.pick else None
-        return self._record(job, job.release, limit, placed)
+        return self._record(job, limit, placed)
 
 
 def randomized_single_parts(instance: Instance) -> tuple[int, list[list[CommittedStart]]]:
@@ -367,10 +365,10 @@ class GreedyAllocator(_Commitments):
         ends = [max(job.release, f) + job.processing for f in self.free]
         machine = ends.index(min(ends))
         if ends[machine] > job.deadline + TOL:
-            return self._record(job, job.release, None, None)
+            return self._record(job, None, None)
         start = max(job.release, self.free[machine])
         self.free[machine] = ends[machine]
-        return self._record(job, job.release, None, CommittedStart(job.id, machine, start))
+        return self._record(job, None, CommittedStart(job.id, machine, start))
 
 
 def greedy_nonpreemptive(instance: Instance) -> NonpreemptiveResult:

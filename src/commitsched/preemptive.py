@@ -303,15 +303,16 @@ class PreemptiveSimulator:
     the work committed to each.  An acceptance inserts a row, an
     acceptance or a window end drops the rows of finished jobs, and
     ``active_jobs`` reads the remainders ``processing - committed`` off the
-    table.  Those two events leave the live list as the pending plan input;
-    ``plan`` and ``advance_to`` build the plan from it.
+    table.
 
-    Every event also keeps the live list it leaves, with the instant and
-    that list's mandatory-volume curve if it built one.  The list changes
-    only at an event or when the clock moves, so an arrival at the same
-    instant starts from a copy of it instead of rebuilding it, and adds its
-    job to the kept curve with ``extend_curve``: the lazy threshold update,
-    the greedy decision and the invariant check then read that curve.
+    Every event leaves through one step, ``_settle``, which keeps the live
+    list the event leaves, with the instant and that list's mandatory-volume
+    curve if it built one.  After an acceptance or a window end the plan is
+    pending, and ``plan`` and ``advance_to`` build it from that list.  The
+    list changes only at an event or when the clock moves, so an arrival at
+    the same instant works on it instead of rebuilding it, and adds its job
+    to the kept curve with ``extend_curve``: the lazy threshold update, the
+    greedy decision and the invariant check then read that curve.
     """
 
     def __init__(
@@ -341,10 +342,9 @@ class PreemptiveSimulator:
         # machine -> index in schedule.segments of its last committed segment
         self._last_piece: dict[int, int] = {}
         self.decisions = DecisionLog()
-        self._plan = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
-        # The live set the plan is to be built from at the clock, or None
-        # when ``_plan`` is built for the current state.
-        self._plan_input: list[ActiveJob] | None = None
+        # The plan for the current state, or None while it is pending: then
+        # ``plan`` builds it at the clock from the live set of ``_instant``.
+        self._plan: PlanWindow | None = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
         # (instant, live set, its mandatory-volume curve or None) as the last
         # event at that instant left them.  The live set changes only at an
         # event or when the clock moves, so it holds while the clock stays.
@@ -374,13 +374,9 @@ class PreemptiveSimulator:
     @property
     def plan(self) -> PlanWindow:
         """The plan for the current state, built first if one is pending."""
-        if self._plan_input is not None:
-            self._build_plan()
+        if self._plan is None:
+            self._plan = generate_plan(self._instant[1], self.clock, self.machines)
         return self._plan
-
-    @plan.setter
-    def plan(self, plan: PlanWindow) -> None:
-        self._plan, self._plan_input = plan, None
 
     # -- event loop -----------------------------------------------------
 
@@ -399,12 +395,10 @@ class PreemptiveSimulator:
         r = job.release
         # The live set at the arrival, which every step of this event reads,
         # and its mandatory-volume curve at r once built: at the instant of
-        # the last event, the ones that event left (the list is copied, as
-        # an acceptance inserts into it).
-        instant, kept, curve = self._instant
-        if instant == r == self.clock:
-            active = kept[:]
-        else:
+        # the last event, the ones that event left (an acceptance inserts
+        # into that list, which nothing else holds).
+        instant, active, curve = self._instant
+        if not instant == r == self.clock:
             active, curve = self.active_jobs(), None
         row = (job.id, job.processing, job.deadline)
         if self.policy == "lazy":
@@ -444,14 +438,9 @@ class PreemptiveSimulator:
                         f"threshold moved backwards: {self.d_min} -> {new_dmin} at t={r}"
                     )
                 self.d_min = max(self.d_min, new_dmin)
-            self._regenerate_plan(active)
         if r != self.clock:
             curve = None  # built at r, a hair off the clock
-        if self.assert_level >= 1:
-            curve = self.check_invariants(active, curve)
-            if accept and self.assert_level >= 2:
-                self._decay_curve, self._decay_clock = curve, self.clock
-        self._instant = (self.clock, active, curve)
+        self._settle(active, curve, accept)
         return accept
 
     def advance_to(self, target: float) -> None:
@@ -459,9 +448,7 @@ class PreemptiveSimulator:
         left it pending, and again after each window that expires.  With no
         job left the clock jumps to ``target`` if it is finite."""
         while self.clock < target - TOL:
-            if self._plan_input is not None:
-                self._build_plan()
-            plan = self._plan
+            plan = self.plan
             if not plan.segments:
                 # The plan was built for the current state, so an empty one
                 # means either no job is left or a broken plan.
@@ -479,9 +466,7 @@ class PreemptiveSimulator:
             self.clock = step_end
             if step_end >= plan.end - TOL:
                 self.event_times.append(self.clock)
-                active = self.active_jobs()
-                self._regenerate_plan(active)
-                self._window_checkpoint(active)
+                self._settle(self.active_jobs(), None, True, window_end=True)
 
     def finish(self) -> SimulationResult:
         """Run the remaining plan to completion and return the outcome."""
@@ -495,22 +480,32 @@ class PreemptiveSimulator:
 
     # -- internals ------------------------------------------------------
 
-    def _regenerate_plan(self, active: list[ActiveJob]) -> None:
-        # Finished jobs leave the live table here, where the old plan is
-        # dropped, not when a segment commits: a plan window can still hold
-        # a dust segment for a job whose remaining work is already down to TOL.
-        # ``active`` is the table's rows minus the finished jobs.  The new
-        # plan is built from it only when the clock is about to move: a
-        # later arrival at this instant replaces it first.
-        if len(active) < len(self.live):
-            work = self.committed_work
-            self.committed_work = {job.id: work[job.id] for job in active}
-            self.live = [row for row in self.live if row[0] in self.committed_work]
-        self._plan_input = active
-
-    def _build_plan(self) -> None:
-        self._plan = generate_plan(self._plan_input, self.clock, self.machines)
-        self._plan_input = None
+    def _settle(
+        self, active: list[ActiveJob], curve: PiecewiseLinear | None, changed: bool, window_end: bool = False
+    ) -> None:
+        """The one exit of every event.  ``active`` is the live set the event
+        leaves at the clock and ``curve`` its mandatory-volume curve or None;
+        ``changed`` marks an acceptance or a window end."""
+        if changed:
+            # Finished jobs leave the live table here, where the old plan is
+            # dropped, not when a segment commits: a plan window can still
+            # hold a dust segment for a job whose remaining work is already
+            # down to TOL.  The new plan is built from ``active`` only when
+            # the clock is about to move: a later arrival at this instant
+            # changes the set first.
+            if len(active) < len(self.live):
+                work = self.committed_work
+                self.committed_work = {job.id: work[job.id] for job in active}
+                self.live = [row for row in self.live if row[0] in self.committed_work]
+            self._plan = None
+        if self.assert_level >= 1:
+            curve = self.check_invariants(active, curve)
+            if self.assert_level >= 2:
+                if window_end:
+                    self._check_progression(curve)
+                if changed:
+                    self._decay_curve, self._decay_clock = curve, self.clock
+        self._instant = (self.clock, active, curve)
 
     def _commit_window(self, t0: float, t1: float) -> None:
         """Commit the plan's work inside [t0, t1).  A piece that continues
@@ -532,15 +527,6 @@ class PreemptiveSimulator:
                 last[machine] = len(segments)
                 segments.append(seg if s == start and e == end else _record(Segment, (machine, job, s, e)))
             work[job] += e - s
-
-    def _window_checkpoint(self, active: list[ActiveJob]) -> None:
-        curve = None
-        if self.assert_level >= 1:
-            curve = self.check_invariants(active)
-            if self.assert_level >= 2:
-                self._check_progression(curve)
-                self._decay_curve, self._decay_clock = curve, self.clock
-        self._instant = (self.clock, active, curve)
 
     def check_invariants(
         self, active: list[ActiveJob] | None = None, curve: PiecewiseLinear | None = None

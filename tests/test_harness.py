@@ -416,7 +416,7 @@ class TestCli:
 
     def test_a_policy_that_accepts_nothing_violates_its_bound(self, monkeypatch, capsys):
         # OPT > 0 and nothing accepted: the ratio is infinite, which no finite bound admits.
-        monkeypatch.setattr(GreedyAllocator, "submit", lambda sim, job: sim._record(job, job.release, None, None))
+        monkeypatch.setattr(GreedyAllocator, "submit", lambda sim, job: sim._record(job, None, None))
         argv = ["run", "--alg", "greedy-np", "--m", "1", "--epsilon", "0.5", "--n", "6", "--count", "3", "--oracle"]
         assert main(argv) == 1
         assert "BOUND VIOLATION" in capsys.readouterr().out

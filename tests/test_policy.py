@@ -294,22 +294,46 @@ def test_library_names_without_a_caller_in_src_are_listed():
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 
-def test_generate_plan_is_the_only_caller_of_lrpt_assign():
-    # lrpt_assign stops at the first idle instant, which is where the plan
-    # window ends; a caller that needs the whole window would lose segments.
-    callers = set()
+def _src_nodes_by_scope():
+    """(module, enclosing function or "<module>", node) for every node of
+    every module in the package."""
     for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name != "lrpt_assign":
-                continue
             scope = parents.get(node)
             while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = parents.get(scope)
-            callers.add(f"{path.stem}.{scope.name if scope else '<module>'}")
+            yield path.stem, scope.name if scope else "<module>", node
+
+
+def test_generate_plan_is_the_only_caller_of_lrpt_assign():
+    # lrpt_assign stops at the first idle instant, which is where the plan
+    # window ends; a caller that needs the whole window would lose segments.
+    callers = set()
+    for module, scope, node in _src_nodes_by_scope():
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "lrpt_assign":
+            callers.add(f"{module}.{scope}")
     assert callers == {"preemptive.generate_plan"}
+
+
+def test_the_live_set_record_and_the_plan_are_written_in_three_places():
+    # The preemptive simulator keeps one record of the live set: the instant
+    # the last event left, and the plan, None while it is pending.  Only the
+    # constructor, the one exit step of every event and the ``plan``
+    # property, which builds a pending plan, write them.
+    writers = set()
+    for module, scope, node in _src_nodes_by_scope():
+        if isinstance(node, ast.Attribute) and node.attr in ("_instant", "_plan") and not isinstance(node.ctx, ast.Load):
+            writers.add((f"{module}.{scope}", node.attr))
+    assert writers == {
+        ("preemptive.__init__", "_instant"),
+        ("preemptive.__init__", "_plan"),
+        ("preemptive._settle", "_instant"),
+        ("preemptive._settle", "_plan"),
+        ("preemptive.plan", "_plan"),
+    }
 
 
 def test_no_builtin_sum_over_floats_in_src():

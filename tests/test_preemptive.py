@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import itertools
@@ -885,12 +886,12 @@ def reference_active_jobs(sim):
 
 class LiveTableChecked(PreemptiveSimulator):
     """A simulator that compares every read of its live set with the
-    reference rebuild, and its table with the plan's live set after every
-    plan regeneration."""
+    reference rebuild, and its table with the live set an acceptance or a
+    window end leaves."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.reads = 0
+        self.reads = self.tables = 0
 
     def active_jobs(self):
         got = super().active_jobs()
@@ -899,9 +900,11 @@ class LiveTableChecked(PreemptiveSimulator):
         self.reads += 1
         return got
 
-    def _regenerate_plan(self, active):
-        super()._regenerate_plan(active)
-        assert [row[0] for row in self.live] == sorted(self.committed_work) == [job.id for job in active]
+    def _settle(self, active, curve, changed, window_end=False):
+        super()._settle(active, curve, changed, window_end)
+        if changed:
+            assert [row[0] for row in self.live] == sorted(self.committed_work) == [job.id for job in active]
+            self.tables += 1
 
 
 class TestLiveState:
@@ -923,7 +926,7 @@ class TestLiveState:
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_live_table_matches_the_rebuild_at_every_event(self, level):
-        reads = 0
+        reads = tables = 0
         for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
             inst = random_instance(60, m, eps, seed=seed, release_span=span)
             # The same jobs with permuted ids: acceptances then insert rows
@@ -934,14 +937,16 @@ class TestLiveState:
                 sim = LiveTableChecked(m, eps, level, policy)
                 drive(sim, instance)
                 assert sim.live == [] and sim.committed_work == {}
-                reads += sim.reads
-        assert reads > 16 * 60
+                reads, tables = reads + sim.reads, tables + sim.tables
+        assert reads > 16 * 60 and tables > 16 * 30
 
     @pytest.mark.parametrize("algorithm, policy", [("alg1+2", "lazy"), ("greedy-p", "greedy")])
     def test_live_table_matches_the_rebuild_on_the_stress_replays(self, algorithm, policy):
         for m, eps, delta in [(1, 0.5, 1 / 16), (3, 0.25, 1 / 16), (5, 1.0, 1 / 4), (8, 0.5, 1 / 16)]:
             outcome = replay_preemptive(m, eps, delta=delta, algorithm=algorithm, assert_level=2)
-            result = drive(LiveTableChecked(m, eps, 2, policy), outcome.instance)
+            sim = LiveTableChecked(m, eps, 2, policy)
+            result = drive(sim, outcome.instance)
+            assert sim.reads > 0 and sim.tables > 0
             assert list(result.decisions) == list(outcome.decisions)
             assert result.accepted_volume == outcome.alg_volume
 
@@ -992,9 +997,15 @@ class EagerPlanner(PreemptiveSimulator):
     """The simulator as it was before plans were deferred: every acceptance
     and every window end builds its plan at once.  Kept to compare against."""
 
-    def _regenerate_plan(self, active):
-        super()._regenerate_plan(active)
-        self._build_plan()
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.built = 0
+
+    def _settle(self, active, curve, changed, window_end=False):
+        super()._settle(active, curve, changed, window_end)
+        if changed:
+            self.plan  # builds the plan the event left pending
+            self.built += 1
 
 
 def counted_plans(monkeypatch):
@@ -1008,6 +1019,18 @@ def counted_plans(monkeypatch):
 
     monkeypatch.setattr(preemptive, "generate_plan", generate_plan)
     return counts
+
+
+def count_window_ends(monkeypatch, counts):
+    """Count in ``counts["window ends"]`` the window ends the simulator
+    settles from now on."""
+    settle = PreemptiveSimulator._settle
+
+    def counted_settle(self, active, curve, changed, window_end=False):
+        counts["window ends"] += window_end
+        settle(self, active, curve, changed, window_end)
+
+    monkeypatch.setattr(PreemptiveSimulator, "_settle", counted_settle)
 
 
 class TestDeferredPlan:
@@ -1031,7 +1054,9 @@ class TestDeferredPlan:
         instances.append((4, 0.5, floored))
         for (m, eps, jobs), policy in itertools.product(instances, ("lazy", "greedy")):
             got = run_trail(PreemptiveSimulator(m, eps, level, policy), jobs)
-            assert got == run_trail(EagerPlanner(m, eps, level, policy), jobs), (m, eps, policy)
+            eager = EagerPlanner(m, eps, level, policy)
+            assert got == run_trail(eager, jobs), (m, eps, policy)
+            assert eager.built > 0
 
     @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -1041,6 +1066,7 @@ class TestDeferredPlan:
         eager = EagerPlanner(m, 0.5, 2, sim.policy)
         got = run_trail(sim, outcome.instance.jobs)
         assert got == run_trail(eager, outcome.instance.jobs)
+        assert eager.built > 0
         assert list(sim.decisions) == list(outcome.decisions)
         assert sim.accepted_volume() == outcome.alg_volume
 
@@ -1054,7 +1080,7 @@ class TestDeferredPlan:
         assert counts["plans"] == 0 and sim.clock == 3.0
         for job in jobs:
             eager.submit(job)
-        assert counts["plans"] == sum(eager.decisions[j.id].accepted for j in jobs) >= 3
+        assert counts["plans"] == sum(eager.decisions[j.id].accepted for j in jobs) == eager.built >= 3
         counts.clear()
         # Into the first window and no further: one plan, the eager planner's.
         sim.advance_to(3.0 + 0.5 * (eager.plan.end - 3.0))
@@ -1064,17 +1090,12 @@ class TestDeferredPlan:
     @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
     def test_stress_replay_builds_one_plan_per_window(self, monkeypatch, algorithm):
         counts = counted_plans(monkeypatch)
-        checkpoint = PreemptiveSimulator._window_checkpoint
-
-        def window_end(self, active):
-            counts["window ends"] += 1
-            checkpoint(self, active)
-
-        monkeypatch.setattr(PreemptiveSimulator, "_window_checkpoint", window_end)
+        count_window_ends(monkeypatch, counts)
         outcome = replay_preemptive(8, 0.5, 1 / 64, algorithm, 2)
         # Every job is released at t = 0: one plan there, then one per window.
         assert len(outcome.instance) > 400
         assert 0 < counts["plans"] <= 1 + counts["window ends"] < 20
+        assert counts["window ends"] > 0
 
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_the_planner_check_fires_when_the_clock_moves(self, policy):
@@ -1273,18 +1294,14 @@ class InstantChecked(PreemptiveSimulator):
 def curve_counts(monkeypatch):
     """Counters of the ``v_min_curve`` calls and window ends from now on."""
     counts = Counter()
-    build, checkpoint = vmin.v_min_curve, PreemptiveSimulator._window_checkpoint
+    build = vmin.v_min_curve
 
     def v_min_curve(*args):
         counts["curves"] += 1
         return build(*args)
 
-    def window_checkpoint(self, active):
-        counts["window ends"] += 1
-        checkpoint(self, active)
-
     monkeypatch.setattr(preemptive, "v_min_curve", v_min_curve)
-    monkeypatch.setattr(PreemptiveSimulator, "_window_checkpoint", window_checkpoint)
+    count_window_ends(monkeypatch, counts)
     return counts
 
 
@@ -1318,6 +1335,7 @@ class TestSameInstant:
             # The arrivals far outnumber the instants they share.
             instants = len({job.release for job in instance})
             assert instants <= len(instance) / 8
+            assert counts["window ends"] > 0
             assert counts["curves"] <= instants + counts["window ends"], counts
         # The replay releases its 400-odd jobs at t = 0.
         assert len(jobs) > 400 and {job.release for job in jobs} == {0.0}
@@ -1329,7 +1347,41 @@ class TestSameInstant:
         counts = curve_counts(monkeypatch)
         inst = random_instance(300, 4, 0.5, seed=5, release_span=90.0)
         res = drive(PreemptiveSimulator(4, 0.5, 0, policy), inst)
+        assert counts["window ends"] > 0
         assert counts["curves"] == (len(res.decisions.accepted_ids()) if policy == "lazy" else 0)
+
+
+def _names_the_simulator(node):
+    return getattr(node, "id", None) == "PreemptiveSimulator" or getattr(node, "attr", None) == "PreemptiveSimulator"
+
+
+def simulator_hooks():
+    """(test file, name) for every method a test subclass of the simulator
+    defines and every attribute a test patches on it by name."""
+    hooks = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(map(_names_the_simulator, node.bases)):
+                hooks.update((path.name, item.name) for item in node.body if isinstance(item, ast.FunctionDef))
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "setattr"
+                and len(node.args) == 3
+                and _names_the_simulator(node.args[0])
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                hooks.add((path.name, node.args[1].value))
+    return hooks
+
+
+class TestHooks:
+    def test_every_test_hook_names_a_simulator_method(self):
+        # An override of a name the simulator no longer has is never called,
+        # and the test around it passes without its check.  Each hook also
+        # counts its calls, and its tests assert the count is above zero.
+        hooks = simulator_hooks()
+        assert {("test_preemptive.py", "_settle"), ("test_preemptive.py", "on_arrival")} <= hooks
+        assert [hook for hook in sorted(hooks) if not hasattr(PreemptiveSimulator, hook[1])] == []
 
 
 class TestEventTimes:
@@ -1427,6 +1479,6 @@ class TestTimeShift:
     def test_window_ending_at_the_clock_raises(self):
         sim = PreemptiveSimulator(1, 0.5)
         sim.submit(Job(0, 0.0, 1.0, 2.0))
-        sim.plan = PlanWindow(0.0, 0.0, sim.plan.segments)
+        sim._plan = PlanWindow(0.0, 0.0, sim.plan.segments)
         with pytest.raises(InvariantError, match="window ends at the clock t=0.0"):
             sim.advance_to(1.0)
