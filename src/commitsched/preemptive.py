@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
     CHECK_SLACK,
@@ -38,6 +38,7 @@ from .model import (
 from .vmin import (
     ActiveJob,
     PiecewiseLinear,
+    contribution,
     extend_curve,
     f_threshold,
     horn_feasible,
@@ -306,13 +307,21 @@ class PreemptiveSimulator:
     table.
 
     Every event leaves through one step, ``_settle``, which keeps the live
-    list the event leaves, with the instant and that list's mandatory-volume
-    curve if it built one.  After an acceptance or a window end the plan is
-    pending, and ``plan`` and ``advance_to`` build it from that list.  The
-    list changes only at an event or when the clock moves, so an arrival at
-    the same instant works on it instead of rebuilding it, and adds its job
-    to the kept curve with ``extend_curve``: the lazy threshold update, the
-    greedy decision and the invariant check then read that curve.
+    list the event leaves, with the instant, that list's mandatory-volume
+    curve if it built one, and the lazy compensation sum ``v_min(active, t,
+    tau)`` with its tau if it has one.  After an acceptance or a window end
+    the plan is pending, and ``plan`` and ``advance_to`` build it from that
+    list.  The list changes only at an event or when the clock moves, so an
+    arrival at the same instant works on it instead of rebuilding it, and
+    adds its job to the kept curve with ``extend_curve``: the lazy threshold
+    update, the greedy decision and the invariant check then read that
+    curve.  Greedy builds the curve there if none was kept.  The lazy
+    arrival reuses the kept sum while the threshold stays at its tau, and an
+    acceptance of the job last in id order adds that job's term to it.
+
+    The invariant checks compare curves at the breakpoints of both in one
+    merged walk, ``_pointwise``, over their breakpoint, value and slope
+    tuples.
     """
 
     def __init__(
@@ -345,10 +354,12 @@ class PreemptiveSimulator:
         # The plan for the current state, or None while it is pending: then
         # ``plan`` builds it at the clock from the live set of ``_instant``.
         self._plan: PlanWindow | None = PlanWindow(0.0, math.inf, ())  # the plan of an empty active set
-        # (instant, live set, its mandatory-volume curve or None) as the last
-        # event at that instant left them.  The live set changes only at an
-        # event or when the clock moves, so it holds while the clock stays.
-        self._instant: tuple[float, list[ActiveJob], PiecewiseLinear | None] = (0.0, [], None)
+        # (instant, live set, its mandatory-volume curve or None, (tau, its
+        # mandatory volume before tau) or None) as the last event at that
+        # instant left them.  The live set changes only at an event or when
+        # the clock moves, so it holds while the clock stays.
+        self._instant: tuple[float, list[ActiveJob], PiecewiseLinear | None, tuple[float, float] | None]
+        self._instant = (0.0, [], None, None)
         self.event_times: list[float] = [0.0]
         # Reference state for the volume-decay check: the last plan-aligned
         # instant (acceptance or window end).  Between such instants
@@ -394,16 +405,20 @@ class PreemptiveSimulator:
             )
         r = job.release
         # The live set at the arrival, which every step of this event reads,
-        # and its mandatory-volume curve at r once built: at the instant of
-        # the last event, the ones that event left (an acceptance inserts
-        # into that list, which nothing else holds).
-        instant, active, curve = self._instant
-        if not instant == r == self.clock:
-            active, curve = self.active_jobs(), None
+        # its mandatory-volume curve at r once built, and its mandatory
+        # volume before some tau once summed: at the instant of the last
+        # event, the ones that event left (an acceptance inserts into that
+        # list, which nothing else holds).
+        instant, active, curve, mandatory = self._instant
+        burst = instant == r == self.clock
+        if not burst:
+            active, curve, mandatory = self.active_jobs(), None, None
         row = (job.id, job.processing, job.deadline)
         if self.policy == "lazy":
-            self.d_min = max(self.d_min, r)
-            self.v_delta = (self.d_min - r) * self.f - v_min(active, r, self.d_min)
+            self.d_min = tau = max(self.d_min, r)
+            if mandatory is None or mandatory[0] != tau:
+                mandatory = (tau, v_min(active, r, tau))
+            self.v_delta = (tau - r) * self.f - mandatory[1]
             if self.v_delta < -CHECK_SLACK:
                 raise InvariantError(f"negative compensation volume {self.v_delta} at t={r}")
             self.v_delta = max(self.v_delta, 0.0)
@@ -413,7 +428,12 @@ class PreemptiveSimulator:
             # Live jobs first, then the new one: horn_feasible's sums run in
             # this order.  With the live set's curve at hand, the candidate's
             # is that curve extended, and the sweep's verdict is read off it.
+            # At the instant of the last event the live set's curve is built
+            # if none was kept, and later arrivals there extend it; an
+            # arrival at a moved clock builds none.
             candidate = active + [_record(ActiveJob, row)]
+            if curve is None and burst:
+                curve = v_min_curve(active, r)
             grown = None if curve is None else extend_curve(curve, job.processing, job.deadline, r)
             threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines, grown)
@@ -424,6 +444,11 @@ class PreemptiveSimulator:
             self.committed_work[job.id] = 0.0
             insort(self.live, row)  # rows and records order by id first
             if job.processing > TOL:  # the filter active_jobs applies
+                if mandatory is not None:
+                    # v_min adds left to right in id order, so the job's term
+                    # extends the sum only when it comes last.
+                    last = not active or active[-1].id < job.id
+                    mandatory = (tau, mandatory[1] + contribution(job.processing, job.deadline, tau)) if last else None
                 insort(active, _record(ActiveJob, row))
                 if self.policy == "greedy":
                     curve = grown
@@ -440,7 +465,7 @@ class PreemptiveSimulator:
                 self.d_min = max(self.d_min, new_dmin)
         if r != self.clock:
             curve = None  # built at r, a hair off the clock
-        self._settle(active, curve, accept)
+        self._settle(active, curve, accept, mandatory=mandatory)
         return accept
 
     def advance_to(self, target: float) -> None:
@@ -481,10 +506,16 @@ class PreemptiveSimulator:
     # -- internals ------------------------------------------------------
 
     def _settle(
-        self, active: list[ActiveJob], curve: PiecewiseLinear | None, changed: bool, window_end: bool = False
+        self,
+        active: list[ActiveJob],
+        curve: PiecewiseLinear | None,
+        changed: bool,
+        window_end: bool = False,
+        mandatory: tuple[float, float] | None = None,
     ) -> None:
         """The one exit of every event.  ``active`` is the live set the event
-        leaves at the clock and ``curve`` its mandatory-volume curve or None;
+        leaves at the clock, ``curve`` its mandatory-volume curve or None and
+        ``mandatory`` a pair (tau, ``v_min(active, clock, tau)``) or None;
         ``changed`` marks an acceptance or a window end."""
         if changed:
             # Finished jobs leave the live table here, where the old plan is
@@ -505,7 +536,7 @@ class PreemptiveSimulator:
                     self._check_progression(curve)
                 if changed:
                     self._decay_curve, self._decay_clock = curve, self.clock
-        self._instant = (self.clock, active, curve)
+        self._instant = (self.clock, active, curve, mandatory)
 
     def _commit_window(self, t0: float, t1: float) -> None:
         """Commit the plan's work inside [t0, t1).  A piece that continues
@@ -557,8 +588,8 @@ class PreemptiveSimulator:
                 raise InvariantError(f"growth cap breached at tau={bps[i]}, t={t}: {values[i]} > {bound}")
         if d_eff > t + TOL:
             span, shape = d_eff - t, self._shape
-            stretched = tuple(t + x * span for x in shape.breakpoints), tuple(span * v for v in shape.values)
-            for tau, value, bound in _pointwise(curve, PiecewiseLinear(t, *stretched, shape.slopes), -math.inf, d_eff):
+            stretched = [t + x * span for x in shape.breakpoints], [span * v for v in shape.values], shape.slopes
+            for tau, value, bound in _pointwise((bps, values, curve.slopes), stretched, -math.inf, d_eff):
                 if value > bound + CHECK_SLACK:
                     raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {value} > {bound}")
         return curve
@@ -571,17 +602,49 @@ class PreemptiveSimulator:
         t_old, t_new = self._decay_clock, self.clock
         if t_new <= t_old + TOL:
             return
-        for tau, value, ref in _pointwise(now, self._decay_curve, t_new + TOL, math.inf):
+        old = self._decay_curve
+        for tau, value, ref in _pointwise(
+            (now.breakpoints, now.values, now.slopes), (old.breakpoints, old.values, old.slopes), t_new + TOL, math.inf
+        ):
             allowed = (tau - t_new) / (tau - t_old) * ref
             if value > allowed + CHECK_SLACK:
                 raise InvariantError(f"volume decay violated at tau={tau}: {value} > {allowed}")
 
 
-def _pointwise(a: PiecewiseLinear, b: PiecewiseLinear, lo: float, hi: float) -> Iterator[tuple[float, float, float]]:
+#: A curve as (breakpoints, values, slopes): the fields of a ``PiecewiseLinear``.
+Curve = tuple[Sequence[float], Sequence[float], Sequence[float]]
+
+
+def _pointwise(a: Curve, b: Curve, lo: float, hi: float) -> list[tuple[float, float, float]]:
     """(tau, a(tau), b(tau)) at every breakpoint of either curve with
-    lo < tau < hi, ascending."""
-    taus = sorted({tau for tau in a.breakpoints + b.breakpoints if lo < tau < hi})
-    return zip(taus, a.values_at(taus), b.values_at(taus))
+    lo < tau < hi, ascending, each tau once.
+
+    ``a``'s breakpoints ascend strictly, ``b``'s may repeat.  One merged
+    walk over both: a curve's value at tau is ``values[i] + slopes[i] *
+    (tau - bps[i])`` with i its last breakpoint <= tau, or i = 0 below the
+    first.  A tau both curves hold is ``a``'s float.
+    """
+    a_bps, a_values, a_slopes = a
+    b_bps, b_values, b_slopes = b
+    na, nb = len(a_bps), len(b_bps)
+    # The breakpoints of each curve read so far: all those <= the last tau.
+    i, j = bisect_right(a_bps, lo), bisect_right(b_bps, lo)
+    out: list[tuple[float, float, float]] = []
+    while i < na or j < nb:
+        if j == nb or (i < na and a_bps[i] <= b_bps[j]):
+            tau = a_bps[i]
+            i += 1
+        else:
+            tau = b_bps[j]
+        if tau >= hi:
+            break
+        while j < nb and b_bps[j] <= tau:
+            j += 1
+        k, n = i - 1 if i else 0, j - 1 if j else 0
+        out.append(
+            (tau, a_values[k] + a_slopes[k] * (tau - a_bps[k]), b_values[n] + b_slopes[n] * (tau - b_bps[n]))
+        )
+    return out
 
 
 def simulate_preemptive(instance: Instance, assert_level: int = 0) -> SimulationResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import TOL, check_policy_args, ordered_sum, rho
 
@@ -70,14 +70,6 @@ class PiecewiseLinear:
         i = max(bisect_right(self.breakpoints, tau) - 1, 0)
         return self.values[i] + self.slopes[i] * (tau - self.breakpoints[i])
 
-    def values_at(self, taus: Iterable[float]) -> Iterator[float]:
-        """``value(tau)`` for ascending taus, in one forward pass instead of a lookup each."""
-        bps, i = self.breakpoints, 0
-        for tau in taus:
-            while i + 1 < len(bps) and bps[i + 1] <= tau:
-                i += 1
-            yield self.values[i] + self.slopes[i] * (tau - bps[i])
-
 
 def _sweep(
     active: Iterable[ActiveJob], t: float, m: int | None = None
@@ -92,9 +84,8 @@ def _sweep(
     """
     deltas: dict[float, int] = {}
     base = 0.0
-    for job in active:
+    for _, remaining, deadline in active:
         # contribution(remaining, deadline, t), and its clipped breakpoints
-        remaining, deadline = job.remaining, job.deadline
         latest_start = deadline - remaining
         if latest_start < t:
             base += remaining if t >= deadline else t - latest_start
@@ -106,24 +97,22 @@ def _sweep(
             deltas[lo] = deltas.get(lo, 0) + 1
             deltas[hi] = deltas.get(hi, 0) - 1
     # Every point is >= t and dict keys are distinct, so the sorted keys
-    # are strictly increasing.
+    # are strictly increasing, and the first breakpoint is t.
     breakpoints = sorted(deltas)
     if not breakpoints or breakpoints[0] > t:
         breakpoints.insert(0, t)
-    if m is not None and base > TOL:  # the capacity at breakpoints[0] == t
-        return None
+    values: list[float] = []
     slopes: list[float] = []
-    values: list[float] = [base]
-    value, running = base, 0
-    for bp, nxt in zip(breakpoints, breakpoints[1:]):
-        running += deltas.get(bp, 0)
-        slopes.append(float(running))
-        value += running * (nxt - bp)
-        if m is not None and value > (nxt - t) * m + TOL:
+    # At t the step adds 0 * 0.0 and the capacity is TOL.
+    value, running, prev = base, 0, t
+    for bp in breakpoints:
+        value += running * (bp - prev)
+        if m is not None and value > (bp - t) * m + TOL:
             return None
         values.append(value)
-    running += deltas.get(breakpoints[-1], 0)
-    slopes.append(float(running))
+        running += deltas.get(bp, 0)
+        slopes.append(float(running))
+        prev = bp
     return breakpoints, values, slopes
 
 
@@ -181,11 +170,12 @@ def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: Piecewis
     linear, so checking at breakpoints is exact.  ``curve``, when given,
     must equal ``v_min_curve(active, t)`` bit for bit, and the verdict is
     then the sweep's; otherwise no curve is built, and the breakpoint sweep
-    stops at the first breach.
+    stops at the first breach.  A list of jobs is read in place, not
+    copied; any other iterable is copied once, as it is read twice.
     """
-    jobs = list(active)
-    for job in jobs:
-        if job.deadline < t + job.remaining - TOL:
+    jobs = active if isinstance(active, list) else list(active)
+    for _, remaining, deadline in jobs:
+        if deadline < t + remaining - TOL:
             return False
     if curve is None:
         return _sweep(jobs, t, m) is not None

@@ -336,6 +336,18 @@ def test_the_live_set_record_and_the_plan_are_written_in_three_places():
     }
 
 
+def test_only_vmin_builds_curve_objects():
+    # The invariant checks walk curves as (breakpoints, values, slopes)
+    # tuples; a PiecewiseLinear is built only where vmin makes a curve.
+    builders = set()
+    for module, scope, node in _src_nodes_by_scope():
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name == "PiecewiseLinear":
+                builders.add(f"{module}.{scope}")
+    assert builders == {"vmin.v_min_curve", "vmin.extend_curve", "vmin.v_shape_curve"}
+
+
 def test_no_builtin_sum_over_floats_in_src():
     # From CPython 3.12 builtin sum adds floats with compensation, so a float
     # sum would tie outputs to the interpreter; float reductions go through

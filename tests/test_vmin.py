@@ -170,8 +170,6 @@ def test_curve_matches_pointwise_definition(job_specs, t):
     )
     for tau, expected in zip(taus, grid_oracle(active, t, taus)):
         assert curve.value(tau) == pytest.approx(expected, abs=1e-9)
-    # One forward pass reads the same floats as a lookup per tau.
-    assert list(curve.values_at(taus)) == [curve.value(tau) for tau in taus]
     # Slope never exceeds the number of active jobs.
     assert all(0 <= s <= len(active) for s in curve.slopes)
     # Nondecreasing.
