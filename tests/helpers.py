@@ -2,8 +2,42 @@
 
 import math
 import random
+import shutil
+import subprocess
+import sys
 
 from commitsched.model import Instance, Job
+
+#: The first lines of a script run by a bare interpreter: argv[1:3] hold the
+#: package's parent directory and the tests directory.  Only the oracle uses
+#: NumPy, and no pinned run reaches it, so a stub stands in for it where the
+#: interpreter has none.
+BARE_PRELUDE = """
+import hashlib, json, sys, types
+sys.path[:0] = sys.argv[1:3]
+try:
+    import numpy
+except ImportError:
+    sys.modules["numpy"] = types.ModuleType("numpy")
+"""
+
+
+def other_interpreters():
+    """Each python3.N (N >= 10) on PATH, other than the running one, that starts."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        try:
+            probe = subprocess.run(
+                [exe, "-I", "-c", "import sys; print(sys.version_info[1])"], capture_output=True, text=True, timeout=60
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
+            found.append(exe)
+    return found
 
 
 def make_instance(eps, m, triples):
@@ -85,3 +119,38 @@ def burst_trail(key, level):
         sim = make_policy(algorithm, m, 0.5, level)
         return repr((list(outcome.decisions), outcome.alg_volume)) + run_trail(sim, outcome.instance.jobs)
     return run_trail(PreemptiveSimulator(key[1], key[2], level, key[-1]), burst_jobs(key))
+
+
+def tie_jobs(eps):
+    """Batches of equal jobs released together, 4 apart, so that loads tie
+    within a batch and machines fall idle between batches; some windows are
+    tight and some three times the slack."""
+    batch = ((1.0, 3.0), (1.0, 3.0), (2.0, 1.0), (1.0, 1.0), (2.0, 3.0), (1.0, 3.0))
+    return tuple(
+        Job(6 * b + i, 4.0 * b, p, 4.0 * b + stretch * (1 + eps) * p)
+        for b in range(10)
+        for i, (p, stretch) in enumerate(batch)
+    )
+
+
+def np_trail(key):
+    """``repr`` of a non-preemptive run's (decision records, committed
+    starts, accepted volume).  ``key`` is one of
+
+    - ("random", algorithm, m, epsilon, n, span, seed): ``random_instance``
+      under ``make_policy(algorithm, m, epsilon, seed=seed)``;
+    - ("ties", algorithm, m, epsilon, seed): ``tie_jobs(epsilon)`` under
+      the policy.
+    """
+    from commitsched.harness import random_instance
+    from commitsched.model import drive
+    from commitsched.policy import make_policy
+
+    if key[0] == "random":
+        _, algorithm, m, eps, n, span, seed = key
+        jobs = random_instance(n, m, eps, seed=seed, release_span=span).jobs
+    else:
+        _, algorithm, m, eps, seed = key
+        jobs = tie_jobs(eps)
+    res = drive(make_policy(algorithm, m, eps, seed=seed), Instance(epsilon=eps, machines=m, jobs=jobs))
+    return repr((list(res.decisions), res.starts, res.accepted_volume))

@@ -1,18 +1,28 @@
+import hashlib
+import json
 import math
 import random
+import re
+import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import commitsched
 
 from commitsched import nonpreemptive
 from commitsched.harness import random_instance
 from commitsched.model import (
+    CHECK_SLACK,
     TOL,
     DecisionLog,
     DecisionRecord,
     InvariantError,
     Job,
     drive,
+    rho,
     validate_instance,
     verify_schedule,
 )
@@ -23,6 +33,8 @@ from commitsched.nonpreemptive import (
     PartitionedAllocator,
     RandomizedAllocator,
     committed_schedule,
+    _commit,
+    _weights,
     d_lim,
     greedy_nonpreemptive,
     partition_group_size,
@@ -33,7 +45,7 @@ from commitsched.nonpreemptive import (
     simulate_randomized_single,
 )
 from commitsched.policy import make_policy
-from helpers import make_instance, random_instance_local, scaled, time_shifted
+from helpers import BARE_PRELUDE, make_instance, np_trail, other_interpreters, random_instance_local, scaled, time_shifted
 
 
 class TestDLim:
@@ -120,6 +132,24 @@ class TestSimulate:
         sim.free = [1.0, 1.0, 1.0]
         with pytest.raises(InvariantError, match="load-sum"):
             sim.on_arrival(Job(0, 0.0, 0.1, 100.0))
+
+    def test_window_beyond_the_usable_bound_raises_invariant_error(self):
+        # At eps=0.1 the loads 1, 1, z make the smallest load's term the
+        # peak, 11; z sets the two largest loads half the slack short of
+        # the peak scaled back by rho^(-1/3), which the load-sum check
+        # forgives.  Scaled up again by rho^(1/3), they fall about 1.1
+        # slacks short of the peak, so a window 0.05 slack short of it is
+        # rejected and breaks the usable bound.
+        sim = NonpreemptiveSimulator(3, 0.1)
+        _, _, rho_down, rho_up = sim.groups[0]
+        peak = 1.0 * sim._weights[0]
+        z = peak * rho_down - 1.0 - CHECK_SLACK / 2
+        sim.free = [1.0, 1.0, z]
+        sim._ascending = [1.0, 1.0, z]
+        window = peak - CHECK_SLACK / 20
+        message = f"rejected job 0 has window {window} beyond the usable bound {(z + 1.0) * rho_up}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            sim.submit(Job(0, 0.0, 1.0, window))
 
     @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 16, 32])
@@ -213,6 +243,37 @@ class TestSimulate:
         rng = random.Random(4000 + seed)
         inst = random_instance_local(rng, 12, 2, 0.25, 6.0)
         simulate_nonpreemptive(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_commit_places_on_the_argmin_of_the_trials(data):
+    # Loads drawn from a few multiples of 1/4, so sums are exact: repeats
+    # on ids that need not be adjacent, idle machines, and a job whose
+    # processing time is often the gap between two loads, so the moved
+    # load lands on a tie.  The group sits after ``lo`` unrelated machines.
+    m = data.draw(st.integers(1, 8), label="m")
+    eps = data.draw(st.sampled_from([0.05, 0.1, 0.5, 1.0]), label="eps")
+    loads = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5, 2.5, 4.0]), min_size=m, max_size=m), label="loads")
+    gaps = sorted({b - a for a in loads for b in loads if b > a})
+    p = data.draw(st.sampled_from(gaps) if gaps else st.just(0.5), label="p")
+    if data.draw(st.booleans(), label="any p"):
+        p = data.draw(st.sampled_from([0.25, 0.5, 0.75, 3.0, 7.5]), label="p")
+    lo = data.draw(st.integers(0, 2), label="lo")
+    t = data.draw(st.sampled_from([0.0, 3.5]), label="t")
+    idle = [data.draw(st.sampled_from([0.0, 0.5]), label="idle") for _ in loads]
+    free = [9.0] * lo + [t + load if load else t - gap for load, gap in zip(loads, idle)]
+    weights = _weights(lo, rho(eps))[:lo] + _weights(m, rho(eps))
+    before = list(free)
+    placed = _commit(free, weights, lo, lo + m, t, Job(7, t, p, t + 100.0))
+    trials = []
+    for i in range(m):
+        trial = list(loads)
+        trial[i] += p
+        trials.append((d_lim(trial, t, m, eps), loads[i], i))
+    machine = lo + min(trials)[2]
+    assert placed == CommittedStart(7, machine, max(t, before[machine]))
+    assert free == before[:machine] + [max(t, before[machine]) + p] + before[machine + 1 :]
 
 
 def committed_reference(inst, result, groups):
@@ -429,6 +490,39 @@ class TestFlatOffers:
                 assert peak + t == d_lim(loads, t, len(loads), eps)
                 assert top_two == sum(sorted(loads)[-2:])
         assert rejected > 0
+
+    @staticmethod
+    def planted(rest):
+        """A partitioned allocator at eps=0.1 (two groups of two machines)
+        whose first group holds loads 4 and 10: a valid state that rejects
+        a window near 11 and passes both checks.  ``rest`` are the second
+        group's free times, ascending."""
+        policy = PartitionedAllocator(4, 0.1)
+        policy.free = [4.0, 10.0] + rest
+        policy._ascending = list(policy.free)
+        return policy
+
+    def test_later_group_load_sum_breach_raises_invariant_error(self):
+        # Loads 1, 1: the peak 11 scaled back by rho^(-1/2) is 3.3, and the
+        # two largest loads sum to 2.
+        policy = self.planted([1.0, 1.0])
+        _, _, rho_down, _ = policy.groups[1]
+        message = f"load-sum invariant violated at t=0.0: 2.0 < {1.0 * policy._weights[2] * rho_down}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            policy.submit(Job(0, 0.0, 1.0, 11.0))
+
+    def test_later_group_window_beyond_the_usable_bound_raises_invariant_error(self):
+        # Loads 1, y with y half the slack short of the invariant, as in
+        # ``test_window_beyond_the_usable_bound_raises_invariant_error``.
+        policy = self.planted([1.0, 1.0])
+        _, _, rho_down, rho_up = policy.groups[1]
+        peak = 1.0 * policy._weights[2]
+        y = peak * rho_down - 1.0 - CHECK_SLACK / 2
+        policy.free[3] = policy._ascending[3] = y
+        window = peak - CHECK_SLACK / 20
+        message = f"rejected job 0 has window {window} beyond the usable bound {(y + 1.0) * rho_up}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            policy.submit(Job(0, 0.0, 1.0, window))
 
     def test_earlier_release_rejected_before_any_state_changes(self):
         policy = PartitionedAllocator(4, 1.0 / (math.e**2 - 1.0))
@@ -651,3 +745,66 @@ class TestGreedy:
         by_id = {j.id: j for j in inst.jobs}
         accepted = {j: by_id[j] for j in res.decisions.accepted_ids()}
         assert verify_schedule(committed_schedule(res, inst), accepted) == []
+
+
+#: sha256 of ``helpers.np_trail`` per key: the decision records with their
+#: thresholds, the committed machines and starts, and the accepted volume of
+#: each non-preemptive policy.  The partitioned allocator at m=1 is alg3, and
+#: the randomized one at eps=0.5 has one virtual machine, so neither is
+#: keyed there.  Recorded before the offer checks raised only on a breach.
+RECORDED_NP_DIGESTS = {
+    ("random", "alg3", 1, 0.5, 200, 100.0, 1): "357ac72c29f0ed1d9a06715f7f58d403d36332592bba040fd32d2b37b3e8138d",
+    ("random", "greedy-np", 1, 0.5, 200, 100.0, 1): "c4cd8396f186994fcc4bb21a0d447d2e7d686606fe62d28657ab537c30794b1f",
+    ("random", "alg3", 4, 0.1, 300, 75.0, 2): "45a072de4145a20d180df83a2790bad4eeee19884ae3b2e753658618d1917671",
+    ("random", "alg3", 16, 0.05, 400, 50.0, 3): "7e32bf5a2317c0e5fae988169a71939d2fd1bb1281ed0bf2daaa4376f35a615e",
+    ("random", "alg3", 16, 0.5, 400, 25.0, 4): "da221c118b2e2c324b7f1cf51ba17015e413160cc68c7e344797fe14be1052c8",
+    ("random", "alg3-partitioned", 4, 0.1, 300, 75.0, 2): "07a3a532a88bade2ff26d0b09fea9f73a7457ae752e8f2fe6db5ba5f0748b571",
+    ("random", "alg3-partitioned", 16, 0.05, 400, 50.0, 3): "27faef021a2eab19352ad146b6331e0e3eff949e98365bb3311d9cd00efcdf65",
+    ("random", "alg3-partitioned", 16, 0.5, 400, 25.0, 4): "63e217b3954e77fffe4d45f508244a2f9963f7a643aa3fd5d69a904de970a458",
+    ("random", "greedy-np", 4, 0.1, 300, 75.0, 2): "78109bbf1f603bdaebc9218f068889e839d51571b7a6947b3b0daffefe18822e",
+    ("random", "greedy-np", 16, 0.05, 400, 50.0, 3): "f0d19c90d586858761ee2d862a8ae4fde00b10a9e4970e8725968b454b974ab7",
+    ("random", "greedy-np", 16, 0.5, 400, 25.0, 4): "25ec789d048134d885ddc8ec9ce15cc6be62239ebdc495f1a8418c0f9a6fd411",
+    ("random", "alg3-randomized", 1, 0.1, 200, 100.0, 1): "8a5e566107da775963be1c8f0cc1b1a9df8b579a08a57fa08380331f78e03b34",
+    ("random", "alg3-randomized", 1, 0.05, 200, 100.0, 5): "4c11e7cef556cf932645e67770502927bccfd9ad4532f3dd59f1899b6dab00d8",
+    ("ties", "alg3", 1, 0.5, 0): "9af54456d6e5c8a5d78d3a200c136ebdab363bfb0973a0f3c24490f389fa35c6",
+    ("ties", "greedy-np", 1, 0.5, 0): "3e711fd9b102885cf125a324319b6c692f15919a5db2eda94776219097af23c2",
+    ("ties", "alg3", 4, 0.1, 0): "6cc05e46a20373946c417cddb7f8f24b25b1ca184216b67d31054504a612fc34",
+    ("ties", "alg3", 16, 0.5, 0): "02d7b02607e349e821dc202d10088928cdea0d47fdee3182bac895a6aceff1a8",
+    ("ties", "alg3-partitioned", 4, 0.1, 0): "b0fa7bd1f1791b771f868066d05d5104f6eb4efd91338820cc64325abc347e77",
+    ("ties", "alg3-partitioned", 16, 0.5, 0): "fab11ce9430016bbbc7e3da8cc3913656c079eace91fcc9630a1ab4ae053cac3",
+    ("ties", "greedy-np", 4, 0.1, 0): "f0a0464f98c1471cc1487749e3f174c2d072358c11434ca73bd1173b5201400b",
+    ("ties", "greedy-np", 16, 0.5, 0): "a1898e1ef9287b92e8b7ed3231b5af6ccdd13a905506b50aab2d64ed170f57a6",
+    ("ties", "alg3-randomized", 1, 0.05, 1): "2396f80ddd6ebcd8d3a728eee0b3973c7a1462e7abe9d9bfca331353fbc2bd7a",
+}
+
+
+def test_np_outputs_match_the_recorded_digests():
+    for key, digest in RECORDED_NP_DIGESTS.items():
+        assert hashlib.sha256(np_trail(key).encode()).hexdigest() == digest, key
+
+
+#: ``test_np_outputs_match_the_recorded_digests`` for a bare interpreter:
+#: after ``BARE_PRELUDE``'s two paths, argv holds the keys as JSON.
+NP_DIGEST_SCRIPT = BARE_PRELUDE + """
+from helpers import np_trail
+keys = json.loads(sys.argv[3])
+print(json.dumps([hashlib.sha256(np_trail(tuple(key)).encode()).hexdigest() for key in keys]))
+"""
+
+
+def test_np_digests_hold_under_every_other_interpreter():
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.N (N >= 10) on PATH starts")
+    keys = list(RECORDED_NP_DIGESTS)
+    root = str(Path(commitsched.__file__).resolve().parents[1])
+    for exe in interpreters:
+        done = subprocess.run(
+            [exe, "-I", "-c", NP_DIGEST_SCRIPT, root, str(Path(__file__).parent), json.dumps(keys)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, (exe, done.stderr)
+        moved = [key for key, got in zip(keys, json.loads(done.stdout)) if got != RECORDED_NP_DIGESTS[key]]
+        assert moved == [], exe

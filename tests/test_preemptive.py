@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-import shutil
 import subprocess
 import sys
 from bisect import bisect_left
@@ -54,7 +53,17 @@ from commitsched.vmin import (
     v_shape_corners,
     v_shape_curve,
 )
-from helpers import burst_jobs, burst_trail, make_instance, random_instance_local, run_trail, scaled, time_shifted
+from helpers import (
+    BARE_PRELUDE,
+    burst_jobs,
+    burst_trail,
+    make_instance,
+    other_interpreters,
+    random_instance_local,
+    run_trail,
+    scaled,
+    time_shifted,
+)
 
 _record = preemptive._record
 
@@ -798,18 +807,10 @@ def test_burst_outputs_match_the_recorded_digests():
 
 
 #: The digest computations of the two tests above, for a bare interpreter:
-#: argv holds the package's parent directory, the tests directory, the
-#: ``RECORDED_DIGESTS`` keys (run at assert level 0) and the ``BURST_DIGESTS``
-#: keys (run at levels 0-2) as JSON.  Only the oracle uses NumPy, and no
-#: pinned run reaches it, so a stub stands in for it where the interpreter
-#: has none.
-DIGEST_SCRIPT = """
-import hashlib, json, sys, types
-sys.path[:0] = sys.argv[1:3]
-try:
-    import numpy
-except ImportError:
-    sys.modules["numpy"] = types.ModuleType("numpy")
+#: after ``BARE_PRELUDE``'s two paths, argv holds the ``RECORDED_DIGESTS``
+#: keys (run at assert level 0) and the ``BURST_DIGESTS`` keys (run at levels
+#: 0-2) as JSON.
+DIGEST_SCRIPT = BARE_PRELUDE + """
 from commitsched.harness import random_instance
 from commitsched.preemptive import PreemptiveSimulator
 from helpers import burst_trail
@@ -827,24 +828,6 @@ for key in json.loads(sys.argv[4]):
     digests += [digest(burst_trail(tuple(key), level)) for level in (0, 1, 2)]
 print(json.dumps(digests))
 """
-
-
-def other_interpreters():
-    """Each python3.N (N >= 10) on PATH, other than the running one, that starts."""
-    found = []
-    for minor in range(10, 20):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None or minor == sys.version_info.minor:
-            continue
-        try:
-            probe = subprocess.run(
-                [exe, "-I", "-c", "import sys; print(sys.version_info[1])"], capture_output=True, text=True, timeout=60
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
-            found.append(exe)
-    return found
 
 
 def test_digests_hold_under_every_other_interpreter():
