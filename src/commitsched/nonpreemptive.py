@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .model import (
     CHECK_SLACK,
@@ -109,20 +109,19 @@ def _peak_top_two(
     return peak, top_two
 
 
-def _check_load_sum(peak: float, top_two: float, rho_down: float, t: float) -> None:
-    # The two largest loads always cover the weighted peak scaled back by rho^(-1/m).
-    need = peak * rho_down
-    if top_two < need - CHECK_SLACK:
-        raise InvariantError(f"load-sum invariant violated at t={t}: {top_two} < {need}")
+def _check_load_sum(peak: float, top_two: float, rho_down: float, t: float) -> NoReturn:
+    """Raise the load-sum breach that ``place`` found: the two largest loads
+    always cover the weighted peak scaled back by rho^(-1/m)."""
+    raise InvariantError(f"load-sum invariant violated at t={t}: {top_two} < {peak * rho_down}")
 
 
-def _check_usable_interval(job: Job, top_two: float, rho_up: float) -> None:
-    bound = top_two * rho_up
-    if job.deadline - job.release > bound + CHECK_SLACK:
-        raise InvariantError(
-            f"rejected job {job.id} has window {job.deadline - job.release} beyond "
-            f"the usable bound {bound}"
-        )
+def _check_usable_interval(job: Job, top_two: float, rho_up: float) -> NoReturn:
+    """Raise the usable-interval breach that ``place`` found: a rejected
+    job's window is at most the two largest loads scaled up by rho^(1/m)."""
+    raise InvariantError(
+        f"rejected job {job.id} has window {job.deadline - job.release} beyond "
+        f"the usable bound {top_two * rho_up}"
+    )
 
 
 def _best_trial(asc: list[float], w: list[float], t: float, p: float) -> int:
@@ -136,7 +135,13 @@ def _best_trial(asc: list[float], w: list[float], t: float, p: float) -> int:
     unchanged terms below j and above k, the moved load's term at k,
     and the shifted terms, plus t: the same floats as d_lim of the
     trial loads.  Equal loads give equal trials, so only the first of
-    them is scored.
+    them is scored, and the position returned is the first of its equal
+    loads.
+
+    The scan keeps the best score and its pre-load as two floats and takes
+    the max of the four terms by comparisons, the shifted slice's only when
+    it is not empty: every term is a float >= 0 and never -0.0, so each
+    score is the float the four-way ``max`` gives.
     """
     terms = [load * weight for load, weight in zip(asc, w)]
     # below[j]: max of terms[:j]; above[k]: max of terms[k:]; shifted[i - 1]:
@@ -144,19 +149,29 @@ def _best_trial(asc: list[float], w: list[float], t: float, p: float) -> int:
     below = list(accumulate(terms, max, initial=0.0))
     above = list(accumulate(reversed(terms), max, initial=0.0))[::-1]
     shifted = [load * weight for load, weight in zip(asc[1:], w)]
-    best = (math.inf, math.inf)
+    best_score = best_load = math.inf
     position = 0
     for j, load in enumerate(asc):
-        if below[j] + t > best[0]:
+        low = below[j]
+        if low + t > best_score:
             break  # below[] only grows and bounds every later trial from below
         if j and load == asc[j - 1]:
             continue
         moved = load + p
         k = bisect_left(asc, moved, j + 1) - 1
-        score = max(below[j], moved * w[k], above[k + 1], max(shifted[j:k], default=0.0))
-        key = (score + t, load)
-        if key < best:
-            best, position = key, j
+        score = moved * w[k]
+        if low > score:
+            score = low
+        high = above[k + 1]
+        if high > score:
+            score = high
+        if k > j:
+            high = max(shifted[j:k])
+            if high > score:
+                score = high
+        score += t
+        if score < best_score or (score == best_score and load < best_load):
+            best_score, best_load, position = score, load, j
     return position
 
 
@@ -164,12 +179,16 @@ def _commit(free: list[float], weights: list[float], lo: int, hi: int, t: float,
     """The full ranking, built only for an accepted ``job``: place it at
     clock ``t`` on the machine of ``lo..hi-1`` whose trial placement scores
     best, and move that machine's free time.  ``weights[lo:hi]`` are the
-    group's ascending-position weights."""
+    group's ascending-position weights.
+
+    The ranking is read from ``free`` itself.  ``_best_trial`` returns the
+    first position of its load, and the placement ties to the lowest id,
+    so the machine is the lowest id that holds that load: no sort of the
+    ids is needed."""
     loads = [f - t if f > t else 0.0 for f in free[lo:hi]]
-    position = _best_trial(sorted(loads), weights[lo:hi], t, job.processing)
-    # Ids sorted stably by load line up with the ranked positions, and the
-    # first of equal loads is the lowest id.
-    machine = lo + sorted(range(hi - lo), key=loads.__getitem__)[position]
+    ranked = sorted(loads)
+    position = _best_trial(ranked, weights[lo:hi], t, job.processing)
+    machine = lo + loads.index(ranked[position])
     start = max(t, free[machine])
     if start + job.processing > job.deadline + TOL:
         raise CommitmentError(
@@ -248,8 +267,15 @@ class NonpreemptiveSimulator(_Commitments):
     def place(self, job: Job) -> tuple[float, CommittedStart | None]:
         """Decide ``job`` at the current clock without recording it: the
         threshold of the group that accepted it, or of the last group
-        offered it, and its placement, or None on rejection."""
+        offered it, and its placement, or None on rejection.
+
+        Every offer runs both checks on its pass: the load-sum invariant
+        before the admission test (and again after an acceptance), and the
+        usable-interval bound after a rejection.  Each condition is tested
+        here; its helper is called only to raise the breach."""
         release = job.release
+        deadline = job.deadline
+        window = deadline - release
         clocks = self._clocks
         if abs(release - clocks[0]) > TOL:
             raise ValueError(f"arrival handled at clock {clocks[0]} != release {release}; advance first")
@@ -260,15 +286,18 @@ class NonpreemptiveSimulator(_Commitments):
             if release > t:
                 clocks[k] = t = release
             peak, top_two = _peak_top_two(asc, weights, base, end, t)
-            _check_load_sum(peak, top_two, rho_down, t)
+            if top_two < peak * rho_down - CHECK_SLACK:
+                _check_load_sum(peak, top_two, rho_down, t)
             limit = peak + t
-            if job.deadline >= limit - TOL:
+            if deadline >= limit - TOL:
                 placed = _commit(self.free, weights, base, end, t, job)
                 asc[base:end] = sorted(self.free[base:end])
                 peak, top_two = _peak_top_two(asc, weights, base, end, t)
-                _check_load_sum(peak, top_two, rho_down, t)
+                if top_two < peak * rho_down - CHECK_SLACK:
+                    _check_load_sum(peak, top_two, rho_down, t)
                 break
-            _check_usable_interval(job, top_two, rho_up)
+            if window > top_two * rho_up + CHECK_SLACK:
+                _check_usable_interval(job, top_two, rho_up)
         return limit, placed
 
 
@@ -350,7 +379,10 @@ def simulate_randomized_single(instance: Instance, seed: int) -> NonpreemptiveRe
 
 class GreedyAllocator(_Commitments):
     """Baseline: accept whenever some machine can still meet the deadline, that
-    is, when the earliest completion does, and place the job there (ties to the lowest id)."""
+    is, when the earliest completion does, and place the job there (ties to the lowest id).
+
+    A machine's completion is its free time or the release, whichever is
+    later, plus the processing time, taken by one comparison per machine."""
 
     def __init__(self, machines: int) -> None:
         check_policy_args(machines)
@@ -362,7 +394,8 @@ class GreedyAllocator(_Commitments):
         if job.release < self.clock - TOL:
             raise ValueError(f"job {job.id} released at {job.release} before clock {self.clock}")
         self.clock = max(self.clock, job.release)
-        ends = [max(job.release, f) + job.processing for f in self.free]
+        r, p = job.release, job.processing
+        ends = [(f if f > r else r) + p for f in self.free]
         machine = ends.index(min(ends))
         if ends[machine] > job.deadline + TOL:
             return self._record(job, None, None)

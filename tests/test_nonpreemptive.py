@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commitsched
-
 from commitsched import nonpreemptive
 from commitsched.harness import random_instance
 from commitsched.model import (
@@ -33,8 +32,6 @@ from commitsched.nonpreemptive import (
     PartitionedAllocator,
     RandomizedAllocator,
     committed_schedule,
-    _commit,
-    _weights,
     d_lim,
     greedy_nonpreemptive,
     partition_group_size,
@@ -45,7 +42,15 @@ from commitsched.nonpreemptive import (
     simulate_randomized_single,
 )
 from commitsched.policy import make_policy
-from helpers import BARE_PRELUDE, make_instance, np_trail, other_interpreters, random_instance_local, scaled, time_shifted
+from helpers import (
+    BARE_PRELUDE,
+    make_instance,
+    np_trail,
+    other_interpreters,
+    random_instance_local,
+    scaled,
+    time_shifted,
+)
 
 
 class TestDLim:
@@ -263,9 +268,9 @@ def test_commit_places_on_the_argmin_of_the_trials(data):
     t = data.draw(st.sampled_from([0.0, 3.5]), label="t")
     idle = [data.draw(st.sampled_from([0.0, 0.5]), label="idle") for _ in loads]
     free = [9.0] * lo + [t + load if load else t - gap for load, gap in zip(loads, idle)]
-    weights = _weights(lo, rho(eps))[:lo] + _weights(m, rho(eps))
+    weights = nonpreemptive._weights(lo, rho(eps)) + nonpreemptive._weights(m, rho(eps))
     before = list(free)
-    placed = _commit(free, weights, lo, lo + m, t, Job(7, t, p, t + 100.0))
+    placed = nonpreemptive._commit(free, weights, lo, lo + m, t, Job(7, t, p, t + 100.0))
     trials = []
     for i in range(m):
         trial = list(loads)
@@ -574,6 +579,18 @@ class TestFlatOffers:
         counts.update(rankings=0, passes=0, advances=0)
         assert policy.submit(Job(16, 0.0, 1.0, 1.5)) is None
         assert counts == {"rankings": 0, "passes": 16, "advances": 1}
+
+    def test_clean_runs_call_no_check_helper(self, monkeypatch):
+        # Each offer tests both check conditions inline; the helpers only
+        # raise, so a run with no breach never calls them.
+        calls = []
+        for name in ("_check_load_sum", "_check_usable_interval"):
+            monkeypatch.setattr(nonpreemptive, name, lambda *args, name=name: calls.append(name))
+        inst = random_instance(2000, 16, 0.5, seed=0, release_span=2000 * 2.0 / 16)
+        for policy in (NonpreemptiveSimulator(16, 0.5), PartitionedAllocator(16, 0.5)):
+            res = drive(policy, inst)
+            assert 0 < len(res.starts) < len(inst)
+        assert calls == []
 
 
 class TestRandomizedSingle:
