@@ -104,21 +104,23 @@ def burst_jobs(key):
     ]
 
 
-def burst_trail(key, level):
-    """``run_trail`` of a burst key at one assert level: ``burst_jobs(key)``
-    under the key's policy, or, for ("replay", m, algorithm), the preemptive
-    stress replay at epsilon 0.5 and delta 1/64, prefixed with the replay's
-    own decisions and volume."""
+def burst_trail(key, level, simulator=None):
+    """``run_trail`` of a burst key at one assert level, on ``simulator``
+    (``PreemptiveSimulator`` by default): ``burst_jobs(key)`` under the key's
+    policy, or, for ("replay", m, algorithm), the preemptive stress replay at
+    epsilon 0.5 and delta 1/64, prefixed with the replay's own decisions and
+    volume."""
     from commitsched.adversary import replay_preemptive
     from commitsched.policy import make_policy
     from commitsched.preemptive import PreemptiveSimulator
 
+    simulator = simulator or PreemptiveSimulator
     if key[0] == "replay":
         _, m, algorithm = key
         outcome = replay_preemptive(m, 0.5, 1 / 64, algorithm, level)
-        sim = make_policy(algorithm, m, 0.5, level)
+        sim = simulator(m, 0.5, level, make_policy(algorithm, m, 0.5).policy)
         return repr((list(outcome.decisions), outcome.alg_volume)) + run_trail(sim, outcome.instance.jobs)
-    return run_trail(PreemptiveSimulator(key[1], key[2], level, key[-1]), burst_jobs(key))
+    return run_trail(simulator(key[1], key[2], level, key[-1]), burst_jobs(key))
 
 
 def tie_jobs(eps):

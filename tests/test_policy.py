@@ -72,6 +72,18 @@ def test_every_decision_is_timed_at_its_release(algorithm):
     assert [r.time for r in result.decisions] == [j.release for j in inst.jobs]
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_an_arrival_exactly_tol_after_the_clock_is_decided(algorithm):
+    # The arrival check admits a release within TOL of the clock, TOL
+    # included.  ``on_arrival`` takes the job at the clock as it stands,
+    # where a policy has one; ``submit`` moves a non-preemptive clock first.
+    policy = make_policy(algorithm, 1 if algorithm == "alg3-randomized" else 2, 0.5)
+    getattr(policy, "on_arrival", policy.submit)(Job(0, 1e-9, 1.0, 3.0))
+    assert policy.decisions[0].time == 1e-9
+    # A preemptive clock moves only past TOL, a non-preemptive one to the release.
+    assert getattr(policy, "clock", 1e-9) == (0.0 if ALGORITHM_TABLE[algorithm].preemptive else 1e-9)
+
+
 def test_drive_validates_the_instance():
     inst = Instance(epsilon=1.0, machines=1, jobs=(Job(0, 0.0, 1.0, 1.5),))
     with pytest.raises(ValueError, match="invalid instance"):

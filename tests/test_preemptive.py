@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import io
 import itertools
@@ -6,20 +7,19 @@ import json
 import math
 import random
 import subprocess
-import sys
-from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test
 
 import commitsched
 from commitsched import preemptive, vmin
 from commitsched.adversary import replay_preemptive
 from commitsched.harness import random_instance
 from commitsched.model import (
-    CHECK_SLACK,
     DUST,
     SLOPE_TOL,
     TOL,
@@ -45,12 +45,9 @@ from commitsched.preemptive import (
 from commitsched.vmin import (
     ActiveJob,
     PiecewiseLinear,
-    contribution,
     f_threshold,
-    horn_feasible,
     v_min,
     v_min_curve,
-    v_shape_corners,
     v_shape_curve,
 )
 from helpers import (
@@ -64,41 +61,42 @@ from helpers import (
     scaled,
     time_shifted,
 )
+from reference import ReferenceSimulator, reference_check_invariants, reference_check_progression, reference_generate_plan
 
 _record = preemptive._record
+
+#: The state machine's budget for each policy and assert level: runs, and steps per run.
+MACHINE_EXAMPLES, MACHINE_STEPS = 12, 20
 
 
 def scan_largest_crossing(active, f, v_delta, r, hi=200.0, steps=400000):
     """Brute-force oracle: largest tau with (tau-r)*f == v_min(tau) + v_delta.
 
     Tangential touches are made transversal by lifting the right side a
-    hair (eta), which shifts the largest crossing by at most eta / f.
+    hair (eta), which shifts the largest crossing by at most eta / f.  The
+    grid from hi down to r is evaluated in one NumPy pass, and the first
+    sign change from the top is bisected.
     """
     eta = 1e-7
 
     def g(tau):
         return (tau - r) * f - v_min(active, r, max(tau, r)) - v_delta - eta
 
-    prev_tau = hi
-    prev_g = g(hi)
-    step = (hi - r) / steps
-    tau = hi
-    while tau > r:
-        tau = max(tau - step, r)
-        gv = g(tau)
-        if (gv < 0) != (prev_g < 0):
-            lo_t, hi_t = tau, prev_tau
-            for _ in range(80):
-                mid = 0.5 * (lo_t + hi_t)
-                if (g(mid) < 0) == (gv < 0):
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            return 0.5 * (lo_t + hi_t)
-        prev_tau, prev_g = tau, gv
-        if tau <= r:
-            break
-    return r
+    taus = np.maximum(hi - (hi - r) / steps * np.arange(steps + 1), r)
+    # Each job's mandatory volume: its work past the latest start, at most all of it.
+    volume = sum(np.clip(taus - (j.deadline - j.remaining), 0.0, j.remaining) for j in active)
+    negative = (taus - r) * f - volume - v_delta - eta < 0
+    flips = np.flatnonzero(negative[1:] != negative[:-1])
+    if not flips.size:
+        return r
+    lo_t, hi_t = taus[flips[0] + 1], taus[flips[0]]
+    for _ in range(80):
+        mid = 0.5 * (lo_t + hi_t)
+        if (g(mid) < 0) == negative[flips[0] + 1]:
+            lo_t = mid
+        else:
+            hi_t = mid
+    return 0.5 * (lo_t + hi_t)
 
 
 class TestSolveDmin:
@@ -287,6 +285,14 @@ class TestLrptAssign:
         assert full_idle == idle and any(s.start >= idle for s in full)
         assert segs == [s for s in full if s.start < idle]
 
+    def test_a_remainder_left_at_exactly_tol_is_done(self):
+        # The tied pair 1, 2 shares the machine until it meets job 0 at
+        # t = 3e-9, which leaves job 1 with 2.5e-9 - 0.5 * 3e-9, exactly TOL:
+        # it is done, and only jobs 0 and 2 run on.
+        segs, idle = lrpt_assign({0: 1.5e-9, 1: 2.5e-9, 2: 3e-9}, [0], 0.0, 1.0)
+        assert 2.5e-9 - 0.5 * 3e-9 == TOL
+        assert idle == 6e-9 and [s.job for s in segs if s.start >= 3e-9] == [0, 2]
+
 
 def reference_lrpt_assign(volumes, machines, start, end):
     """``lrpt_assign`` as it was before its sub-step loop skipped the idle
@@ -401,118 +407,11 @@ def test_lrpt_assign_equals_the_reference_by_repr(seed):
     assert truncated > 100
 
 
-def reference_generate_plan(active, t, m):
-    """The plan built by scanning every deadline class from the latest
-    down with contribution(), as before the bisection; kept to compare
-    against by repr."""
-    jobs = sorted(active, key=lambda j: j.id)
-    if not jobs:
-        return PlanWindow(t, float("inf"), ())
-    deadlines = sorted({j.deadline for j in jobs})
-    if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
-        if not horn_feasible(jobs, t, m):
-            raise InvariantError(f"plan requested for an infeasible active set at t={t}")
-
-    def contributors(d):
-        return [j for j in jobs if contribution(j.remaining, j.deadline, d) > TOL]
-
-    chosen_k, pre = -1, []
-    for k in range(len(deadlines) - 1, -1, -1):
-        found = contributors(deadlines[k])
-        if len(found) <= m:
-            chosen_k, pre = k, found
-            break
-
-    end = t + min(contribution(j.remaining, j.deadline, deadlines[chosen_k]) for j in pre) if pre else deadlines[0]
-    segments = [Segment(machine, job.id, t, end) for machine, job in enumerate(pre)]
-    if chosen_k < len(deadlines) - 1 and len(pre) < m:
-        d_next = deadlines[chosen_k + 1]
-        pre_ids = {j.id for j in pre}
-        extra = [j for j in contributors(d_next) if j.id not in pre_ids]
-        volumes = {j.id: contribution(j.remaining, j.deadline, d_next) for j in extra}
-        segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
-        if first_idle is not None and first_idle < end:
-            end = first_idle
-        segments.extend(segs)
-
-    end = max(end, t + DUST)
-    clipped = tuple(
-        Segment(s.machine, s.job, s.start, min(s.end, end)) for s in segments if s.start < end - DUST
-    )
-    return PlanWindow(t, end, clipped)
-
-
-def bisection_generate_plan(active, t, m):
-    """The plan generator that bisected the classes with a full contributor
-    list per probe, and scanned the rows twice more for the pre-allocated
-    jobs and the longest-remaining volumes; kept verbatim to compare against.
-
-    Its own docstring: build the execution plan from time t for the active jobs.
-
-    The latest deadline class whose mandatory volume involves at most m
-    jobs is pre-allocated one job per machine; the window extends by the
-    smallest of those mandatory contributions.  Idle machines then run the
-    longest-remaining rule on the next deadline class, and the window
-    shrinks to the first idle instant of that sub-schedule.
-    """
-    jobs = sorted(active)  # by id: records compare by their fields, id first
-    if not jobs:
-        return PlanWindow(t, float("inf"), ())
-    deadlines = sorted({j.deadline for j in jobs})
-    if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
-        if not horn_feasible(jobs, t, m):
-            raise InvariantError(f"plan requested for an infeasible active set at t={t}")
-    # (id, latest start, remaining, deadline); a job contributes to class d
-    # when contribution(remaining, deadline, d) > TOL.
-    rows = [(job_id, deadline - remaining, remaining, deadline) for job_id, remaining, deadline in jobs]
-
-    def contributors(d: float) -> list[tuple[int, float, float, float]]:
-        return [row for row in rows if row[1] < d and (row[2] if d >= row[3] else d - row[1]) > TOL]
-
-    # A job that contributes to a class contributes to every later one, so
-    # the contributor count is nondecreasing in the class: the classes with
-    # at most m contributors are a prefix, all of them when n <= m.  With
-    # none, k = -1: nothing is pre-allocated and longest-remaining runs over
-    # the first class on every machine.
-    if len(jobs) <= m:
-        chosen_k = len(deadlines) - 1
-    else:
-        chosen_k = bisect_left(deadlines, True, key=lambda d: len(contributors(d)) > m) - 1
-    pre = contributors(deadlines[chosen_k]) if chosen_k >= 0 else []
-
-    if pre:
-        d = deadlines[chosen_k]
-        end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre)
-    else:
-        end = deadlines[0]
-    segments = [_record(Segment, (machine, job_id, t, end)) for machine, (job_id, _, _, _) in enumerate(pre)]
-    if chosen_k < len(deadlines) - 1 and len(pre) < m:
-        d_next = deadlines[chosen_k + 1]
-        pre_ids = {row[0] for row in pre}
-        volumes = {
-            job_id: rem if d_next >= dl else d_next - ls
-            for job_id, ls, rem, dl in contributors(d_next)
-            if job_id not in pre_ids
-        }
-        segs, first_idle = lrpt_assign(volumes, list(range(len(pre), m)), t, end)
-        if first_idle is not None and first_idle < end:
-            end = first_idle
-        segments.extend(segs)
-
-    end = max(end, t + DUST)
-    clipped = tuple(
-        s if s.end <= end else _record(Segment, (s.machine, s.job, s.start, end))
-        for s in segments
-        if s.start < end - DUST
-    )
-    return PlanWindow(t, end, clipped)
-
-
 def _outcome(function, *args):
     try:
         return repr(function(*args))
-    except InvariantError as exc:
-        return f"InvariantError: {exc}"
+    except (InvariantError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _plan_or_error(active, t, m, plan):
@@ -543,20 +442,9 @@ def random_plan_input(rng, n, t):
     return active
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_generate_plan_equals_class_scan_by_repr(seed):
-    rng = random.Random(seed)
-    below = above = 0
-    for _ in range(150):
-        m = rng.choice([1, 2, 3, 4, 8])
-        n = rng.choice([1, 2, 3, m, m + 1, 3 * m, 12 * m])
-        below += n <= m
-        above += n > 2 * m
-        t = rng.choice([0.0, 2.5, 1024.25])
-        active = random_plan_input(rng, n, t)
-        got = _plan_or_error(active, t, m, generate_plan)
-        assert got == _plan_or_error(active, t, m, reference_generate_plan)
-    assert below and above
+def spread_plan_size(rng, m):
+    """A live-set size spread over small and large sets."""
+    return rng.choice([1, 2, 3, m, m + 1, 3 * m, 12 * m])
 
 
 def random_plan_size(rng, m):
@@ -565,20 +453,21 @@ def random_plan_size(rng, m):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_generate_plan_equals_both_references_by_repr(seed):
-    rng = random.Random(100 + seed)
+def test_generate_plan_equals_class_scan_by_repr(seed):
+    # Two size distributions, each from its own seed: one spread over small
+    # and large sets, and one with n <= m in about half the draws.
     below = above = 0
-    for _ in range(150):
-        m = rng.choice([1, 2, 3, 4, 8])
-        n = random_plan_size(rng, m)
-        below += n <= m
-        above += n > m
-        t = rng.choice([0.0, 2.5, 1024.25])
-        active = random_plan_input(rng, n, t)
-        got = _plan_or_error(active, t, m, generate_plan)
-        assert got == _plan_or_error(active, t, m, bisection_generate_plan)
-        assert got == _plan_or_error(active, t, m, reference_generate_plan)
-    assert below > 50 and above > 50
+    for rng, size in ((random.Random(seed), spread_plan_size), (random.Random(100 + seed), random_plan_size)):
+        for _ in range(150):
+            m = rng.choice([1, 2, 3, 4, 8])
+            n = size(rng, m)
+            below += n <= m
+            above += n > m
+            t = rng.choice([0.0, 2.5, 1024.25])
+            active = random_plan_input(rng, n, t)
+            got = _plan_or_error(active, t, m, generate_plan)
+            assert got == _plan_or_error(active, t, m, reference_generate_plan)
+    assert below > 100 and above > 100
 
 
 def rounded_away_input(rng, n, t):
@@ -608,7 +497,7 @@ def test_generate_plan_drops_what_the_references_drop_at_a_shift_of_2_24(seed):
     # Known defect: a job whose latest start rounds to its deadline
     # contributes to no class at or before that deadline, so a plan can
     # leave it out although its remainder exceeds TOL.  Every path of the
-    # generator must leave out exactly the jobs the references leave out.
+    # generator must leave out exactly the jobs the reference leaves out.
     rng = random.Random(200 + seed)
     t = 2.0**24
     dropped = Counter()  # by whether n > m
@@ -616,7 +505,6 @@ def test_generate_plan_drops_what_the_references_drop_at_a_shift_of_2_24(seed):
         m = rng.choice([1, 2, 3, 4, 8])
         active = rounded_away_input(rng, random_plan_size(rng, m), t)
         got = _plan_or_error(active, t, m, generate_plan)
-        assert got == _plan_or_error(active, t, m, bisection_generate_plan)
         assert got == _plan_or_error(active, t, m, reference_generate_plan)
         if not got.startswith("InvariantError"):
             planned = {s.job for s in generate_plan(active, t, m).segments}
@@ -747,7 +635,17 @@ RECORDED_DIGESTS = {
 }
 
 
-def test_outputs_match_the_recorded_digests():
+def _trail(result):
+    """A simulation result's decisions, segments, accepted volume and event times."""
+    return list(result.decisions), result.schedule.segments, result.accepted_volume, result.event_times
+
+
+#: Both pins hold for the simulator and for the reference.
+SIMULATORS = pytest.mark.parametrize("simulator", [PreemptiveSimulator, ReferenceSimulator], ids=["simulator", "reference"])
+
+
+@SIMULATORS
+def test_outputs_match_the_recorded_digests(simulator):
     """Every run at assert levels 0-2 repeats the recorded outputs bit for
     bit: a moved segment, threshold or event time changes the digest, where
     the benchmark fingerprints see only accept bits and a rounded volume."""
@@ -755,12 +653,11 @@ def test_outputs_match_the_recorded_digests():
     for (m, eps, n, span, seed, policy), digest in RECORDED_DIGESTS.items():
         inst = random_instance(n, m, eps, seed=seed, release_span=span)
         for level in (0, 1, 2):
-            sim = PreemptiveSimulator(m, eps, level, policy)
+            sim = simulator(m, eps, level, policy)
             for job in inst.jobs:
                 sim.submit(job)
                 widest[m] = max(widest[m], len(sim.active_jobs()))
-            res = sim.finish()
-            text = repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+            text = repr(_trail(sim.finish()))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, eps, n, span, seed, policy, level)
     # Each machine count met a live set larger than itself.
     assert all(widest[m] > m for m in (1, 3, 8))
@@ -798,12 +695,13 @@ BURST_DIGESTS = {
 }
 
 
-def test_burst_outputs_match_the_recorded_digests():
+@SIMULATORS
+def test_burst_outputs_match_the_recorded_digests(simulator):
     """Arrivals at one instant reuse the live set and its curve; every run
     at assert levels 0-2 repeats the outputs recorded before that reuse."""
     for key, digest in BURST_DIGESTS.items():
         for level in (0, 1, 2):
-            assert hashlib.sha256(burst_trail(key, level).encode()).hexdigest() == digest, (key, level)
+            assert hashlib.sha256(burst_trail(key, level, simulator).encode()).hexdigest() == digest, (key, level)
 
 
 #: The digest computations of the two tests above, for a bare interpreter:
@@ -855,39 +753,171 @@ def test_digests_hold_under_every_other_interpreter():
         assert moved == [], exe
 
 
-def reference_active_jobs(sim):
-    """``active_jobs`` as before the live table: the unfinished jobs rebuilt
-    from ``jobs`` and ``committed_work`` in id order.  Kept to compare against."""
-    out = []
-    for job_id in sorted(sim.committed_work):
-        job = sim.jobs[job_id]
-        rem = job.processing - sim.committed_work[job_id]
-        if rem > TOL:
-            out.append(ActiveJob(job_id, rem, job.deadline))
-    return out
+@pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
+@pytest.mark.parametrize("m", [3, 5])
+def test_stress_replays_equal_the_reference(algorithm, m):
+    # The replays at m = 1, 2, 4 and 8 are burst digest keys.
+    outcome = replay_preemptive(m, 0.5, delta=1 / 64, algorithm=algorithm, assert_level=2)
+    sim = make_policy(algorithm, m, 0.5, 2)
+    got = run_trail(sim, outcome.instance.jobs)
+    assert got == run_trail(ReferenceSimulator(m, 0.5, 2, sim.policy), outcome.instance.jobs)
+    assert list(sim.decisions) == list(outcome.decisions) and sim.accepted_volume() == outcome.alg_volume
 
 
-class LiveTableChecked(PreemptiveSimulator):
-    """A simulator that compares every read of its live set with the
-    reference rebuild, and its table with the live set an acceptance or a
-    window end leaves."""
+def _shown(sim):
+    """What the simulator and the reference both show of their state."""
+    return (
+        list(sim.decisions), sim.d_min, sim.v_delta, sim.clock, sim.active_jobs(), sim.schedule.segments,
+        sim.accepted_volume(), sim.event_times,
+    )
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.reads = self.tables = 0
 
-    def active_jobs(self):
-        got = super().active_jobs()
-        assert repr(got) == repr(reference_active_jobs(self)), self.clock
-        assert [row[0] for row in self.live] == sorted(self.committed_work), self.clock
-        self.reads += 1
-        return got
+def _breach(check):
+    """The condition an invariant check reports, the message up to " at ", or None."""
+    try:
+        check()
+    except InvariantError as exc:
+        return str(exc).split(" at ")[0]
+    return None
 
-    def _settle(self, active, curve, changed, window_end=False, mandatory=None):
-        super()._settle(active, curve, changed, window_end, mandatory)
-        if changed:
-            assert [row[0] for row in self.live] == sorted(self.committed_work) == [job.id for job in active]
-            self.tables += 1
+
+class SideBySide(RuleBasedStateMachine):
+    """The simulator and the reference take the same steps and show the same
+    state by ``repr`` after each.  Jobs come in bursts at one instant, with
+    tied deadlines and latest starts, ids in no order, and releases within
+    TOL of the clock or exactly TOL after it."""
+
+    policy, level = "lazy", 0  # of every run; the test sets them
+    seen = Counter()  # what the steps reached, over all runs
+
+    @initialize(m=st.sampled_from([1, 2, 3, 5]), eps=st.sampled_from([0.1, 0.5, 1.0]))
+    def start(self, m, eps):
+        self.sim = PreemptiveSimulator(m, eps, self.level, self.policy)
+        self.ref = ReferenceSimulator(m, eps, self.level, self.policy)
+        self.jobs = []
+
+    def both(self, step):
+        """Take ``step`` on each side: both return the same, or raise the same error."""
+        assert _outcome(step, self.sim) == _outcome(step, self.ref)
+
+    @rule(data=st.data(), count=st.integers(1, 6))
+    def submit(self, data, count):
+        """A burst of ``count`` jobs with one release."""
+        clock, slack = self.ref.clock, 1 + self.ref.epsilon
+        release = data.draw(
+            st.sampled_from([clock, clock, clock + TOL / 2, clock - TOL / 2, clock + TOL, math.floor(clock) + 2.0])
+            | st.floats(0.0, 6.0).map(lambda x: clock + x)
+        )
+        for _ in range(count):
+            p = data.draw(st.sampled_from([1.0, 2.0] + [job.processing for job in self.jobs[-3:]]) | st.floats(0.05, 5.0))
+            # The threshold, or a deadline or a latest start of a recent job, where the slack allows.
+            ties = [self.ref.d_min] + [d for job in self.jobs[-4:] for d in (job.deadline, job.deadline - job.processing + p)]
+            d = release + slack * p * data.draw(st.sampled_from([1.0, 1.5, 3.0]))
+            d = data.draw(st.sampled_from([d] + [x for x in ties if x - release >= slack * p]))
+            used = {job.id for job in self.jobs}
+            self.arrive(Job(data.draw(st.integers(0, 199).filter(lambda i: i not in used)), release, p, d))
+
+    def arrive(self, job):
+        instant, _, curve, total = self.sim._instant
+        kept = instant == job.release == self.sim.clock
+        self.seen.update({"kept set": kept, "kept curve": kept and curve is not None, "kept sum": kept and total is not None})
+        self.seen["id not last"] += any(job.id < other.id for other in self.jobs)
+        self.seen["TOL off"] += 0 < abs(job.release - self.sim.clock) <= TOL
+        self.jobs.append(job)
+        self.both(lambda side: side.submit(job))
+
+    @rule(data=st.data())
+    def advance(self, data):
+        clock, end = self.ref.clock, self.ref.plan.end
+        target = data.draw(
+            # Mid-window twice as often, where the decay reference stays behind the clock.
+            st.sampled_from([end, (clock + end) / 2, (clock + end) / 2, end + TOL, end - TOL / 2, clock + TOL, clock + 2 * TOL])
+            | st.floats(0.0, 3.0).map(lambda x: clock + x)
+        )
+        self.both(lambda side: side.advance_to(target))
+
+    @rule()
+    def plan(self):
+        self.both(lambda side: side.plan)
+
+    @rule()
+    def finish(self):
+        self.both(lambda side: _trail(side.finish()))
+
+    @precondition(lambda self: self.ref.active_jobs())
+    @rule()
+    def lowered(self):
+        """Lower the threshold, with the growth rate or not, and at assert
+        level 2 the decay reference, each on copies: both sides' checks give
+        the same verdict."""
+        # The threshold moves toward the clock; a steeper growth cap lets it
+        # reach the shape envelope.
+        for scale, steeper in itertools.product((1.0, 0.99, 0.9, 0.6, 0.3, 0.05), (1.0, 100.0)):
+            sim, ref = copy.copy(self.sim), copy.copy(self.ref)
+            for side in (sim, ref):
+                side.d_min, side.f = side.clock + (side.d_min - side.clock) * scale, side.f * steeper
+            got = _breach(sim.check_invariants)
+            assert got == _breach(lambda: reference_check_invariants(ref, ref.active_jobs()))
+            self.seen[got] += 1
+        if self.ref.decay is None:
+            return
+        if self.ref.clock <= self.ref.decay[0] + TOL:
+            # Into the window, where the decay reference stays behind the clock.
+            mid = (self.ref.clock + self.ref.plan.end) / 2
+            self.both(lambda side: side.advance_to(mid))
+            if self.ref.clock <= self.ref.decay[0] + TOL:
+                return
+        t_old, old = self.ref.decay
+        assert (self.sim._decay_clock, repr(self.sim._decay_curve)) == (t_old, repr(old))
+        now = v_min_curve(self.ref.active_jobs(), self.ref.clock)
+        for scale in (1.0, 0.95, 0.7, 0.3):
+            lowered = PiecewiseLinear(old.start, old.breakpoints, *(tuple(scale * x for x in xs) for xs in (old.values, old.slopes)))
+            sim = copy.copy(self.sim)
+            sim._decay_curve = lowered
+            got = _breach(lambda: sim._check_progression(now))
+            assert got == _breach(lambda: reference_check_progression(t_old, lowered, self.ref.clock, now))
+            self.seen[got] += 1
+
+    @invariant()
+    def same_state(self):
+        assert repr(_shown(self.sim)) == repr(_shown(self.ref))
+        # The simulator's table holds its unfinished jobs in id order.
+        assert [row[0] for row in self.sim.live] == sorted(self.sim.committed_work)
+        # What it keeps for the next arrival at this instant, the reference
+        # builds afresh.
+        instant, active, curve, total = self.sim._instant
+        if instant == self.sim.clock:
+            fresh = self.ref.active_jobs()
+            assert repr(active) == repr(fresh)
+            assert curve is None or repr(curve) == repr(v_min_curve(fresh, instant))
+            assert total is None or repr(total[1]) == repr(v_min(fresh, instant, total[0]))
+
+
+def test_the_simulator_and_the_reference_agree_step_by_step(monkeypatch):
+    SideBySide.seen.clear()
+    budget = settings(max_examples=MACHINE_EXAMPLES, stateful_step_count=MACHINE_STEPS, derandomize=True, database=None, deadline=None)
+    for policy, level in itertools.product(("lazy", "greedy"), (0, 1, 2)):
+        monkeypatch.setattr(SideBySide, "policy", policy)
+        monkeypatch.setattr(SideBySide, "level", level)
+        run_state_machine_as_test(SideBySide, settings=budget)
+    seen = SideBySide.seen
+    # Each of the three checks trips on some lowered state.
+    assert {None, "growth cap breached", "shape envelope breached", "volume decay violated"} <= set(seen)
+    assert min(seen[key] for key in ("kept set", "kept curve", "kept sum", "id not last", "TOL off")) > 20, seen
+
+
+def test_the_lazy_shuffled_bursts_step_by_step():
+    # The machine's steps over recorded bursts its draws seldom match: on the m=8
+    # one a sum kept out of id order first differs in rounding at the 8th arrival.
+    for key in [key for key in BURST_DIGESTS if key[0] == "shuffled" and key[-1] == "lazy"]:
+        machine = SideBySide()
+        machine.policy, machine.level = "lazy", 0
+        machine.start(key[1], key[2])
+        for job in burst_jobs(key):
+            machine.arrive(job)
+            machine.same_state()
+        machine.finish()
+        machine.same_state()
 
 
 class TestLiveState:
@@ -907,31 +937,15 @@ class TestLiveState:
         assert sim.committed_work == {}
         assert result.accepted_volume == sum(inst.jobs[j].processing for j in result.decisions.accepted_ids())
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_live_table_matches_the_rebuild_at_every_event(self, level):
-        reads = tables = 0
-        for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
-            inst = random_instance(60, m, eps, seed=seed, release_span=span)
-            # The same jobs with permuted ids: acceptances then insert rows
-            # inside the table, not only at its end.
-            ids = random.Random(seed).sample(range(60), 60)
-            shuffled = Instance(eps, m, tuple(Job(ids[j.id], j.release, j.processing, j.deadline) for j in inst.jobs))
-            for instance, policy in itertools.product((inst, shuffled), ("lazy", "greedy")):
-                sim = LiveTableChecked(m, eps, level, policy)
-                drive(sim, instance)
-                assert sim.live == [] and sim.committed_work == {}
-                reads, tables = reads + sim.reads, tables + sim.tables
-        assert reads > 16 * 60 and tables > 16 * 30
-
-    @pytest.mark.parametrize("algorithm, policy", [("alg1+2", "lazy"), ("greedy-p", "greedy")])
-    def test_live_table_matches_the_rebuild_on_the_stress_replays(self, algorithm, policy):
-        for m, eps, delta in [(1, 0.5, 1 / 16), (3, 0.25, 1 / 16), (5, 1.0, 1 / 4), (8, 0.5, 1 / 16)]:
-            outcome = replay_preemptive(m, eps, delta=delta, algorithm=algorithm, assert_level=2)
-            sim = LiveTableChecked(m, eps, 2, policy)
-            result = drive(sim, outcome.instance)
-            assert sim.reads > 0 and sim.tables > 0
-            assert list(result.decisions) == list(outcome.decisions)
-            assert result.accepted_volume == outcome.alg_volume
+    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
+    def test_a_remainder_of_exactly_tol_is_not_live(self, policy):
+        # TOL's lowest bit is 2^-82, so only a job under 2^-28 can be left
+        # exactly TOL: here 2.5e-9 after 1.5e-9 of work.
+        sim = PreemptiveSimulator(1, 0.5, policy=policy)
+        assert sim.submit(Job(0, 0.0, 2.5e-9, 1.0))
+        sim.advance_to(1.5e-9)
+        assert sim.committed_work == {} and 2.5e-9 - 1.5e-9 == TOL
+        assert sim.active_jobs() == [] and sim.finish().accepted_volume == 2.5e-9
 
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_continued_pieces_coalesce(self, policy):
@@ -976,21 +990,6 @@ class TestLiveState:
             sim.check_invariants()
 
 
-class EagerPlanner(PreemptiveSimulator):
-    """The simulator as it was before plans were deferred: every acceptance
-    and every window end builds its plan at once.  Kept to compare against."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.built = 0
-
-    def _settle(self, active, curve, changed, window_end=False, mandatory=None):
-        super()._settle(active, curve, changed, window_end, mandatory)
-        if changed:
-            self.plan  # builds the plan the event left pending
-            self.built += 1
-
-
 def counted_plans(monkeypatch):
     """A counter of the ``generate_plan`` calls the simulator makes from now on."""
     counts = Counter()
@@ -1020,55 +1019,20 @@ class TestDeferredPlan:
     """A plan is built when the clock is about to move, from the live set of
     the last event; arrivals at one instant build one plan, not one each."""
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_outputs_equal_the_eager_planner(self, level):
-        instances = []
-        for seed, (m, eps, span) in enumerate([(1, 0.5, 20.0), (3, 0.1, 10.0), (8, 1.0, 5.0), (2, 0.5, 1.0)]):
-            inst = random_instance(60, m, eps, seed=seed, release_span=span)
-            # The shuffled-id instances of the live-table test.
-            ids = random.Random(seed).sample(range(60), 60)
-            shuffled = [Job(ids[j.id], j.release, j.processing, j.deadline) for j in inst.jobs]
-            instances += [(m, eps, inst.jobs), (m, eps, shuffled)]
-        # Releases floored to integers: many arrivals share an instant, and
-        # the slack only grows.
-        inst = random_instance(120, 4, 0.5, seed=7, release_span=30.0)
-        floored = [Job(j.id, float(math.floor(j.release)), j.processing, j.deadline) for j in inst.jobs]
-        assert len({j.release for j in floored}) <= 31
-        instances.append((4, 0.5, floored))
-        for (m, eps, jobs), policy in itertools.product(instances, ("lazy", "greedy")):
-            got = run_trail(PreemptiveSimulator(m, eps, level, policy), jobs)
-            eager = EagerPlanner(m, eps, level, policy)
-            assert got == run_trail(eager, jobs), (m, eps, policy)
-            assert eager.built > 0
-
-    @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
-    def test_stress_replays_equal_the_eager_planner(self, algorithm, m):
-        outcome = replay_preemptive(m, 0.5, delta=1 / 64, algorithm=algorithm, assert_level=2)
-        sim = make_policy(algorithm, m, 0.5, 2)
-        eager = EagerPlanner(m, 0.5, 2, sim.policy)
-        got = run_trail(sim, outcome.instance.jobs)
-        assert got == run_trail(eager, outcome.instance.jobs)
-        assert eager.built > 0
-        assert list(sim.decisions) == list(outcome.decisions)
-        assert sim.accepted_volume() == outcome.alg_volume
-
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_arrivals_at_one_instant_build_one_plan(self, monkeypatch, policy):
         counts = counted_plans(monkeypatch)
-        sim, eager = PreemptiveSimulator(2, 0.5, 0, policy), EagerPlanner(2, 0.5, 0, policy)
+        sim, ref = PreemptiveSimulator(2, 0.5, 0, policy), ReferenceSimulator(2, 0.5, 0, policy)
         jobs = [Job(i, 3.0, 1.0 + 0.25 * i, 6.0 + 2.0 * i) for i in range(6)]
         for job in jobs:
-            sim.submit(job)
+            assert sim.submit(job) == ref.submit(job)
         assert counts["plans"] == 0 and sim.clock == 3.0
-        for job in jobs:
-            eager.submit(job)
-        assert counts["plans"] == sum(eager.decisions[j.id].accepted for j in jobs) == eager.built >= 3
-        counts.clear()
-        # Into the first window and no further: one plan, the eager planner's.
-        sim.advance_to(3.0 + 0.5 * (eager.plan.end - 3.0))
+        # The reference planned at each acceptance, with its own generator.
+        assert len(sim.decisions.accepted_ids()) >= 3
+        # Into the first window and no further: one plan, the reference's.
+        sim.advance_to(3.0 + 0.5 * (ref.plan.end - 3.0))
         assert counts["plans"] == 1
-        assert sim.plan == eager.plan and counts["plans"] == 1
+        assert sim.plan == ref.plan and counts["plans"] == 1
 
     @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
     def test_stress_replay_builds_one_plan_per_window(self, monkeypatch, algorithm):
@@ -1092,52 +1056,6 @@ class TestDeferredPlan:
         assert sim.clock == 1.0 and [job.id for job in sim.active_jobs()] == [5]
         with pytest.raises(InvariantError, match="plan requested for an infeasible active set at t=1.0"):
             sim.finish()
-
-
-def reference_check_invariants(sim, active):
-    """``check_invariants`` as before the shared checkpoint curve: its own
-    feasibility test and curve, and the shape envelope evaluated at the
-    curve's breakpoints plus the stretched corners, re-filtered to
-    [t, d_eff).  Kept to compare against."""
-    t = sim.clock
-    if not horn_feasible(active, t, sim.machines):
-        raise InvariantError(f"active set infeasible at t={t}")
-    curve = v_min_curve(active, t)
-    if sim.policy != "lazy":
-        return curve
-    d_eff = max(sim.d_min, t)
-    v_at_dmin = curve.value(d_eff)
-    for tau, value in zip(curve.breakpoints, curve.values):
-        if tau >= d_eff:
-            bound = v_at_dmin + (tau - d_eff) * sim.f
-            if value > bound + CHECK_SLACK:
-                raise InvariantError(f"growth cap breached at tau={tau}, t={t}: {value} > {bound}")
-    if d_eff > t + TOL:
-        span = d_eff - t
-        taus = [bp for bp in curve.breakpoints if t <= bp < d_eff]
-        taus += [t + x * span for x in v_shape_corners(sim.machines, sim.epsilon)]
-        shape = v_shape_curve(sim.machines, sim.epsilon)
-        for tau in taus:
-            if not (t <= tau < d_eff):
-                continue
-            bound = span * shape.value((tau - t) / span)
-            if curve.value(tau) > bound + CHECK_SLACK:
-                raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {curve.value(tau)} > {bound}")
-    return curve
-
-
-def reference_check_progression(sim, now):
-    """``_check_progression`` as before the shared breakpoint walk: a hand-built
-    tau list and a ``value`` lookup per curve and tau.  Kept to compare against."""
-    t_old, t_new, ref = sim._decay_clock, sim.clock, sim._decay_curve
-    if t_new <= t_old + TOL:
-        return
-    for tau in sorted(set(now.breakpoints) | {bp for bp in ref.breakpoints if bp > t_new}):
-        if tau <= t_new + TOL:
-            continue
-        allowed = (tau - t_new) / (tau - t_old) * ref.value(tau)
-        if now.value(tau) > allowed + CHECK_SLACK:
-            raise InvariantError(f"volume decay violated at tau={tau}: {now.value(tau)} > {allowed}")
 
 
 def reference_values_at(curve, taus):
@@ -1218,65 +1136,7 @@ def test_pointwise_equals_the_reference_by_repr(seed):
     assert min(seen.values()) > 100, seen
 
 
-def _breach(check):
-    """The condition an invariant check reports, the message up to " at ", or None."""
-    try:
-        check()
-    except InvariantError as exc:
-        return str(exc).split(" at ")[0]
-    return None
-
-
-class ComparedWithReference(PreemptiveSimulator):
-    """A simulator that, at every checkpoint, also runs the current and the
-    reference checks on the true state and on states with a lowered
-    threshold or a lowered decay reference, and records what each reported."""
-
-    D_MIN_SCALES = (1.0, 0.99, 0.9, 0.6, 0.3, 0.05)
-    DECAY_SCALES = (1.0, 0.95, 0.7, 0.3)
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.reports = Counter()
-
-    def check_invariants(self, active=None, curve=None):
-        active = self.active_jobs() if active is None else active
-        d_min, f = self.d_min, self.f
-        # A steeper growth cap lets a lowered threshold reach the shape envelope.
-        for scale, f_scale in itertools.product(self.D_MIN_SCALES, (1.0, 100.0)):
-            self.d_min, self.f = d_min * scale, f * f_scale
-            got = _breach(lambda: PreemptiveSimulator.check_invariants(self, active))
-            assert got == _breach(lambda: reference_check_invariants(self, active)), (self.clock, scale, f_scale)
-            self.reports[got] += 1
-        self.d_min, self.f = d_min, f
-        return super().check_invariants(active, curve)
-
-    def _check_progression(self, now):
-        ref = self._decay_curve
-        for scale in self.DECAY_SCALES:
-            self._decay_curve = PiecewiseLinear(
-                ref.start, ref.breakpoints, tuple(scale * v for v in ref.values), tuple(scale * s for s in ref.slopes)
-            )
-            got = _breach(lambda: PreemptiveSimulator._check_progression(self, now))
-            assert got == _breach(lambda: reference_check_progression(self, now)), (self.clock, scale)
-            self.reports[got] += 1
-        self._decay_curve = ref
-        super()._check_progression(now)
-
-
 class TestCheckpoint:
-    def test_checks_agree_with_the_reference(self):
-        reports = Counter()
-        for seed, (m, eps) in enumerate([(1, 1.0), (2, 0.5), (3, 0.1), (4, 0.5), (2, 1.0), (8, 0.25)]):
-            inst = random_instance(60, m, eps, seed=seed, release_span=20.0)
-            for policy in ("lazy", "greedy"):
-                sim = ComparedWithReference(m, eps, 2, policy)
-                drive(sim, inst)
-                reports += sim.reports
-        # The lowered states trip each of the three envelope and decay checks.
-        assert {"growth cap breached", "shape envelope breached", "volume decay violated"} <= set(reports)
-        assert reports[None] > 0
-
     @pytest.mark.parametrize("policy, level", [("lazy", 1), ("lazy", 2), ("greedy", 1), ("greedy", 2)])
     def test_one_curve_per_checkpoint(self, monkeypatch, policy, level):
         counts = Counter()
@@ -1333,26 +1193,6 @@ class TestCheckpoint:
         assert (counts["envelopes"] > 0) == (policy == "lazy")
 
 
-class InstantChecked(PreemptiveSimulator):
-    """A simulator that, at every arrival at the instant of the last event,
-    holds the live set that event left equal to ``active_jobs()``, and the
-    curve it left equal to the one ``v_min_curve`` builds for that set."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.reused = self.curves = 0
-
-    def on_arrival(self, job):
-        instant, kept, curve, _ = self._instant
-        if instant == job.release == self.clock:
-            assert repr(kept) == repr(self.active_jobs()), self.clock
-            self.reused += 1
-            if curve is not None:
-                assert repr(curve) == repr(v_min_curve(kept, self.clock)), self.clock
-                self.curves += 1
-        return super().on_arrival(job)
-
-
 def curve_counts(monkeypatch):
     """Counters of the ``v_min_curve`` calls and window ends from now on."""
     counts = Counter()
@@ -1370,20 +1210,6 @@ def curve_counts(monkeypatch):
 class TestSameInstant:
     """An arrival at the instant of the last event starts from the live set
     that event left and extends the curve kept with it."""
-
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    @pytest.mark.parametrize("policy", ["lazy", "greedy"])
-    def test_the_kept_set_and_curve_are_the_live_ones(self, policy, level):
-        reused = curves = 0
-        for key in BURST_DIGESTS:
-            if key[-1] == policy:
-                sim = InstantChecked(key[1], key[2], level, policy)
-                run_trail(sim, burst_jobs(key))
-                reused, curves = reused + sim.reused, curves + sim.curves
-        assert reused > 300
-        # Greedy at level 0 builds its curve at the second arrival of an
-        # instant, so every policy and level keeps curves for bursts.
-        assert curves > 100
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     @pytest.mark.parametrize("algorithm", stress_algorithms(preemptive=True))
@@ -1439,60 +1265,10 @@ class TestSameInstant:
             assert counts["sweeps"] <= 2 * instants + counts["window ends"] < len(instance), counts
 
 
-class CompensationChecked(PreemptiveSimulator):
-    """A lazy simulator that, after every arrival, holds ``v_delta`` equal by
-    ``repr`` to the compensation volume summed afresh over the live set,
-    ``(d_min - r) * f - v_min(active, r, d_min)`` with ``d_min`` the
-    threshold the arrival compared against, clipped at 0 as ``v_delta`` is,
-    and the sum the arrival keeps for the next one, if any, equal to the sum
-    over the live set it leaves."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.arrivals = self.kept = 0
-
-    def on_arrival(self, job):
-        r = job.release
-        d_min = max(self.d_min, r)
-        expected = max((d_min - r) * self.f - v_min(self.active_jobs(), r, d_min), 0.0)
-        accept = super().on_arrival(job)
-        assert repr(self.v_delta) == repr(expected), (self.clock, job.id)
-        _, active, _, mandatory = self._instant
-        if mandatory is not None:
-            tau, value = mandatory
-            assert repr(value) == repr(v_min(active, r, tau)), (self.clock, job.id)
-            self.kept += 1
-        self.arrivals += 1
-        return accept
-
-
-def burst_instances():
-    """(m, epsilon, jobs) of every ``BURST_DIGESTS`` trail, each once: the
-    burst instances the two policies share, and the two replays' instances
-    at each m, at assert level 0."""
-    seen = {}
-    for key in BURST_DIGESTS:
-        if key[0] == "replay":
-            _, m, algorithm = key
-            seen[key] = (m, 0.5, replay_preemptive(m, 0.5, 1 / 64, algorithm, 0).instance.jobs)
-        else:
-            seen.setdefault(key[:-1], (key[1], key[2], burst_jobs(key)))
-    return list(seen.values())
-
-
 class TestCompensation:
     """An arrival at the instant of the last event reuses the compensation
     sum that event left when the threshold has not moved, and extends it
     by the accepted job's term when that job is last in id order."""
-
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_the_kept_sum_is_the_live_sum(self, level):
-        arrivals = kept = 0
-        for m, eps, jobs in burst_instances():
-            sim = CompensationChecked(m, eps, level, "lazy")
-            run_trail(sim, jobs)
-            arrivals, kept = arrivals + sim.arrivals, kept + sim.kept
-        assert arrivals > 2000 and kept > 2000
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_the_m8_replay_sums_once_per_instant_and_threshold_move(self, monkeypatch, level):
@@ -1522,33 +1298,36 @@ def _names_the_simulator(node):
     return getattr(node, "id", None) == "PreemptiveSimulator" or getattr(node, "attr", None) == "PreemptiveSimulator"
 
 
-def simulator_hooks():
-    """(test file, name) for every method a test subclass of the simulator
-    defines and every attribute a test patches on it by name."""
-    hooks = set()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(map(_names_the_simulator, node.bases)):
-                hooks.update((path.name, item.name) for item in node.body if isinstance(item, ast.FunctionDef))
-            elif (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "attr", None) == "setattr"
-                and len(node.args) == 3
-                and _names_the_simulator(node.args[0])
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                hooks.add((path.name, node.args[1].value))
-    return hooks
-
-
 class TestHooks:
-    def test_every_test_hook_names_a_simulator_method(self):
-        # An override of a name the simulator no longer has is never called,
-        # and the test around it passes without its check.  Each hook also
-        # counts its calls, and its tests assert the count is above zero.
-        hooks = simulator_hooks()
-        assert {("test_preemptive.py", "_settle"), ("test_preemptive.py", "on_arrival")} <= hooks
-        assert [hook for hook in sorted(hooks) if not hasattr(PreemptiveSimulator, hook[1])] == []
+    def test_no_test_subclasses_the_simulator_and_the_reference_shares_none_of_its_state(self):
+        # Tests reach the simulator only by patching names it has: an
+        # override of a name it no longer has is never called, and the test
+        # around it passes without its check.  Each patch also counts its
+        # calls, and its tests assert the count is above zero.
+        patched = set()
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    assert not any(map(_names_the_simulator, node.bases)), (path.name, node.name)
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "setattr"
+                    and len(node.args) == 3
+                    and _names_the_simulator(node.args[0])
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    patched.add(node.args[1].value)
+        assert {"_settle", "check_invariants", "finish"} <= patched
+        assert [name for name in sorted(patched) if not hasattr(PreemptiveSimulator, name)] == []
+        # The reference neither imports the simulator or the curve extension
+        # nor reads the state the simulator keeps between events, so it cannot
+        # share the reuse it checks.
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "solve_dmin" in names and "decay" in names
+        kept = {"PreemptiveSimulator", "extend_curve", "_instant", "_plan", "live", "committed_work", "_decay_curve"}
+        assert names & kept == set()
 
 
 class TestEventTimes:
