@@ -246,12 +246,39 @@ class Violation:
         return f"{where}{self.kind}: {self.detail}"
 
 
+def job_violations(job: Job, epsilon: float) -> list[Violation]:
+    """The rules each job meets on its own: finite numbers, p > 0, r >= 0,
+    d > r, and the slack condition ``deadline - release >= (1 + epsilon) *
+    processing`` within TOL.  Returns an empty list when the job meets them."""
+    r, p, d = job.release, job.processing, job.deadline
+    out: list[Violation] = []
+    if not (isfinite(r) and isfinite(p) and isfinite(d)):
+        out.append(Violation("finite", job.id, f"r={r}, p={p}, d={d} must be finite"))
+    if p <= 0:
+        out.append(Violation("positivity", job.id, f"p={p} must be > 0"))
+    if r < 0:
+        out.append(Violation("positivity", job.id, f"r={r} must be >= 0"))
+    if d <= r:
+        out.append(Violation("positivity", job.id, f"d={d} must exceed r={r}"))
+    slack_needed = (1.0 + epsilon) * p
+    if d - r < slack_needed - TOL:
+        out.append(Violation("slack", job.id, f"d-r={d - r:.12g} < (1+eps)*p={slack_needed:.12g}"))
+    return out
+
+
+def check_job(job: Job, epsilon: float) -> None:
+    """Raise ValueError when ``job_violations`` finds any: every policy's
+    ``submit`` runs this before it decides the job."""
+    problems = job_violations(job, epsilon)
+    if problems:
+        _raise_on(problems, ValueError, "invalid job")
+
+
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check finiteness, positivity, submission ordering, and the slack condition.
 
-    Every number must be finite, every job must satisfy
-    ``deadline - release >= (1 + epsilon) * processing`` (within TOL), and
-    the sequence must be ordered by nondecreasing release.
+    Every job must meet ``job_violations``'s rules, ids must be distinct,
+    and the sequence must be ordered by nondecreasing release.
     Returns an empty list when the instance is well formed.
     """
     eps = instance.epsilon
@@ -264,25 +291,7 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if job.id in seen:
             out.append(Violation("id", job.id, "duplicate job id"))
         seen.add(job.id)
-        if not (isfinite(job.release) and isfinite(job.processing) and isfinite(job.deadline)):
-            out.append(
-                Violation("finite", job.id, f"r={job.release}, p={job.processing}, d={job.deadline} must be finite")
-            )
-        if job.processing <= 0:
-            out.append(Violation("positivity", job.id, f"p={job.processing} must be > 0"))
-        if job.release < 0:
-            out.append(Violation("positivity", job.id, f"r={job.release} must be >= 0"))
-        if job.deadline <= job.release:
-            out.append(Violation("positivity", job.id, f"d={job.deadline} must exceed r={job.release}"))
-        slack_needed = (1.0 + eps) * job.processing
-        if job.window < slack_needed - TOL:
-            out.append(
-                Violation(
-                    "slack",
-                    job.id,
-                    f"d-r={job.window:.12g} < (1+eps)*p={slack_needed:.12g}",
-                )
-            )
+        out += job_violations(job, eps)
         if prev_release is not None and job.release < prev_release - TOL:
             out.append(
                 Violation("ordering", job.id, f"release {job.release:.12g} after release {prev_release:.12g}")

@@ -27,6 +27,7 @@ from .model import (
     NonpreemptiveResult,
     Schedule,
     Segment,
+    check_job,
     check_policy_args,
     drive,
     rho,
@@ -257,6 +258,7 @@ class NonpreemptiveSimulator(_Commitments):
             self._clocks[0] = t
 
     def submit(self, job: Job) -> CommittedStart | None:
+        check_job(job, self.epsilon)
         self.advance_to(job.release)
         return self.on_arrival(job)
 
@@ -351,6 +353,7 @@ class RandomizedAllocator(_Commitments):
         self.pick = random.Random(seed).randrange(self.virtual.machines)
 
     def submit(self, job: Job) -> CommittedStart | None:
+        check_job(job, self.virtual.epsilon)
         self.virtual.advance_to(job.release)
         limit, placed = self.virtual.place(job)
         if placed is not None:
@@ -384,13 +387,15 @@ class GreedyAllocator(_Commitments):
     A machine's completion is its free time or the release, whichever is
     later, plus the processing time, taken by one comparison per machine."""
 
-    def __init__(self, machines: int) -> None:
-        check_policy_args(machines)
+    def __init__(self, machines: int, epsilon: float) -> None:
+        check_policy_args(machines, epsilon)
         super().__init__()
+        self.epsilon = epsilon  # for the slack condition only
         self.clock = 0.0
         self.free = [0.0] * machines  # absolute time each machine frees up
 
     def submit(self, job: Job) -> CommittedStart | None:
+        check_job(job, self.epsilon)
         if job.release < self.clock - TOL:
             raise ValueError(f"job {job.id} released at {job.release} before clock {self.clock}")
         self.clock = max(self.clock, job.release)
@@ -406,7 +411,7 @@ class GreedyAllocator(_Commitments):
 
 def greedy_nonpreemptive(instance: Instance) -> NonpreemptiveResult:
     """Run the greedy baseline over a full instance."""
-    return drive(GreedyAllocator(instance.machines), instance)
+    return drive(GreedyAllocator(instance.machines, instance.epsilon), instance)
 
 
 def committed_schedule(result: NonpreemptiveResult, instance: Instance) -> Schedule:

@@ -45,7 +45,7 @@ ALGORITHM_TABLE: dict[str, Algorithm] = {
         preemptive=True, guarantee="greedy_p_single_upper", stress=True,
     ),
     "greedy-np": Algorithm(
-        lambda m, eps, level, seed: nonpreemptive.GreedyAllocator(m),
+        lambda m, eps, level, seed: nonpreemptive.GreedyAllocator(m, eps),
         preemptive=False, guarantee="greedy_np_single_upper", stress=True,
     ),
 }

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .model import (
     CHECK_SLACK,
@@ -32,6 +33,7 @@ from .model import (
     Schedule,
     Segment,
     SimulationResult,
+    check_job,
     check_policy_args,
     drive,
 )
@@ -51,6 +53,12 @@ from .vmin import (
 #: Builds a record from the tuple of its fields without the class call, which
 #: parses its arguments in Python: ``_record(Segment, (machine, job, start, end))``.
 _record = tuple.__new__
+
+#: An active job's deadline, read without the attribute lookup: ``_deadline(ActiveJob(id, remaining, deadline))``.
+_deadline = itemgetter(2)
+
+#: The volume of an (id, volume) item of ``lrpt_assign``'s remaining volumes.
+_volume = itemgetter(1)
 
 
 class PlanWindow(NamedTuple):
@@ -73,18 +81,20 @@ def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> fl
     linear equation is solved in closed form.
     """
     bps, vals, slopes = curve.breakpoints, curve.values, curve.slopes
-    for i in range(len(bps) - 1, -1, -1):
-        a, v_a, s = bps[i], vals[i], slopes[i]
-        b = bps[i + 1] if i + 1 < len(bps) else math.inf
-        if abs(f - s) < SLOPE_TOL:
+    rf = r * f
+    b = math.inf  # the right end of the segment [a, b)
+    for a, v_a, s in zip(reversed(bps), reversed(vals), reversed(slopes)):
+        closing = f - s
+        if abs(closing) < SLOPE_TOL:
             # Parallel: a crossing exists only if the lines coincide, in
             # which case the right end of the segment is the largest point.
             if abs((a - r) * f - v_a - v_delta) <= TOL and b < math.inf:
                 return b
-            continue
-        tau = (v_a - s * a + v_delta + r * f) / (f - s)
-        if a - TOL <= tau <= b + TOL:
-            return min(max(tau, a), b)
+        else:
+            tau = (v_a - s * a + v_delta + rf) / closing
+            if a - TOL <= tau <= b + TOL:
+                return min(max(tau, a), b)
+        b = a
     raise InvariantError(
         f"threshold equation has no crossing: f={f}, v_delta={v_delta}, r={r}, curve={curve}"
     )
@@ -102,23 +112,26 @@ def wrap_fill(
     itself.  Lane boundaries are crossed with explicit float guards: a
     residue below the event resolution is skipped rather than looped on.
     """
-    q = len(lanes)
+    last = len(lanes) - 1
     segments: list[Segment] = []
     offset = 0.0
-    capacity = q * span
+    full = len(lanes) * span - DUST
     for item, amount in amounts:
         left = amount
         while left > DUST:
-            if offset >= capacity - DUST:
+            if offset >= full:
                 break  # float dust beyond total capacity
-            lane = min(int((offset + DUST) // span), q - 1)
+            lane = int((offset + DUST) // span)
+            if lane > last:
+                lane = last
             pos = offset - lane * span
             room = span - pos
             if room <= DUST:
                 offset = (lane + 1) * span
                 continue
-            take = min(left, room)
-            segments.append(_record(Segment, (lanes[lane], item, start + pos, start + pos + take)))
+            take = room if room < left else left
+            begin = start + pos
+            segments.append(_record(Segment, (lanes[lane], item, begin, begin + take)))
             offset += take
             left -= take
     return segments
@@ -143,18 +156,20 @@ def lrpt_assign(
     m = len(machines)
     if m == 0 or end <= start + DUST:
         return [], None
-    rem = {j: v for j, v in volumes.items() if v > TOL}
+    # In id order, which a stable sort keeps among equal volumes.
+    rem = {j: volumes[j] for j in sorted(volumes) if volumes[j] > TOL}
     segments: list[Segment] = []
     cur = start
     while cur < end - DUST and rem:
-        # Group jobs by (tolerance-equal) remaining volume, largest first.
-        groups: list[list[int]] = []
-        for _, j in sorted([(-v, j) for j, v in rem.items()]):
-            if groups and abs(lead - rem[j]) <= TOL:
-                groups[-1].append(j)
+        # Group jobs by (tolerance-equal) remaining volume, largest first:
+        # each group's jobs and the volume of its first.
+        groups: list[tuple[list[int], float]] = []
+        for j, volume in sorted(rem.items(), key=_volume, reverse=True):
+            if groups and abs(lead - volume) <= TOL:
+                group.append(j)
             else:
-                lead = rem[j]
-                groups.append([j])
+                lead, group = volume, [j]
+                groups.append((group, lead))
         # Assign machines to groups greedily from the largest volume.  Next
         # event: window end, a running group exhausting, or a group catching
         # up with the one below it; groups past the first idle one neither
@@ -162,23 +177,25 @@ def lrpt_assign(
         delta = end - cur
         avail = m
         running: list[tuple[list[int], int, float]] = []
-        for g in groups:
-            q = min(avail, len(g))
+        for g, volume in groups:
+            size = len(g)
+            q = avail if avail < size else size
             avail -= q
-            rate = q / len(g)
-            volume = rem[g[0]]
-            if rate > 0:
-                delta = min(delta, volume / rate)
+            rate = q / size
+            if rate > 0 and (step := volume / rate) < delta:
+                delta = step
             if running:
                 gap = above - volume
                 closing = running[-1][2] - rate
-                if closing > SLOPE_TOL and gap > 0:
-                    delta = min(delta, gap / closing)
+                if closing > SLOPE_TOL and gap > 0 and (step := gap / closing) < delta:
+                    delta = step
             if q == 0:
                 break
             running.append((g, q, rate))
             above = volume
-        nxt = min(end, cur + delta)
+        nxt = cur + delta
+        if nxt > end:
+            nxt = end
         if nxt <= cur:
             raise InvariantError(f"LRPT sub-step of {delta} cannot advance t={cur} (float spacing)")
         span = nxt - cur
@@ -198,7 +215,7 @@ def lrpt_assign(
                     wrap_fill([(j, chunk) for j in sorted(g)], lanes, cur, span)
                 )
             for j in g:
-                left = rem[j] - rate * span
+                left = rem[j] - chunk
                 if left > TOL:
                     rem[j] = left
                 else:
@@ -209,8 +226,9 @@ def lrpt_assign(
     return segments, None
 
 
-def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
-    """Build the execution plan from time t for the active jobs.
+def generate_plan(jobs: Sequence[ActiveJob], t: float, m: int) -> PlanWindow:
+    """Build the execution plan from time t for the active jobs, given in
+    id order as the simulator keeps them.
 
     The latest deadline class whose mandatory volume involves at most m
     jobs is pre-allocated one job per machine; the window extends by the
@@ -223,11 +241,10 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     the last class is pre-allocated without a search, and otherwise a
     bisection finds it, each probe counting only until the count passes m.
     """
-    jobs = sorted(active)  # by id: records compare by their fields, id first
     if not jobs:
         return PlanWindow(t, float("inf"), ())
-    deadlines = sorted({j.deadline for j in jobs})
-    if deadlines[0] <= t + TOL and any(j.remaining > TOL for j in jobs):
+    deadlines = sorted(set(map(_deadline, jobs)))
+    if deadlines[0] <= t + TOL and any(remaining > TOL for _, remaining, _ in jobs):
         if not horn_feasible(jobs, t, m):
             raise InvariantError(f"plan requested for an infeasible active set at t={t}")
     if len(jobs) <= m:
@@ -236,12 +253,18 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
         # Each runs over [t, run) with run <= end, so none is clipped, and
         # all are kept while t < end - DUST, the test of the general path.
         d = deadlines[-1]
-        pre = [job for job in jobs if job.deadline - job.remaining < d and job.remaining > TOL]
-        run = t + min(job.remaining for job in pre) if pre else deadlines[0]
+        pre_ids: list[int] = []
+        least = math.inf
+        for job_id, remaining, deadline in jobs:
+            if deadline - remaining < d and remaining > TOL:
+                pre_ids.append(job_id)
+                if remaining < least:
+                    least = remaining
+        run = t + least if pre_ids else deadlines[0]
         end = max(run, t + DUST)
-        if not pre or t >= end - DUST:
+        if not pre_ids or t >= end - DUST:
             return _record(PlanWindow, (t, end, ()))
-        segments = tuple([_record(Segment, (machine, job.id, t, run)) for machine, job in enumerate(pre)])
+        segments = tuple([_record(Segment, (machine, job_id, t, run)) for machine, job_id in enumerate(pre_ids)])
         return _record(PlanWindow, (t, end, segments))
 
     # (id, latest start, remaining, deadline)
@@ -262,31 +285,37 @@ def generate_plan(active: Iterable[ActiveJob], t: float, m: int) -> PlanWindow:
     k = bisect_left(deadlines, True, key=crowded) - 1
     d = deadlines[k] if k >= 0 else -math.inf
     d_next = deadlines[k + 1] if k + 1 < len(deadlines) else -math.inf
-    # One scan: the contributors to class d are pre-allocated, and the other
+    # One scan: the contributors to class d are pre-allocated, the window
+    # extends by the least of their contributions, and the other
     # contributors to the next class get longest-remaining volumes.
-    pre_rows: list[tuple[int, float, float, float]] = []
+    pre_ids: list[int] = []
+    least = math.inf
     volumes: dict[int, float] = {}
-    for row in rows:
-        job_id, ls, rem, dl = row
-        if ls < d and (rem if d >= dl else d - ls) > TOL:
-            pre_rows.append(row)
+    for job_id, ls, rem, dl in rows:
+        if ls < d and (volume := rem if d >= dl else d - ls) > TOL:
+            pre_ids.append(job_id)
+            if volume < least:
+                least = volume
         elif ls < d_next and (volume := rem if d_next >= dl else d_next - ls) > TOL:
             volumes[job_id] = volume
-    end = t + min(rem if d >= dl else d - ls for _, ls, rem, dl in pre_rows) if pre_rows else deadlines[0]
-    segments = [_record(Segment, (machine, row[0], t, end)) for machine, row in enumerate(pre_rows)]
-    if k < len(deadlines) - 1 and len(pre_rows) < m:
-        segs, idle = lrpt_assign(volumes, list(range(len(pre_rows), m)), t, end)
+    end = t + least if pre_ids else deadlines[0]
+    segments = [_record(Segment, (machine, job_id, t, end)) for machine, job_id in enumerate(pre_ids)]
+    # The window's end drops the pieces that start at end - DUST or later
+    # and cuts those that run past it.  The pre-allocated pieces start at t
+    # and end by the window's first end, so only the longest-remaining
+    # pieces go through that filter, unless the window shrinks to an idle
+    # instant or is no longer than DUST.
+    clip: list[Segment] = []
+    if k < len(deadlines) - 1 and len(pre_ids) < m:
+        clip, idle = lrpt_assign(volumes, list(range(len(pre_ids), m)), t, end)
         if idle is not None:
-            end = idle
-        segments.extend(segs)
-
+            end, segments, clip = idle, [], segments + clip
     end = max(end, t + DUST)
-    clipped = tuple(
-        s if s.end <= end else _record(Segment, (s.machine, s.job, s.start, end))
-        for s in segments
-        if s.start < end - DUST
-    )
-    return _record(PlanWindow, (t, end, clipped))
+    cut = end - DUST
+    if t >= cut:
+        segments = []
+    segments.extend([s if s.end <= end else _record(Segment, (s.machine, s.job, s.start, end)) for s in clip if s.start < cut])
+    return _record(PlanWindow, (t, end, tuple(segments)))
 
 
 class PreemptiveSimulator:
@@ -348,8 +377,8 @@ class PreemptiveSimulator:
         self.live: list[tuple[int, float, float]] = []  # unfinished jobs only
         self.committed_work: dict[int, float] = {}  # unfinished jobs only
         self.schedule = Schedule(machines=machines)
-        # machine -> index in schedule.segments of its last committed segment
-        self._last_piece: dict[int, int] = {}
+        # machine -> index in schedule.segments of its last committed segment, or None
+        self._last_piece: list[int | None] = [None] * machines
         self.decisions = DecisionLog()
         # The plan for the current state, or None while it is pending: then
         # ``plan`` builds it at the clock from the live set of ``_instant``.
@@ -393,6 +422,7 @@ class PreemptiveSimulator:
 
     def submit(self, job: Job) -> bool:
         """Advance to the job's release and run the admission rule."""
+        check_job(job, self.epsilon)
         if job.release < self.clock - TOL:
             raise ValueError(f"job {job.id} released at {job.release} before clock {self.clock}")
         self.advance_to(job.release)
@@ -484,14 +514,14 @@ class PreemptiveSimulator:
                 if target < math.inf:
                     self.clock = target
                 break
-            step_end = min(target, plan.end)
+            step_end = plan.end if plan.end < target else target
             if step_end <= self.clock:
                 raise InvariantError(f"plan window ends at the clock t={self.clock} (float spacing)")
             self._commit_window(self.clock, step_end)
             self.clock = step_end
             if step_end >= plan.end - TOL:
                 self.event_times.append(self.clock)
-                self._settle(self.active_jobs(), None, True, window_end=True)
+                self._settle(self._drop_finished(), None, True, window_end=True)
 
     def finish(self) -> SimulationResult:
         """Run the remaining plan to completion and return the outcome."""
@@ -538,6 +568,22 @@ class PreemptiveSimulator:
                     self._decay_curve, self._decay_clock = curve, self.clock
         self._instant = (self.clock, active, curve, mandatory)
 
+    def _drop_finished(self) -> list[ActiveJob]:
+        """``active_jobs()`` at a window end, where the rows of finished jobs
+        leave the live table in the same pass."""
+        work = self.committed_work
+        active: list[ActiveJob] = []
+        live: list[tuple[int, float, float]] = []
+        for row in self.live:
+            job_id, processing, deadline = row
+            if (rem := processing - work[job_id]) > TOL:
+                active.append(_record(ActiveJob, (job_id, rem, deadline)))
+                live.append(row)
+            else:
+                del work[job_id]
+        self.live = live
+        return active
+
     def _commit_window(self, t0: float, t1: float) -> None:
         """Commit the plan's work inside [t0, t1).  A piece that continues
         the machine's last committed segment, same job and ending exactly
@@ -551,9 +597,9 @@ class PreemptiveSimulator:
             e = t1 if end > t1 else end
             if e <= s + DUST:
                 continue
-            i = last.get(machine)
-            if i is not None and segments[i].job == job and segments[i].end == s:
-                segments[i] = _record(Segment, (machine, job, segments[i].start, e))
+            i = last[machine]
+            if i is not None and (prev := segments[i])[1] == job and prev[3] == s:
+                segments[i] = _record(Segment, (machine, job, prev[2], e))
             else:
                 last[machine] = len(segments)
                 segments.append(seg if s == start and e == end else _record(Segment, (machine, job, s, e)))

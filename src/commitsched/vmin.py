@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import TOL, check_policy_args, ordered_sum, rho
+from .model import TOL, check_policy_args, rho
 
 
 class ActiveJob(NamedTuple):
@@ -47,7 +47,15 @@ def v_min(active: Iterable[ActiveJob], t: float, tau: float) -> float:
     """
     if tau < t - TOL:
         raise ValueError(f"tau={tau} precedes t={t}")
-    return ordered_sum(contribution(j.remaining, j.deadline, tau) for j in active)
+    # ``ordered_sum`` of ``contribution`` over the jobs, inline: a job with
+    # none would add 0.0, which leaves a sum that starts at 0.0 unchanged.
+    total = 0.0
+    for _, remaining, deadline in active:
+        latest_start = deadline - remaining
+        if latest_start >= tau:
+            continue
+        total += remaining if tau >= deadline else tau - latest_start
+    return total
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,7 @@ def _sweep(
     is still growing.
     """
     deltas: dict[float, int] = {}
+    get = deltas.get
     base = 0.0
     for _, remaining, deadline in active:
         # contribution(remaining, deadline, t), and its clipped breakpoints
@@ -94,24 +103,25 @@ def _sweep(
             lo = latest_start
         hi = deadline if deadline > t else t
         if hi > lo:
-            deltas[lo] = deltas.get(lo, 0) + 1
-            deltas[hi] = deltas.get(hi, 0) - 1
+            deltas[lo] = get(lo, 0) + 1
+            deltas[hi] = get(hi, 0) - 1
     # Every point is >= t and dict keys are distinct, so the sorted keys
-    # are strictly increasing, and the first breakpoint is t.
+    # are strictly increasing, and the first breakpoint is t (or a job's
+    # point equal to it, which the dict keeps).
+    deltas.setdefault(t, 0)
     breakpoints = sorted(deltas)
-    if not breakpoints or breakpoints[0] > t:
-        breakpoints.insert(0, t)
     values: list[float] = []
     slopes: list[float] = []
-    # At t the step adds 0 * 0.0 and the capacity is TOL.
-    value, running, prev = base, 0, t
+    # At t the step adds 0.0 * 0.0 and the capacity is TOL.  The slope is
+    # counted in a float: the counts are small integers, which add exactly.
+    value, running, prev = base, 0.0, t
     for bp in breakpoints:
         value += running * (bp - prev)
         if m is not None and value > (bp - t) * m + TOL:
             return None
         values.append(value)
-        running += deltas.get(bp, 0)
-        slopes.append(float(running))
+        running += deltas[bp]
+        slopes.append(running)
         prev = bp
     return breakpoints, values, slopes
 

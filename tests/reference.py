@@ -8,7 +8,7 @@ from functools import reduce
 from operator import add
 
 from commitsched.model import (
-    CHECK_SLACK, DUST, TOL, DecisionLog, DecisionRecord, InvariantError, Schedule, Segment, SimulationResult, ordered_sum
+    CHECK_SLACK, DUST, TOL, DecisionLog, DecisionRecord, InvariantError, Schedule, Segment, SimulationResult, check_job, ordered_sum
 )
 from commitsched.preemptive import PlanWindow, lrpt_assign, solve_dmin
 from commitsched.vmin import ActiveJob, contribution, f_threshold, horn_feasible, v_min, v_min_curve, v_shape_corners, v_shape_curve
@@ -143,6 +143,7 @@ class ReferenceSimulator:
         return Schedule(self.machines, segments)
 
     def submit(self, job):
+        check_job(job, self.epsilon)
         if job.release < self.clock - TOL:
             raise ValueError(f"job {job.id} released at {job.release} before clock {self.clock}")
         self.advance_to(job.release)

@@ -10,7 +10,7 @@ from commitsched import policy as policy_module
 from commitsched.adversary import replay_nonpreemptive, replay_preemptive
 from commitsched.cli import build_parser
 from commitsched.harness import ExperimentConfig, bound_for_algorithm, random_instance, run, theoretical_bounds
-from commitsched.model import ASSERT_LEVELS, TOL, Instance, Job, check_policy_args, drive
+from commitsched.model import ASSERT_LEVELS, TOL, Instance, Job, check_policy_args, drive, validate_instance
 from commitsched.nonpreemptive import (
     GreedyAllocator,
     NonpreemptiveResult,
@@ -84,6 +84,28 @@ def test_an_arrival_exactly_tol_after_the_clock_is_decided(algorithm):
     assert getattr(policy, "clock", 1e-9) == (0.0 if ALGORITHM_TABLE[algorithm].preemptive else 1e-9)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize(
+    "job, kind",
+    [
+        (Job(0, math.nan, 1.0, 3.0), "finite"),
+        (Job(0, 0.0, math.nan, 3.0), "finite"),
+        (Job(0, 0.0, -1.0, 3.0), "positivity"),
+        (Job(0, 0.0, 1.0, 1.2), "slack"),
+    ],
+    ids=["nan-release", "nan-processing", "negative-processing", "slack-breach"],
+)
+def test_submit_rejects_what_validate_instance_rejects(algorithm, job, kind):
+    # Every submit runs the per-job rules of validate_instance and decides nothing on a breach.
+    assert [v.kind for v in validate_instance(Instance(0.5, 2, (job,)))] == [kind]
+    policy = make_policy(algorithm, 1 if algorithm == "alg3-randomized" else 2, 0.5)
+    with pytest.raises(ValueError, match=f"invalid job: job 0: {kind}"):
+        policy.submit(job)
+    assert len(policy.decisions) == 0
+    # The policy still takes a valid job afterwards.
+    assert policy.submit(Job(1, 0.0, 1.0, 3.0))
+
+
 def test_drive_validates_the_instance():
     inst = Instance(epsilon=1.0, machines=1, jobs=(Job(0, 0.0, 1.0, 1.5),))
     with pytest.raises(ValueError, match="invalid instance"):
@@ -95,15 +117,14 @@ def test_unknown_algorithm_rejected():
         make_policy("nope", 1, 1.0)
 
 
-#: Each policy class, built from (machines, epsilon); the greedy allocator
-#: takes no epsilon.
+#: Each policy class, built from (machines, epsilon).
 _CONSTRUCTORS = {
     "PreemptiveSimulator-lazy": lambda m, eps: PreemptiveSimulator(m, eps, policy="lazy"),
     "PreemptiveSimulator-greedy": lambda m, eps: PreemptiveSimulator(m, eps, policy="greedy"),
     "NonpreemptiveSimulator": NonpreemptiveSimulator,
     "PartitionedAllocator": PartitionedAllocator,
     "RandomizedAllocator": lambda m, eps: RandomizedAllocator(m, eps, 0),
-    "GreedyAllocator": lambda m, eps: GreedyAllocator(m),
+    "GreedyAllocator": lambda m, eps: GreedyAllocator(m, eps),
 }
 
 
@@ -114,10 +135,9 @@ def test_policy_constructors_reject_bad_machines_and_epsilon(name):
     for m in (0, -1, 2.5, True, "2"):
         with pytest.raises(ValueError, match="machines"):
             build(m, 0.5)
-    if name != "GreedyAllocator":
-        for eps in (math.nan, math.inf, -math.inf, 0.0, -0.5):
-            with pytest.raises(ValueError, match="epsilon"):
-                build(1, eps)
+    for eps in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            build(1, eps)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -465,7 +466,8 @@ def test_generate_plan_equals_class_scan_by_repr(seed):
             above += n > m
             t = rng.choice([0.0, 2.5, 1024.25])
             active = random_plan_input(rng, n, t)
-            got = _plan_or_error(active, t, m, generate_plan)
+            # The generator takes the jobs in id order, the reference in any.
+            got = _plan_or_error(sorted(active), t, m, generate_plan)
             assert got == _plan_or_error(active, t, m, reference_generate_plan)
     assert below > 100 and above > 100
 
@@ -504,10 +506,10 @@ def test_generate_plan_drops_what_the_references_drop_at_a_shift_of_2_24(seed):
     for _ in range(100):
         m = rng.choice([1, 2, 3, 4, 8])
         active = rounded_away_input(rng, random_plan_size(rng, m), t)
-        got = _plan_or_error(active, t, m, generate_plan)
+        got = _plan_or_error(sorted(active), t, m, generate_plan)
         assert got == _plan_or_error(active, t, m, reference_generate_plan)
         if not got.startswith("InvariantError"):
-            planned = {s.job for s in generate_plan(active, t, m).segments}
+            planned = {s.job for s in generate_plan(sorted(active), t, m).segments}
             rounded = [j for j in active if j.deadline - j.remaining == j.deadline and j.remaining > TOL]
             dropped[len(active) > m] += any(j.id not in planned for j in rounded)
     # Both paths met sets that lose such a job.
@@ -889,6 +891,9 @@ class SideBySide(RuleBasedStateMachine):
             self.scheduled_at = self.sim.clock
         # The simulator's table holds its unfinished jobs in id order.
         assert [row[0] for row in self.sim.live] == sorted(self.sim.committed_work)
+        # Each machine's last committed segment, where a continuing piece extends it.
+        last = {seg.machine: i for i, seg in enumerate(self.sim.schedule.segments)}
+        assert self.sim._last_piece == [last.get(machine) for machine in range(self.sim.machines)]
         # What it keeps for the next arrival at this instant, the reference
         # builds afresh.
         instant, active, curve, total = self.sim._instant
@@ -934,6 +939,57 @@ def test_the_bursts_step_by_step(key):
     machine.same_state()
 
 
+def random_live_table(rng):
+    """Live rows in id order and the work committed to each: remainders of
+    exactly TOL (only jobs under 2^-28 land there), a few float spacings
+    either side of it, none or slightly below none, or plenty."""
+    rows, work = [], {}
+    for job_id in sorted(rng.sample(range(60), rng.randint(0, 12))):
+        kind = rng.random()
+        if kind < 0.2:
+            processing, done = 2.5e-9, 1.5e-9  # exactly TOL left
+        elif kind < 0.4:
+            processing = rng.choice([1.0, 3.0, rng.uniform(0.01, 5.0)])
+            done = processing - TOL + rng.randint(-3, 3) * math.ulp(processing)
+        elif kind < 0.5:
+            processing = rng.uniform(0.01, 5.0)
+            done = processing + rng.choice([0.0, math.ulp(processing)])
+        else:
+            processing = rng.uniform(0.01, 5.0)
+            done = rng.uniform(0.0, processing)
+        rows.append((job_id, processing, rng.uniform(1.0, 30.0)))
+        work[job_id] = done
+    return rows, work
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_window_end_leaves_what_active_jobs_and_the_prune_left(seed):
+    # A window end reads the live rows once: the remainders and the prune of
+    # finished rows.  Before, it called active_jobs() and then, when the set
+    # had shrunk, rebuilt the work dict and the live list from it.
+    rng = random.Random(500 + seed)
+    seen = Counter()
+    for _ in range(300):
+        rows, work = random_live_table(rng)
+        one, two = PreemptiveSimulator(2, 0.5), PreemptiveSimulator(2, 0.5)
+        for sim in (one, two):
+            sim.live, sim.committed_work = list(rows), dict(work)
+        got = one._drop_finished()
+        active = two.active_jobs()
+        if len(active) < len(two.live):
+            two.committed_work = {job.id: two.committed_work[job.id] for job in active}
+            two.live = [row for row in two.live if row[0] in two.committed_work]
+        assert (repr(got), repr(one.live)) == (repr(active), repr(two.live))
+        assert one.committed_work == two.committed_work
+        remainders = [processing - work[job_id] for job_id, processing, _ in rows]
+        seen["exactly TOL"] += TOL in remainders
+        seen["just above TOL"] += any(TOL < x < 2 * TOL for x in remainders)
+        seen["just below TOL"] += any(0 < x < TOL for x in remainders)
+        seen["dropped"] += len(active) < len(rows)
+        seen["none dropped"] += len(active) == len(rows)
+    assert min(seen.values()) > 20, seen
+
+
 class TestLiveState:
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_committed_work_holds_only_live_jobs(self, policy):
@@ -950,6 +1006,34 @@ class TestLiveState:
         assert largest <= 32
         assert sim.committed_work == {}
         assert result.accepted_volume == sum(inst.jobs[j].processing for j in result.decisions.accepted_ids())
+
+    @pytest.mark.parametrize(
+        "policy, plans, window_ends", [("lazy", 4086, 2154), ("greedy", 4314, 2316)]
+    )
+    def test_the_stream_pins_plans_window_ends_and_live_set_reads(self, monkeypatch, policy, plans, window_ends):
+        # A seeded stream with no two arrivals at one instant: every arrival
+        # reads the live set with active_jobs(), a window end reads it in its
+        # own pass, and advance_to calls active_jobs() only to check an empty
+        # plan, 4 times here.  Before the one-pass window end, advance_to
+        # called it at every window end as well.
+        counts = counted_plans(monkeypatch)
+        count_window_ends(monkeypatch, counts)
+        active_jobs = PreemptiveSimulator.active_jobs
+
+        def counted_active_jobs(sim):
+            counts["active_jobs", sys._getframe(1).f_code.co_name] += 1
+            return active_jobs(sim)
+
+        monkeypatch.setattr(PreemptiveSimulator, "active_jobs", counted_active_jobs)
+        inst = random_instance(2000, 8, 0.5, seed=1, release_span=1000)
+        assert len({job.release for job in inst.jobs}) == len(inst)
+        drive(PreemptiveSimulator(8, 0.5, 0, policy), inst)
+        assert counts == {
+            "plans": plans,
+            "window ends": window_ends,
+            ("active_jobs", "on_arrival"): len(inst),
+            ("active_jobs", "advance_to"): 4,
+        }
 
     @pytest.mark.parametrize("policy", ["lazy", "greedy"])
     def test_a_remainder_of_exactly_tol_is_not_live(self, policy):
