@@ -54,7 +54,6 @@ from .adversary import (
     solve_c_lower,
     strengthened_preemptive_bound,
 )
-from .oracle import flow_feasible, max_prefix_work, opt_nonpreemptive, opt_preemptive
 from .harness import (
     ExperimentConfig,
     RatioRow,

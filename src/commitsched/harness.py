@@ -38,12 +38,6 @@ from .model import (
     volume_ratio,
 )
 from .nonpreemptive import committed_schedule, partition_group_size, randomized_virtual_machines
-from .oracle import (
-    MAX_NONPREEMPTIVE_JOBS,
-    MAX_PREEMPTIVE_JOBS,
-    opt_nonpreemptive,
-    opt_preemptive,
-)
 from .policy import ALGORITHM_TABLE, ALGORITHMS, make_policy
 
 
@@ -174,11 +168,14 @@ CSV_COLUMNS = [f.name for f in fields(RatioRow)]
 
 def oracle_job_limit(algorithm: str) -> int:
     """Most jobs the exact oracle of ``algorithm``'s family enumerates."""
+    from .oracle import MAX_NONPREEMPTIVE_JOBS, MAX_PREEMPTIVE_JOBS
     return MAX_PREEMPTIVE_JOBS if ALGORITHM_TABLE[algorithm].preemptive else MAX_NONPREEMPTIVE_JOBS
 
 
 def _oracle_volume(algorithm: str, instance: Instance) -> float | None:
-    # Both oracles return None above their enumeration limit.
+    # Only a run that asks for optima imports the oracle, the one module that
+    # loads NumPy.  Both oracles return None above their enumeration limit.
+    from .oracle import opt_nonpreemptive, opt_preemptive
     return (opt_preemptive if ALGORITHM_TABLE[algorithm].preemptive else opt_nonpreemptive)(instance)
 
 

@@ -71,7 +71,11 @@ def check_policy_args(machines: int, epsilon: float | None = None, assert_level:
     if not 0.0 < epsilon < inf:
         raise ValueError(f"epsilon={epsilon} must be finite and > 0")
     ratio = rho(epsilon)
-    if not (ratio < inf and ratio ** (1.0 / machines) > 1.0):
+    try:
+        root = ratio ** (1.0 / machines)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(f"machines has {machines.bit_length()} bits, beyond float range") from None
+    if not (ratio < inf and root > 1.0):
         raise ValueError(
             f"epsilon={epsilon} is out of float range for m={machines}: "
             f"(1+eps)/eps = {ratio} must be finite with an m-th root > 1"
@@ -102,10 +106,6 @@ class Job:
     release: float
     processing: float
     deadline: float
-
-    @property
-    def window(self) -> float:
-        return self.deadline - self.release
 
 
 @dataclass(frozen=True)
@@ -480,4 +480,7 @@ def _json_int(value: object, what: str) -> int:
 def _json_float(value: object, what: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(f"{what} is beyond float range") from None

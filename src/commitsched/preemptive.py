@@ -80,7 +80,7 @@ def solve_dmin(curve: PiecewiseLinear, f: float, v_delta: float, r: float) -> fl
     are scanned from the largest breakpoint downward and the per-segment
     linear equation is solved in closed form.
     """
-    bps, vals, slopes = curve.breakpoints, curve.values, curve.slopes
+    bps, vals, slopes = curve
     rf = r * f
     b = math.inf  # the right end of the segment [a, b)
     for a, v_a, s in zip(reversed(bps), reversed(vals), reversed(slopes)):
@@ -464,7 +464,7 @@ class PreemptiveSimulator:
             candidate = active + [_record(ActiveJob, row)]
             if curve is None and burst:
                 curve = v_min_curve(active, r)
-            grown = None if curve is None else extend_curve(curve, job.processing, job.deadline, r)
+            grown = None if curve is None else extend_curve(curve, job.processing, job.deadline)
             threshold = None
             accept = horn_feasible(candidate, self.clock, self.machines, grown)
         self.decisions.add(DecisionRecord(job.id, accept, r, threshold))
@@ -483,7 +483,7 @@ class PreemptiveSimulator:
                 if self.policy == "greedy":
                     curve = grown
                 elif curve is not None:
-                    curve = extend_curve(curve, job.processing, job.deadline, r)
+                    curve = extend_curve(curve, job.processing, job.deadline)
             if self.policy == "lazy":
                 if curve is None:
                     curve = v_min_curve(active, r)
@@ -635,7 +635,7 @@ class PreemptiveSimulator:
         if d_eff > t + TOL:
             span, shape = d_eff - t, self._shape
             stretched = [t + x * span for x in shape.breakpoints], [span * v for v in shape.values], shape.slopes
-            for tau, value, bound in _pointwise((bps, values, curve.slopes), stretched, -math.inf, d_eff):
+            for tau, value, bound in _pointwise(curve, stretched, -math.inf, d_eff):
                 if value > bound + CHECK_SLACK:
                     raise InvariantError(f"shape envelope breached at tau={tau}, t={t}: {value} > {bound}")
         return curve
@@ -648,16 +648,13 @@ class PreemptiveSimulator:
         t_old, t_new = self._decay_clock, self.clock
         if t_new <= t_old + TOL:
             return
-        old = self._decay_curve
-        for tau, value, ref in _pointwise(
-            (now.breakpoints, now.values, now.slopes), (old.breakpoints, old.values, old.slopes), t_new + TOL, math.inf
-        ):
+        for tau, value, ref in _pointwise(now, self._decay_curve, t_new + TOL, math.inf):
             allowed = (tau - t_new) / (tau - t_old) * ref
             if value > allowed + CHECK_SLACK:
                 raise InvariantError(f"volume decay violated at tau={tau}: {value} > {allowed}")
 
 
-#: A curve as (breakpoints, values, slopes): the fields of a ``PiecewiseLinear``.
+#: A curve as (breakpoints, values, slopes), as a ``PiecewiseLinear`` holds it.
 Curve = tuple[Sequence[float], Sequence[float], Sequence[float]]
 
 

@@ -10,7 +10,6 @@ exact breakpoint reasoning possible throughout the package.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .model import TOL, check_policy_args, rho
@@ -58,23 +57,21 @@ def v_min(active: Iterable[ActiveJob], t: float, tau: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous nondecreasing piecewise-linear curve on [start, inf).
+class PiecewiseLinear(NamedTuple):
+    """Continuous nondecreasing piecewise-linear curve on [breakpoints[0], inf).
 
-    ``breakpoints[0] == start``; ``slopes[i]`` applies on
-    [breakpoints[i], breakpoints[i+1]), and ``slopes[-1]`` beyond the last
-    breakpoint.  ``values[i]`` is the curve value at ``breakpoints[i]``.
+    ``slopes[i]`` applies on [breakpoints[i], breakpoints[i+1]), and
+    ``slopes[-1]`` beyond the last breakpoint.  ``values[i]`` is the curve
+    value at ``breakpoints[i]``.  A named tuple, so a walk unpacks it.
     """
 
-    start: float
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     slopes: tuple[float, ...]
 
     def value(self, tau: float) -> float:
-        if tau < self.start - TOL:
-            raise ValueError(f"tau={tau} precedes curve start {self.start}")
+        if tau < self.breakpoints[0] - TOL:
+            raise ValueError(f"tau={tau} precedes curve start {self.breakpoints[0]}")
         i = max(bisect_right(self.breakpoints, tau) - 1, 0)
         return self.values[i] + self.slopes[i] * (tau - self.breakpoints[i])
 
@@ -129,12 +126,13 @@ def _sweep(
 def v_min_curve(active: Iterable[ActiveJob], t: float) -> PiecewiseLinear:
     """Exact curve of tau -> v_min(active, t, tau) for tau >= t."""
     breakpoints, values, slopes = _sweep(active, t)
-    return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
+    return PiecewiseLinear(tuple(breakpoints), tuple(values), tuple(slopes))
 
 
-def extend_curve(curve: PiecewiseLinear, remaining: float, deadline: float, t: float) -> PiecewiseLinear | None:
+def extend_curve(curve: PiecewiseLinear, remaining: float, deadline: float) -> PiecewiseLinear | None:
     """``v_min_curve(active + [job], t)`` from ``curve == v_min_curve(active,
-    t)``, bit for bit, or None when the job has mandatory volume at t.
+    t)``, t being the curve's first breakpoint, bit for bit, or None when the
+    job has mandatory volume at t.
 
     Such a job adds nothing to the curve's value at t, so the sweep's
     result does not depend on where it sits among the jobs.  Its latest
@@ -142,12 +140,12 @@ def extend_curve(curve: PiecewiseLinear, remaining: float, deadline: float, t: f
     first of them is copied, and from there on values and slopes are
     recomputed with the sweep's float operations.
     """
+    bps, values, slopes = curve
     lo = deadline - remaining
-    if lo < t:
+    if lo < bps[0]:
         return None
     if deadline <= lo:  # no breakpoint, as in the sweep
         return curve
-    bps, values, slopes = curve.breakpoints, curve.values, curve.slopes
     k = bisect_left(bps, lo)
     tail = list(bps[k:])
     if not tail or tail[0] != lo:
@@ -168,10 +166,10 @@ def extend_curve(curve: PiecewiseLinear, remaining: float, deadline: float, t: f
         new_bps.append(bp)
         new_values.append(value)
         new_slopes.append(slopes[i] + 1.0 if bp < deadline else slopes[i])
-    return PiecewiseLinear(t, tuple(new_bps), tuple(new_values), tuple(new_slopes))
+    return PiecewiseLinear(tuple(new_bps), tuple(new_values), tuple(new_slopes))
 
 
-def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: PiecewiseLinear | None = None) -> bool:
+def horn_feasible(active: list[ActiveJob], t: float, m: int, curve: PiecewiseLinear | None = None) -> bool:
     """Whether a valid preemptive schedule of the active jobs exists from t.
 
     Requires every job to fit its own window (deadline >= t + remaining)
@@ -180,15 +178,13 @@ def horn_feasible(active: Iterable[ActiveJob], t: float, m: int, curve: Piecewis
     linear, so checking at breakpoints is exact.  ``curve``, when given,
     must equal ``v_min_curve(active, t)`` bit for bit, and the verdict is
     then the sweep's; otherwise no curve is built, and the breakpoint sweep
-    stops at the first breach.  A list of jobs is read in place, not
-    copied; any other iterable is copied once, as it is read twice.
+    stops at the first breach.
     """
-    jobs = active if isinstance(active, list) else list(active)
-    for _, remaining, deadline in jobs:
+    for _, remaining, deadline in active:
         if deadline < t + remaining - TOL:
             return False
     if curve is None:
-        return _sweep(jobs, t, m) is not None
+        return _sweep(active, t, m) is not None
     for bp, val in zip(curve.breakpoints, curve.values):
         if val > (bp - t) * m + TOL:
             return False
@@ -216,7 +212,7 @@ def v_shape_curve(m: int, epsilon: float) -> PiecewiseLinear:
     values = [0.0]
     for a, b, slope in zip(breakpoints, breakpoints[1:], slopes):
         values.append(values[-1] + slope * (b - a))
-    return PiecewiseLinear(0.0, tuple(breakpoints), tuple(values), tuple(slopes))
+    return PiecewiseLinear(tuple(breakpoints), tuple(values), tuple(slopes))
 
 
 def v_shape_corners(m: int, epsilon: float) -> list[float]:

@@ -10,15 +10,10 @@ from commitsched.model import Instance, Job
 
 #: The first lines of a script run by a bare interpreter: argv[1:3] hold the
 #: package's parent directory and the tests directory.  Only the oracle uses
-#: NumPy, and no pinned run reaches it, so a stub stands in for it where the
-#: interpreter has none.
+#: NumPy, and no pinned run imports it.
 BARE_PRELUDE = """
-import hashlib, json, sys, types
+import hashlib, json, sys
 sys.path[:0] = sys.argv[1:3]
-try:
-    import numpy
-except ImportError:
-    sys.modules["numpy"] = types.ModuleType("numpy")
 """
 
 
@@ -77,6 +72,30 @@ def run_trail(sim, jobs):
     states = [(sim.submit(job), sim.d_min, sim.v_delta) for job in jobs]
     res = sim.finish()
     return repr((states, list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))
+
+
+def result_trail(result):
+    """A preemptive result's decision records, schedule segments, accepted
+    volume and event times."""
+    return list(result.decisions), result.schedule.segments, result.accepted_volume, result.event_times
+
+
+def recorded_trail(key, level, simulator=None, widest=None):
+    """``repr`` of ``result_trail`` for a key (m, epsilon, n, release_span,
+    seed, policy): ``random_instance`` submitted job by job to ``simulator``
+    (``PreemptiveSimulator`` by default) at one assert level.  ``widest``, if
+    given, is a dict whose entry for m is raised to the largest live set the
+    run met after a submit."""
+    from commitsched.harness import random_instance
+    from commitsched.preemptive import PreemptiveSimulator
+
+    m, eps, n, span, seed, policy = key
+    sim = (simulator or PreemptiveSimulator)(m, eps, level, policy)
+    for job in random_instance(n, m, eps, seed=seed, release_span=span).jobs:
+        sim.submit(job)
+        if widest is not None:
+            widest[m] = max(widest.get(m, 0), len(sim.active_jobs()))
+    return repr(result_trail(sim.finish()))
 
 
 def burst_jobs(key):

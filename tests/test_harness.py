@@ -474,6 +474,24 @@ class TestCli:
         assert "must be a JSON number" in captured.err
         assert "ok" not in captured.out
 
+    @pytest.mark.parametrize("command", [["verify"], ["run", "--alg", "alg1+2", "--out", "out"]], ids=["verify", "run"])
+    @pytest.mark.parametrize(
+        "header, job",
+        [
+            (f'{{"epsilon": 0.5, "machines": {10**400}}}', '{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}'),
+            (f'{{"epsilon": {10**400}, "machines": 1}}', '{"id": 0, "r": 0.0, "p": 1.0, "d": 4.0}'),
+            ('{"epsilon": 0.5, "machines": 1}', f'{{"id": 0, "r": 0.0, "p": 1.0, "d": {10**400}}}'),
+        ],
+        ids=["machines", "epsilon", "d"],
+    )
+    def test_file_integers_beyond_float_range_are_input_errors(self, command, header, job, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.jsonl").write_text(header + "\n" + job + "\n")
+        assert main([*command, "--instance-file", "huge.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert "beyond float range" in captured.err and captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["huge.jsonl"]
+
     def test_verify_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"epsilon": 1.0, "machines": 1}\n{"id": 0, "r": 0.0, "p": 1.0, "d": 1.5}\n')
@@ -552,6 +570,10 @@ class TestCli:
             "run --alg alg3 --n 3 --count -2",
             "bounds --max-m 0 --out out",
             "bounds --max-m -1 --out out",
+            # A machine count beyond float range, where 1.0 / m overflows in the slack gate.
+            pytest.param(f"bounds --m {10**400} --epsilon 0.5", id="bounds --m 10**400 --epsilon 0.5"),
+            pytest.param(f"run --alg alg3 --n 3 --m {10**400}", id="run --alg alg3 --n 3 --m 10**400"),
+            pytest.param(f"adversary --alg alg1+2 --m {10**400} --epsilon 0.5", id="adversary --alg alg1+2 --m 10**400 --epsilon 0.5"),
         ],
     )
     def test_bad_parameters_are_input_errors(self, argv, tmp_path, monkeypatch, capsys):

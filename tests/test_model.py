@@ -154,6 +154,11 @@ class TestPolicyArgs:
     def test_accepts_a_slack_factor_in_float_range(self, machines, epsilon):
         check_policy_args(machines, epsilon)
 
+    def test_rejects_a_machine_count_beyond_float_range(self):
+        # 1.0 / machines overflows for such a count.
+        with pytest.raises(ValueError, match="machines has 1329 bits, beyond float range"):
+            check_policy_args(10**400, 0.5)
+
 
 class TestInstanceIO:
     def test_roundtrip(self, tmp_path):
@@ -223,6 +228,17 @@ class TestInstanceIO:
         path = tmp_path / "values.jsonl"
         path.write_text(f'{{"epsilon": {epsilon}, "machines": 1}}\n{{"id": 0, {job}}}\n')
         with pytest.raises(ValueError, match=f"{where} must be a JSON number"):
+            read_instance(str(path))
+
+    @pytest.mark.parametrize("header, job, where", [
+        (f"{10**400}", '"r": 0, "p": 1, "d": 4', "line 1: epsilon"),
+        ("1.0", f'"r": 0, "p": 1, "d": {10**400}', "line 2: d"),
+    ], ids=["epsilon", "d"])
+    def test_rejects_integers_beyond_float_range(self, tmp_path, header, job, where):
+        # float() overflows on them.
+        path = tmp_path / "huge.jsonl"
+        path.write_text(f'{{"epsilon": {header}, "machines": 1}}\n{{"id": 0, {job}}}\n')
+        with pytest.raises(ValueError, match=f"{where} is beyond float range"):
             read_instance(str(path))
 
     def test_integer_values_load_as_floats(self, tmp_path):

@@ -2,6 +2,8 @@ import ast
 import io
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,41 @@ def test_library_names_without_a_caller_in_src_are_listed():
                 loaded.add(node.attr)
     unreferenced = {f"{module}.{name}" for module, name in defined if name not in loaded}
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+#: Methods and properties of classes in ``src/`` that no attribute access
+#: there reads, each with the reason it stays.
+UNREAD_MEMBERS = {
+    "model.DecisionLog.accepted_ids": "results API: the tests read a run's accepted ids through it",
+}
+
+
+def test_class_members_without_a_reader_in_src_are_listed():
+    # Every method or property of a class in src/, dunders aside, whose name
+    # no attribute access in src/ reads: a member that outlives its callers
+    # fails here, which the module-level scan above cannot see.
+    defined, read = set(), set()
+    for path in sorted(Path(policy_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+                defined.update((path.stem, node.name, name) for name in members if not name.startswith("__"))
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = {".".join(member) for member in defined if member[2] not in read}
+    assert sorted(unread) == sorted(UNREAD_MEMBERS)
+
+
+def test_only_an_oracle_run_loads_numpy():
+    # The simulators, the stress games, the harness and the CLI run without
+    # NumPy; only commitsched.oracle imports it, when a run asks for optima.
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import commitsched, commitsched.harness, commitsched.cli; "
+        "print(sorted(name for name in sys.modules if name == 'commitsched.oracle' or name.split('.')[0] == 'numpy'))"
+    )
+    root = str(Path(policy_module.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", script, root], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
 
 
 def _src_nodes_by_scope():

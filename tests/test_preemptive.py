@@ -21,6 +21,7 @@ from commitsched import preemptive, vmin
 from commitsched.adversary import replay_preemptive
 from commitsched.harness import random_instance
 from commitsched.model import (
+    CHECK_SLACK,
     DUST,
     SLOPE_TOL,
     TOL,
@@ -58,6 +59,8 @@ from helpers import (
     make_instance,
     other_interpreters,
     random_instance_local,
+    recorded_trail,
+    result_trail,
     run_trail,
     scaled,
     time_shifted,
@@ -618,9 +621,10 @@ class TestSimulate:
         assert all(b >= a - 1e-9 for a, b in zip(thresholds, thresholds[1:]))
 
 
-#: sha256 of ``repr`` of (decision records, schedule segments, accepted
-#: volume, event times) per (m, epsilon, n, release_span, seed, policy),
-#: recorded with the frozen-dataclass records that preceded the named tuples.
+#: sha256 of ``helpers.recorded_trail`` per (m, epsilon, n, release_span,
+#: seed, policy): ``repr`` of (decision records, schedule segments, accepted
+#: volume, event times), recorded with the frozen-dataclass records that
+#: preceded the named tuples.
 RECORDED_DIGESTS = {
     (1, 0.5, 40, 20.0, 1, "lazy"): "17d07ce4abe50e7d5d17bbc3fab844d86bc9047490ca551459bde898fd0f1995",
     (1, 0.5, 40, 20.0, 1, "greedy"): "8b4f3cc642344f9057957d031aa6c465f4299cb3c1dfaf8fa752dafff33fccb0",
@@ -637,11 +641,6 @@ RECORDED_DIGESTS = {
 }
 
 
-def _trail(result):
-    """A simulation result's decisions, segments, accepted volume and event times."""
-    return list(result.decisions), result.schedule.segments, result.accepted_volume, result.event_times
-
-
 #: Both pins hold for the simulator and for the reference.
 SIMULATORS = pytest.mark.parametrize("simulator", [PreemptiveSimulator, ReferenceSimulator], ids=["simulator", "reference"])
 
@@ -651,16 +650,11 @@ def test_outputs_match_the_recorded_digests(simulator):
     """Every run at assert levels 0-2 repeats the recorded outputs bit for
     bit: a moved segment, threshold or event time changes the digest, where
     the benchmark fingerprints see only accept bits and a rounded volume."""
-    widest = Counter()
-    for (m, eps, n, span, seed, policy), digest in RECORDED_DIGESTS.items():
-        inst = random_instance(n, m, eps, seed=seed, release_span=span)
+    widest = {}
+    for key, digest in RECORDED_DIGESTS.items():
         for level in (0, 1, 2):
-            sim = simulator(m, eps, level, policy)
-            for job in inst.jobs:
-                sim.submit(job)
-                widest[m] = max(widest[m], len(sim.active_jobs()))
-            text = repr(_trail(sim.finish()))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, eps, n, span, seed, policy, level)
+            text = recorded_trail(key, level, simulator, widest)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (key, level)
     # Each machine count met a live set larger than itself.
     assert all(widest[m] > m for m in (1, 3, 8))
 
@@ -711,19 +705,10 @@ def test_burst_outputs_match_the_recorded_digests(simulator):
 #: keys (run at assert level 0) and the ``BURST_DIGESTS`` keys (run at levels
 #: 0-2) as JSON.
 DIGEST_SCRIPT = BARE_PRELUDE + """
-from commitsched.harness import random_instance
-from commitsched.preemptive import PreemptiveSimulator
-from helpers import burst_trail
+from helpers import burst_trail, recorded_trail
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
-digests = []
-for m, eps, n, span, seed, policy in json.loads(sys.argv[3]):
-    inst = random_instance(n, m, eps, seed=seed, release_span=span)
-    sim = PreemptiveSimulator(m, eps, 0, policy)
-    for job in inst.jobs:
-        sim.submit(job)
-    res = sim.finish()
-    digests.append(digest(repr((list(res.decisions), res.schedule.segments, res.accepted_volume, res.event_times))))
+digests = [digest(recorded_trail(tuple(key), 0)) for key in json.loads(sys.argv[3])]
 for key in json.loads(sys.argv[4]):
     digests += [digest(burst_trail(tuple(key), level)) for level in (0, 1, 2)]
 print(json.dumps(digests))
@@ -845,23 +830,41 @@ class SideBySide(RuleBasedStateMachine):
 
     @rule()
     def finish(self):
-        self.both(lambda side: _trail(side.finish()))
+        self.both(lambda side: result_trail(side.finish()))
+
+    def lowered_verdict(self, d_min, f, epsilon=None):
+        """Both sides' invariant checks on copies with the threshold at
+        ``d_min``, the growth rate ``f`` and, if given, the shape envelope of
+        slack factor ``epsilon``: the same verdict, counted and returned."""
+        sim, ref = copy.copy(self.sim), copy.copy(self.ref)
+        for side in (sim, ref):
+            side.d_min, side.f = d_min, f
+        if epsilon is not None:
+            sim._shape, ref.epsilon = v_shape_curve(sim.machines, epsilon), epsilon
+        got = _breach(sim.check_invariants)
+        assert got == _breach(lambda: reference_check_invariants(ref, ref.active_jobs()))
+        self.seen[got] += 1
+        return got
 
     @precondition(lambda self: self.ref.active_jobs())
     @rule()
     def lowered(self):
         """Lower the threshold, with the growth rate or not, and at assert
         level 2 the decay reference, each on copies: both sides' checks give
-        the same verdict."""
+        the same verdict.  Each check also trips by construction wherever the
+        live set has more than CHECK_SLACK of mandatory volume still to come."""
         # The threshold moves toward the clock; a steeper growth cap lets it
         # reach the shape envelope, a flatter one is breached sooner.
+        clock, d_min, f = self.ref.clock, self.ref.d_min, self.ref.f
         for scale, steeper in itertools.product((1.0, 0.99, 0.9, 0.6, 0.3, 0.05), (0.1, 1.0, 100.0)):
-            sim, ref = copy.copy(self.sim), copy.copy(self.ref)
-            for side in (sim, ref):
-                side.d_min, side.f = side.clock + (side.d_min - side.clock) * scale, side.f * steeper
-            got = _breach(sim.check_invariants)
-            assert got == _breach(lambda: reference_check_invariants(ref, ref.active_jobs()))
-            self.seen[got] += 1
+            self.lowered_verdict(clock + (d_min - clock) * scale, f * steeper)
+        curve = v_min_curve(self.ref.active_jobs(), clock)
+        if self.policy == "lazy" and curve.values[-1] > curve.values[0] + CHECK_SLACK:
+            # No growth allowed from the clock on.
+            assert self.lowered_verdict(clock, 0.0) == "growth cap breached"
+            # The threshold past every breakpoint, so the growth cap checks
+            # none, under an envelope that stays below 1e-50 there.
+            assert self.lowered_verdict(curve.breakpoints[-1] + 1.0, f, 1e-300) == "shape envelope breached"
         if self.ref.decay is None:
             return
         if self.ref.clock <= self.ref.decay[0] + TOL:
@@ -873,13 +876,15 @@ class SideBySide(RuleBasedStateMachine):
         t_old, old = self.ref.decay
         assert (self.sim._decay_clock, repr(self.sim._decay_curve)) == (t_old, repr(old))
         now = v_min_curve(self.ref.active_jobs(), self.ref.clock)
-        for scale in (1.0, 0.95, 0.7, 0.3):
-            lowered = PiecewiseLinear(old.start, old.breakpoints, *(tuple(scale * x for x in xs) for xs in (old.values, old.slopes)))
+        for scale in (1.0, 0.95, 0.7, 0.3, 0.0):
+            lowered = PiecewiseLinear(old.breakpoints, *(tuple(scale * x for x in xs) for xs in (old.values, old.slopes)))
             sim = copy.copy(self.sim)
             sim._decay_curve = lowered
             got = _breach(lambda: sim._check_progression(now))
             assert got == _breach(lambda: reference_check_progression(t_old, lowered, self.ref.clock, now))
             self.seen[got] += 1
+        if now.values[-1] > now.values[0] + CHECK_SLACK:
+            assert got == "volume decay violated"  # a reference of zero allows no volume
 
     @invariant()
     def same_state(self):
@@ -1072,9 +1077,7 @@ class TestLiveState:
         assert intact.active_jobs() and intact._decay_clock == intact.clock
         lowered = accept_two()
         ref = lowered._decay_curve
-        lowered._decay_curve = PiecewiseLinear(
-            ref.start, ref.breakpoints, tuple(0.5 * v for v in ref.values), tuple(0.5 * s for s in ref.slopes)
-        )
+        lowered._decay_curve = PiecewiseLinear(ref.breakpoints, tuple(0.5 * v for v in ref.values), tuple(0.5 * s for s in ref.slopes))
         with pytest.raises(InvariantError, match="volume decay violated"):
             lowered.advance_to(lowered.plan.end)
 
@@ -1203,7 +1206,7 @@ def random_walk_input(rng):
         shape = v_shape_curve(rng.randint(1, 8), rng.choice([1.0, 0.5, 0.25, 0.1]))
         span = rng.choice([rng.uniform(0.0, 12.0), math.ulp(max(abs(start), 1.0)) * rng.randint(1, 8)])
         stretched = tuple(start + x * span for x in shape.breakpoints), tuple(span * v for v in shape.values)
-        b = PiecewiseLinear(start, *stretched, shape.slopes)
+        b = PiecewiseLinear(*stretched, shape.slopes)
     else:
         pool = [bp for bp in a.breakpoints if bp > start] + [start + offset() for _ in range(rng.randint(0, 6))]
         bps = [start] + sorted(set(rng.sample(pool, rng.randint(0, len(pool)))) - {start})
@@ -1211,7 +1214,7 @@ def random_walk_input(rng):
         values = [rng.uniform(0.0, 5.0)]
         for x, y, slope in zip(bps, bps[1:], slopes):
             values.append(values[-1] + slope * (y - x))
-        b = PiecewiseLinear(start, tuple(bps), tuple(values), tuple(slopes))
+        b = PiecewiseLinear(tuple(bps), tuple(values), tuple(slopes))
     points = a.breakpoints + b.breakpoints
     lo = rng.choice([-math.inf, rng.choice(points), rng.uniform(t - 3.0, t + 15.0)])
     hi = rng.choice([math.inf, rng.choice(points), rng.uniform(t - 3.0, t + 15.0)])
@@ -1224,19 +1227,18 @@ def test_pointwise_equals_the_reference_by_repr(seed):
     seen = Counter()
     for _ in range(2500):
         a, b, lo, hi = random_walk_input(rng)
-        fields = [(c.breakpoints, c.values, c.slopes) for c in (a, b)]
-        got = preemptive._pointwise(*fields, lo, hi)
+        got = preemptive._pointwise(a, b, lo, hi)
         assert repr(got) == repr(list(reference_pointwise(a, b, lo, hi))), (a, b, lo, hi)
         # One forward pass reads the floats a lookup per tau reads.
         for curve, column in ((a, 1), (b, 2)):
-            on_curve = [row for row in got if row[0] >= curve.start]
+            on_curve = [row for row in got if row[0] >= curve.breakpoints[0]]
             assert repr([row[column] for row in on_curve]) == repr([curve.value(row[0]) for row in on_curve])
         seen["shared"] += bool(set(a.breakpoints) & set(b.breakpoints))
         seen["rounded together"] += len(set(b.breakpoints)) < len(b.breakpoints)
         seen["lo on a breakpoint"] += lo in a.breakpoints + b.breakpoints
         seen["hi on a breakpoint"] += hi in a.breakpoints + b.breakpoints
         seen["infinite"] += lo == -math.inf and hi == math.inf
-        seen["different starts"] += a.start != b.start
+        seen["different starts"] += a.breakpoints[0] != b.breakpoints[0]
         seen["values"] += len(got)
     assert min(seen.values()) > 100, seen
 
@@ -1268,11 +1270,11 @@ class TestCheckpoint:
         # tuples: a check builds no PiecewiseLinear but the curve it is not
         # handed.
         counts = Counter()
-        init = PiecewiseLinear.__init__
+        new = PiecewiseLinear.__new__
 
-        def counted_init(self, *args, **kwargs):
+        def counted_new(cls, *args, **kwargs):
             counts["built"] += 1
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
         check = PreemptiveSimulator.check_invariants
 
@@ -1285,7 +1287,7 @@ class TestCheckpoint:
             counts["envelopes"] += stretched
             return got
 
-        monkeypatch.setattr(PiecewiseLinear, "__init__", counted_init)
+        monkeypatch.setattr(PiecewiseLinear, "__new__", counted_new)
         monkeypatch.setattr(PreemptiveSimulator, "check_invariants", counted_check)
         inst = random_instance(200, 4, 0.5, seed=5, release_span=60.0)
         drive(PreemptiveSimulator(4, 0.5, level, policy), inst)

@@ -65,7 +65,7 @@ def reference_v_min_curve(active, t):
         slopes.append(float(running))
         if i + 1 < len(breakpoints):
             values.append(values[-1] + running * (breakpoints[i + 1] - bp))
-    return PiecewiseLinear(t, tuple(breakpoints), tuple(values), tuple(slopes))
+    return PiecewiseLinear(tuple(breakpoints), tuple(values), tuple(slopes))
 
 
 def random_active_set(rng, n, t):
@@ -288,7 +288,7 @@ class TestExtendCurve:
         for _ in range(3000):
             active, job = random_extension(rng, t)
             curve = v_min_curve(active, t)
-            grown = extend_curve(curve, job.remaining, job.deadline, t)
+            grown = extend_curve(curve, job.remaining, job.deadline)
             at = rng.randint(0, len(active))
             candidate = active[:at] + [job] + active[at:]
             assert repr(grown) == repr(v_min_curve(candidate, t)), (active, job, t)
@@ -306,19 +306,19 @@ class TestExtendCurve:
         active = [ActiveJob(0, 1.0, 3.0), ActiveJob(1, 2.0, 2.5)]
         curve = v_min_curve(active, 0.5)
         assert curve.breakpoints == (0.5, 2.0, 2.5, 3.0) and curve.slopes == (1.0, 2.0, 1.0, 0.0)
-        grown = extend_curve(curve, 2.0, 2.5, 0.5)
+        grown = extend_curve(curve, 2.0, 2.5)
         assert grown.breakpoints == curve.breakpoints and grown.slopes == (2.0, 3.0, 1.0, 0.0)
         assert repr(grown) == repr(v_min_curve(active + [ActiveJob(2, 2.0, 2.5)], 0.5))
 
     def test_none_for_a_job_with_mandatory_volume_at_t(self):
         curve = v_min_curve([ActiveJob(0, 1.0, 4.0)], 1.0)
-        assert extend_curve(curve, 2.0, 2.5, 1.0) is None  # latest start 0.5 < t
-        assert extend_curve(curve, 2.0, 3.0, 1.0) is not None  # latest start t
+        assert extend_curve(curve, 2.0, 2.5) is None  # latest start 0.5 < t
+        assert extend_curve(curve, 2.0, 3.0) is not None  # latest start t
 
     def test_a_job_too_small_for_a_breakpoint_leaves_the_curve(self):
         # deadline - remaining rounds to the deadline: the sweep adds no point.
         curve = v_min_curve([ActiveJob(0, 1.0, 4.0)], 0.0)
-        assert extend_curve(curve, 1e-17, 2.0, 0.0) is curve
+        assert extend_curve(curve, 1e-17, 2.0) is curve
         assert repr(curve) == repr(v_min_curve([ActiveJob(0, 1.0, 4.0), ActiveJob(1, 1e-17, 2.0)], 0.0))
 
 
